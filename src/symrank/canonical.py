@@ -30,6 +30,8 @@ from .scalars import (
     field_zero,
     scalar_from_json,
     scalar_to_json,
+    to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 
@@ -366,8 +368,11 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
                       magnitude: int = 2) -> SquareMatrix:
     """Conjugate M by a random integer unimodular matrix Q (det Q = 1).
 
-    Q is a product of elementary shears I + c E_ij with |c| <= magnitude, so
-    its inverse is exact and the result stays in the exact field.
+    Q is a product of elementary shears I + c E_ij with |c| <= magnitude.
+    Each shear is applied to D*M (D the common denominator) in draw order as
+    a row operation plus a column operation, so the result stays in the exact
+    field and Q itself is never formed; see
+    :class:`symrank.scalars.GaussianInteger` for why D*M stays integral.
     """
     if M.field != EXACT:
         raise ValueError("random similarity requires an exact matrix")
@@ -376,22 +381,15 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
         return M
     rng = random.Random(seed)
     count = shear_count if shear_count is not None else 2 * n
-    ops = []
+    d, work = to_gaussian_integers(M.entries)
     for _ in range(count):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
-        ops.append((i, j, c))
-    zero, one = field_zero(EXACT), field_one(EXACT)
-    q = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i, j, c in ops:
-        q[i] = [a + c * b for a, b in zip(q[i], q[j])]
-    qinv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i, j, c in ops:
-        for row in qinv:
-            row[j] = row[j] - c * row[i]
-    Q = SquareMatrix.from_rows(q, EXACT)
-    Qinv = SquareMatrix.from_rows(qinv, EXACT)
-    return Q @ M @ Qinv
+        # (I + c E_ij) M (I - c E_ij): row i += c row j, then column j -= c column i
+        work[i] = [a + b * c for a, b in zip(work[i], work[j])]
+        for row in work:
+            row[j] = row[j] - row[i] * c
+    return SquareMatrix(n, EXACT, to_gaussian_rationals(d, work))

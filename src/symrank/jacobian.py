@@ -8,8 +8,8 @@ turns the adjugate polynomial into an exact formula for the differential of
 every coefficient sigma_k.  Stacking the differentials over the n^2
 elementary directions gives an n-by-n^2 matrix whose column (i, j) sits at
 index i*n + j (0-based row-major vectorization); its rank is computed
-fraction-free in the exact field and via SVD thresholding in the float
-field.
+fraction-free over Gaussian integers in the exact field and via SVD
+thresholding in the float field.
 """
 
 from __future__ import annotations
@@ -20,7 +20,16 @@ import numpy as np
 
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
 from .matpoly import SquareMatrix, char_and_adjugate, symmetrize
-from .scalars import EXACT, FLOAT, NumericFailure, field_zero
+from .scalars import (
+    EXACT,
+    FLOAT,
+    GQ_ONE,
+    GQ_ZERO,
+    NumericFailure,
+    field_zero,
+    to_gaussian_integers,
+    to_gaussian_rationals,
+)
 
 COLUMN_ORDER = "direction (i,j) -> column i*n + j, 0-based row-major"
 
@@ -155,25 +164,44 @@ def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
     return JacobianMatrix(n, FLOAT, rows)
 
 
-def _rows_of(A):
-    if isinstance(A, (JacobianMatrix, SquareMatrix)):
-        field = A.field
-        rows = A.rows if isinstance(A, JacobianMatrix) else A.entries
-    else:
-        rows = tuple(tuple(r) for r in A)
-        field = EXACT
-    return rows, field
-
-
 def rank_exact(A) -> int:
-    """Rank by fraction-free (Bareiss) elimination with full pivoting; exact."""
-    rows, field = _rows_of(A)
-    if field != EXACT:
-        raise ValueError("exact rank requires exact entries")
-    work = [list(r) for r in rows]
+    """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
+
+    Each row is scaled by the lcm of its denominators and eliminated over
+    Gaussian integers (see :class:`symrank.scalars.GaussianInteger` for why
+    that is exact).  Entries must be int, Fraction or GaussianRational; a
+    float matrix, or a float entry in a plain list of rows, raises ValueError.
+    """
+    if isinstance(A, JacobianMatrix):
+        rows = A.rows
+    elif isinstance(A, SquareMatrix):
+        rows = A.entries
+    else:
+        rows = A
+    return _eliminate(rows)[0]
+
+
+def _eliminate(rows) -> tuple:
+    """(rank, determinant) of exact rows by one Bareiss pass over Z[i].
+
+    The determinant is that of the rows as given (zero unless they are square
+    and independent): the last pivot of the scaled rows, divided by the row
+    scales and signed by the row and column swaps.
+    """
+    work, scale = [], 1
+    try:
+        for row in rows:
+            d, (scaled,) = to_gaussian_integers([row])
+            work.append(scaled)
+            scale *= d
+    except TypeError:
+        raise ValueError("exact rank requires exact entries") from None
+    if not work:
+        return 0, GQ_ONE
     nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
+    ncols = len(work[0])
     rank = 0
+    sign = 1
     prev = None
     for _ in range(min(nrows, ncols)):
         pivot = None
@@ -189,9 +217,11 @@ def rank_exact(A) -> int:
         pi, pj = pivot
         if pi != rank:
             work[rank], work[pi] = work[pi], work[rank]
+            sign = -sign
         if pj != rank:
             for row in work:
                 row[rank], row[pj] = row[pj], row[rank]
+            sign = -sign
         p = work[rank][rank]
         pivot_row = work[rank]
         for i in range(rank + 1, nrows):
@@ -209,7 +239,10 @@ def rank_exact(A) -> int:
                 row[j] = num / prev if (prev is not None and num) else num
         prev = p
         rank += 1
-    return rank
+    if rank < nrows or rank < ncols:
+        return rank, GQ_ZERO
+    ((det,),) = to_gaussian_rationals(scale, [[prev * sign]])
+    return rank, det
 
 
 @dataclass(frozen=True)

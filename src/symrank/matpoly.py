@@ -7,9 +7,11 @@ The symmetrization map sends an n-by-n matrix M to the coefficient tuple
 
 i.e. to the elementary symmetric functions of the eigenvalues.  The
 characteristic polynomial is computed by the Faddeev-LeVerrier recursion,
-which only ever divides by the integers 1..n and therefore stays exact over
-the Gaussian rationals.  The recursion simultaneously produces the adjugate
-polynomial adj(tI - M), the source of exact first derivatives of det.
+which only ever divides by the integers 1..n.  An exact matrix is scaled by
+its common denominator D and run over Gaussian integers, where each of those
+divisions is exact (see :class:`symrank.scalars.GaussianInteger`), then
+scaled back.  The recursion simultaneously produces the adjugate polynomial
+adj(tI - M), the source of exact first derivatives of det.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -27,6 +29,7 @@ import numpy as np
 from .scalars import (
     EXACT,
     FLOAT,
+    GaussianInteger,
     GaussianRational,
     NumericFailure,
     coerce_scalar,
@@ -39,6 +42,8 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
     to_complex,
+    to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 #: A point of the symmetrized space: tuple (sigma_1, ..., sigma_n) of scalars.
@@ -497,10 +502,15 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
             for m in reversed(adj)
         )
         return poly, MatrixPolynomial(mats)
-    coeffs, adj = charpoly_in_ring(M.entries, field_zero(field), field_one(field))
-    poly = Polynomial(tuple(coeffs), field)
+    d, scaled = to_gaussian_integers(M.entries)
+    coeffs, adj = charpoly_in_ring(scaled, GaussianInteger(0), GaussianInteger(1))
+    # det(tI - DM) = D^n det(t/D I - M): c_j(M) = c_j(DM) / D^(n-j), and
+    # adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1)
+    (unscaled,) = to_gaussian_rationals(d ** n, [[c * d ** j for j, c in enumerate(coeffs)]])
+    poly = Polynomial(unscaled, field)
     mats = tuple(
-        SquareMatrix(n, field, tuple(tuple(row) for row in m)) for m in reversed(adj)
+        SquareMatrix(n, field, to_gaussian_rationals(d ** (k - 1), m))
+        for k, m in reversed(list(enumerate(adj, 1)))
     )
     return poly, MatrixPolynomial(mats)
 

@@ -33,7 +33,7 @@ from .canonical import (
     jordan_combinatorics,
     min_poly_degree,
 )
-from .jacobian import directional_derivative, jacobian_exact, rank_exact
+from .jacobian import _eliminate, directional_derivative, jacobian_exact, rank_exact
 from .matpoly import (
     MatrixPolynomial,
     Polynomial,
@@ -261,28 +261,6 @@ def genocchi_hermite_check(n: int, k: int, lam, eps_sequence) -> ConvergenceRepo
     )
 
 
-def _det_exact(rows):
-    """Determinant by fraction-free condensation with row-swap sign tracking."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = None
-    for r in range(n - 1):
-        pr = next((i for i in range(r, n) if a[i][r]), None)
-        if pr is None:
-            return field_zero(EXACT)
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = a[r][r] * a[i][j] - a[i][r] * a[r][j]
-                a[i][j] = num / prev if prev is not None else num
-        prev = a[r][r]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 @dataclass(frozen=True)
 class VandermondeComparison:
     """Direct confluent Vandermonde determinant against the closed form.
@@ -316,7 +294,7 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
         for d in range(mult):
             columns.append(monomial_vector(n, d, lam))
     rows = [[columns[c][r] for c in range(n)] for r in range(n)]
-    det = _det_exact(rows)
+    _, det = _eliminate(rows)
     det_abs2 = (det * det.conjugate()).re
     factorial_part = 1
     for _, mult in groups:

@@ -4,6 +4,8 @@ Every other module is generic over a ``field`` tag, either ``"exact"``
 (:class:`GaussianRational`, pairs of ``fractions.Fraction``) or ``"float"``
 (built-in ``complex``).  Exact scalars make rank decisions decidable; the
 float field exists for finite-difference oracles and numeric cross-checks.
+The exact kernels clear denominators and compute in :class:`GaussianInteger`
+internally; their inputs and outputs stay Gaussian rationals.
 
 All values are immutable and safe to share between threads.
 """
@@ -186,6 +188,109 @@ def gq(re=0, im=0) -> GaussianRational:
 GQ_ZERO = gq(0)
 GQ_ONE = gq(1)
 GQ_I = gq(0, 1)
+
+
+class GaussianInteger:
+    """Element of Z[i]: the ring the exact kernels actually compute in.
+
+    Every exact matrix the kernels see is a Gaussian-integer matrix up to one
+    common denominator, so :func:`to_gaussian_integers` clears it, the kernel
+    runs on int pairs, and :func:`to_gaussian_rationals` divides it back in.
+    Each division a kernel makes is exact in Z[i]:
+
+    * the coefficients of det(tI - A) and of adj(tI - A) are integer
+      polynomials in A's entries, so every ``/ k`` in Faddeev-LeVerrier
+      (``matpoly.charpoly_in_ring``) on a Gaussian-integer A is exact;
+    * scaling a row by a nonzero integer leaves the rank unchanged, and every
+      Bareiss division is exact in any integral domain, Z[i] among them; the
+      pivot order (first nonzero in a row-major scan) does not change;
+    * the similarity shears have integer multipliers, so D*M stays a
+      Gaussian-integer matrix.
+
+    A nonzero remainder therefore means a bug: ``/`` raises
+    ``ArithmeticError`` instead of rounding.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int = 0, im: int = 0):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+    def __eq__(self, other):
+        if type(other) is not GaussianInteger:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
+        return GaussianInteger(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
+        return GaussianInteger(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "GaussianInteger":
+        return GaussianInteger(-self.re, -self.im)
+
+    def __mul__(self, other) -> "GaussianInteger":
+        if type(other) is int:
+            return GaussianInteger(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianInteger(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "GaussianInteger":
+        if type(other) is int:
+            re, im, norm = self.re, self.im, other
+        else:
+            c, d = other.re, other.im
+            re, im, norm = self.re * c + self.im * d, self.im * c - self.re * d, c * c + d * d
+        q_re, r_re = divmod(re, norm)
+        q_im, r_im = divmod(im, norm)
+        if r_re or r_im:
+            raise ArithmeticError(f"{self!r} / {other!r} is not exact in Z[i]")
+        return GaussianInteger(q_re, q_im)
+
+    def __repr__(self) -> str:
+        return f"GaussianInteger({self.re}, {self.im})"
+
+
+def to_gaussian_integers(rows) -> tuple[int, list]:
+    """(D, D * rows) with D the lcm of every denominator and D * rows as
+    :class:`GaussianInteger` lists.  Entries may be int, Fraction or
+    GaussianRational; anything else raises TypeError."""
+    parts = []
+    denominators = set()
+    for row in rows:
+        out = []
+        for x in row:
+            if type(x) is GaussianRational:
+                re, im = x.re, x.im
+                denominators.add(im.denominator)
+            elif isinstance(x, (int, Fraction)):
+                re, im = x, 0
+            else:
+                raise TypeError(f"{x!r} is not an exact scalar")
+            denominators.add(re.denominator)
+            out.append((re, im))
+        parts.append(out)
+    d = math.lcm(*denominators)
+    return d, [[GaussianInteger(re.numerator * (d // re.denominator),
+                                im.numerator * (d // im.denominator))
+                 for re, im in row] for row in parts]
+
+
+def to_gaussian_rationals(denominator: int, rows) -> tuple:
+    """Rows of GaussianInteger divided by ``denominator``, as tuples of
+    GaussianRational: the inverse of :func:`to_gaussian_integers`."""
+    return tuple(
+        tuple(GaussianRational(Fraction(z.re, denominator), Fraction(z.im, denominator))
+              if z else GQ_ZERO for z in row)
+        for row in rows
+    )
 
 
 def to_complex(x) -> complex:

@@ -19,7 +19,7 @@ from symrank.canonical import (
 )
 from symrank.cli import enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
-from symrank.scalars import EXACT, FLOAT, gq
+from symrank.scalars import EXACT, FLOAT, gq, random_gaussian_rational
 
 
 def gauss_rank(rows):
@@ -297,3 +297,36 @@ def test_random_similarity_unimodular():
 def test_random_similarity_requires_exact():
     with pytest.raises(ValueError):
         random_similarity(SquareMatrix.identity(2, FLOAT), seed=0)
+
+
+def dense_similarity(M, seed, shear_count=None, magnitude=2):
+    """Oracle: Q @ M @ Q^-1 with Q and Q^-1 built densely from the shear draw
+    of random_similarity (Q = E_last ... E_first, each E = I + c E_ij)."""
+    n = M.n
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(shear_count if shear_count is not None else 2 * n):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        ops.append((i, j, rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])))
+    q = [[gq(1) if a == b else gq(0) for b in range(n)] for a in range(n)]
+    qinv = [row[:] for row in q]
+    for i, j, c in ops:
+        q[i] = [a + c * b for a, b in zip(q[i], q[j])]
+        for row in qinv:
+            row[j] = row[j] - c * row[i]
+    return SquareMatrix.from_rows(q, EXACT) @ M @ SquareMatrix.from_rows(qinv, EXACT)
+
+
+def test_random_similarity_matches_dense_product():
+    rng = random.Random(17)
+    for n in range(2, 6):
+        for trial in range(4):
+            M = SquareMatrix.from_rows(
+                [[random_gaussian_rational(rng) for _ in range(n)] for _ in range(n)], EXACT)
+            for count in (0, None, 3 * n):
+                seed = 100 * n + trial
+                assert (random_similarity(M, seed, shear_count=count)
+                        == dense_similarity(M, seed, shear_count=count))

@@ -1,11 +1,13 @@
 """Exact derivative assembly, finite-difference oracles, and rank."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from symrank.canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
 from symrank.jacobian import (
+    _eliminate,
     directional_derivative,
     jacobian_exact,
     jacobian_fd,
@@ -22,6 +24,7 @@ from symrank.matpoly import (
 )
 from symrank.scalars import EXACT, FLOAT, approx_eq, gq, random_gaussian_rational
 from tests.test_canonical import gauss_rank
+from tests.test_matpoly import laplace_det
 
 
 def directional_oracle(B, M):
@@ -214,6 +217,44 @@ def test_rank_exact_matches_gauss_oracle():
 def test_rank_exact_rejects_float():
     with pytest.raises(ValueError):
         rank_exact(SquareMatrix.identity(2, FLOAT))
+    # rank 1 in exact arithmetic; float elimination would report 2
+    with pytest.raises(ValueError, match="exact rank requires exact entries"):
+        rank_exact([[0.1, 0.3], [0.30000000000000004, 0.8999999999999999]])
+
+
+def test_rank_exact_accepts_int_and_fraction_entries():
+    assert rank_exact([[1, Fraction(1, 2)], [2, 1]]) == 1
+    assert rank_exact([[1, Fraction(1, 2)], [gq(0, 1), 3]]) == 2
+
+
+def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
+    # each row gets its own scale, so rows must not share a denominator
+    rng = random.Random(72)
+    for trial in range(40):
+        nrows = rng.randint(1, 5)
+        ncols = rng.randint(1, 7)
+        rows = []
+        for _ in range(nrows):
+            den = rng.randint(1, 9)
+            rows.append([gq(Fraction(rng.randint(-6, 6), den),
+                            Fraction(rng.randint(-6, 6), rng.randint(1, 9)))
+                         if rng.random() < 0.6 else gq(0) for _ in range(ncols)])
+        if nrows > 2 and trial % 2:
+            rows[-1] = [a * gq("3/7", 1) + b * gq("-5/2") for a, b in zip(rows[0], rows[1])]
+        assert rank_exact(rows) == gauss_rank(rows)
+
+
+def test_eliminate_determinant_matches_cofactor_oracle():
+    rng = random.Random(91)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        rows = [[random_gaussian_rational(rng, 5) if rng.random() < 0.6 else gq(0)
+                 for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 4 == 0:
+            rows[-1] = [gq(2) * x for x in rows[0]]
+        rank, det = _eliminate(rows)
+        assert det == laplace_det(rows)
+        assert rank == gauss_rank(rows)
 
 
 def test_rank_numeric_identity():

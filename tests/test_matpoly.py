@@ -6,6 +6,7 @@ which share no code with the recursion under test.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,13 +18,23 @@ from symrank.matpoly import (
     adjugate_poly,
     char_and_adjugate,
     char_poly,
+    charpoly_in_ring,
     dot,
     monomial_vector,
     spectral_radius_bound,
     sym_poly_eval,
     symmetrize,
 )
-from symrank.scalars import EXACT, FLOAT, GQ_I, NumericFailure, gq, random_gaussian_rational
+from symrank.scalars import (
+    EXACT,
+    FLOAT,
+    GQ_I,
+    GQ_ONE,
+    GQ_ZERO,
+    NumericFailure,
+    gq,
+    random_gaussian_rational,
+)
 
 
 def laplace_det(rows):
@@ -354,3 +365,24 @@ def test_polynomial_trims_trailing_zeros():
     p = Polynomial.make([1, 2, 0, 0])
     assert p.degree == 1
     assert Polynomial.make([0, 0]).is_zero
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_char_and_adjugate_matches_fraction_recursion(n):
+    # the Gaussian-integer route, unscaled by D^(n-j) and D^(k-1), against
+    # the same recursion run directly on Gaussian rationals
+    rng = random.Random(400 + n)
+    cases = [SquareMatrix.zeros(n)]
+    for den in range(1, 10):
+        cases.append(SquareMatrix.from_rows(
+            [[gq(Fraction(rng.randint(-9, 9), den), Fraction(rng.randint(-9, 9), 10 - den))
+              for _ in range(n)] for _ in range(n)], EXACT))
+    zero_row = [list(r) for r in random_exact_matrix(rng, n, 9).entries]
+    zero_row[rng.randrange(n)] = [gq(0)] * n
+    cases.append(SquareMatrix.from_rows(zero_row, EXACT))
+    for M in cases:
+        p, adj = char_and_adjugate(M)
+        coeffs, mats = charpoly_in_ring(M.entries, GQ_ZERO, GQ_ONE)
+        assert p.coefficients == tuple(coeffs)
+        assert [m.entries for m in adj.coefficients] == [
+            tuple(tuple(row) for row in m) for m in reversed(mats)]

@@ -8,6 +8,7 @@ import pytest
 from symrank.scalars import (
     EXACT,
     FLOAT,
+    GaussianInteger,
     GaussianRational,
     approx_eq,
     coerce_scalar,
@@ -20,6 +21,8 @@ from symrank.scalars import (
     render_rational,
     scalar_from_json,
     scalar_to_json,
+    to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 
@@ -157,3 +160,38 @@ def test_eigenvalue_shorthand_round_trip():
     values += [random_gaussian_rational(rng) for _ in range(50)]
     for v in values:
         assert parse_eigenvalue(format_eigenvalue(v)) == v
+
+
+def test_gaussian_integer_ring_operations():
+    a, b = GaussianInteger(3, -2), GaussianInteger(-1, 4)
+    assert a + b == GaussianInteger(2, 2)
+    assert a - b == GaussianInteger(4, -6)
+    assert a * b == GaussianInteger(5, 14)
+    assert -a == GaussianInteger(-3, 2)
+    assert a * 2 == 2 * a == GaussianInteger(6, -4)
+    assert (a * b) / b == a
+    assert GaussianInteger(6, -4) / 2 == a
+    assert GaussianInteger(0, 1) and not GaussianInteger()
+
+
+def test_gaussian_integer_division_raises_on_remainder():
+    with pytest.raises(ArithmeticError):
+        GaussianInteger(1) / GaussianInteger(1, 1)
+    with pytest.raises(ArithmeticError):
+        GaussianInteger(3, 1) / 2
+    with pytest.raises(ZeroDivisionError):
+        GaussianInteger(1) / GaussianInteger()
+
+
+def test_gaussian_integer_conversions():
+    d, scaled = to_gaussian_integers([[1, Fraction(1, 6)], [gq("1/4", "-1/3"), 0]])
+    assert d == 12
+    assert scaled == [[GaussianInteger(12), GaussianInteger(2)],
+                      [GaussianInteger(3, -4), GaussianInteger(0)]]
+    rng = random.Random(11)
+    for _ in range(50):
+        rows = [[random_gaussian_rational(rng) for _ in range(3)] for _ in range(2)]
+        d, scaled = to_gaussian_integers(rows)
+        assert to_gaussian_rationals(d, scaled) == tuple(tuple(r) for r in rows)
+    with pytest.raises(TypeError):
+        to_gaussian_integers([[gq(1), 0.5]])
