@@ -51,8 +51,8 @@ class JordanSpec:
     blocks: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("matrix size must be at least 1")
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"matrix size n must be a positive integer, got {self.n!r}")
         if not self.blocks:
             raise ValueError("at least one eigenvalue group required")
         seen = []
@@ -65,8 +65,8 @@ class JordanSpec:
             seen.append(blk.eigenvalue)
             if not blk.sizes:
                 raise ValueError("each eigenvalue needs at least one block")
-            if any(not isinstance(s, int) or s < 1 for s in blk.sizes):
-                raise ValueError("block sizes must be positive integers")
+            if any(type(s) is not int or s < 1 for s in blk.sizes):
+                raise ValueError(f"block sizes must be positive integers, got {blk.sizes}")
             if any(a > b for a, b in zip(blk.sizes, blk.sizes[1:])):
                 raise ValueError(f"block sizes must be ascending, got {blk.sizes}")
             total += sum(blk.sizes)
@@ -117,11 +117,13 @@ class JordanSpec:
             blocks = obj["blocks"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"Jordan spec JSON missing key: {exc}") from None
+        if not isinstance(blocks, list):
+            raise ValueError(f"Jordan spec 'blocks' must be a list, got {blocks!r}")
         groups = []
         for b in blocks:
             try:
                 eig = scalar_from_json(b["eigenvalue"], EXACT)
-                sizes = tuple(int(s) for s in b["sizes"])
+                sizes = tuple(b["sizes"])
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"bad Jordan block entry: {exc}") from None
             groups.append(EigenvalueBlocks(eig, sizes))
@@ -166,10 +168,9 @@ class FrobeniusSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FrobeniusSpec":
-        try:
-            factors = obj["invariant_factors"]
-        except (TypeError, KeyError):
-            raise ValueError("Frobenius spec JSON needs 'invariant_factors'") from None
+        factors = obj.get("invariant_factors") if isinstance(obj, dict) else None
+        if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
+            raise ValueError("Frobenius spec JSON needs 'invariant_factors', a list of coefficient lists")
         return cls(tuple(Polynomial.from_json(f, EXACT) for f in factors))
 
 

@@ -58,7 +58,6 @@ from .scalars import (
     GQ_I,
     NumericFailure,
     coerce_scalar,
-    field_zero,
     format_eigenvalue,
     gq,
     parse_eigenvalue,
@@ -162,7 +161,18 @@ def _random_exact_matrix(n: int, seed: int, magnitude: int = 4) -> SquareMatrix:
     )
 
 
-def _check_nullspace(spec: JordanSpec) -> dict:
+def _check_theorem(spec: JordanSpec, seed: int):
+    report = verify_theorem(spec, seed=seed)
+    return report, {
+        "min_poly_degree": report.min_poly_degree,
+        "rank": report.rank,
+        "theorem_holds": report.theorem_holds,
+        "conjugation_checked": report.conjugation_checked,
+        "ok": report.theorem_holds and report.conjugation_checked,
+    }
+
+
+def _check_nullspace(spec: JordanSpec):
     m = min_poly_degree(spec)
     expected = spec.n - m
     cert = nullspace_basis(spec)
@@ -171,7 +181,7 @@ def _check_nullspace(spec: JordanSpec) -> dict:
         independent = rank_exact([v.vector for v in cert.vectors]) == expected
     else:
         independent = expected == 0
-    return {
+    return cert, {
         "count": len(cert.vectors),
         "expected": expected,
         "annihilates": annihilates,
@@ -180,72 +190,72 @@ def _check_nullspace(spec: JordanSpec) -> dict:
     }
 
 
-def _check_tangent(spec: JordanSpec) -> dict:
-    m = min_poly_degree(spec)
-    cert = tangent_construction(jordan_to_frobenius(spec))
-    ok = len(cert.images) == m and tangent_ok(cert)
-    return {
-        "expected": m,
+def _check_tangent(spec):
+    """Tangent certificate of a Jordan or Frobenius spec."""
+    fspec = spec if isinstance(spec, FrobeniusSpec) else jordan_to_frobenius(spec)
+    cert = tangent_construction(fspec)
+    return cert, {
+        "expected": fspec.min_degree,
         "images": len(cert.images),
         "pivots": list(cert.pivots),
-        "ok": ok,
+        "ok": len(cert.images) == fspec.min_degree and tangent_ok(cert),
     }
 
 
-def _check_vandermonde(spec: JordanSpec) -> dict:
+def _check_vandermonde(spec: JordanSpec):
     clusters = [(blk.eigenvalue, sum(blk.sizes)) for blk in spec.blocks]
     result = confluent_vandermonde_det(clusters)
-    return {
+    return result, {
         "clusters": [[format_eigenvalue(lam), mult] for lam, mult in clusters],
         "closed_form_abs": result.closed_form_abs,
         "ok": result.matches,
     }
 
 
-def _check_ord(spec: JordanSpec, seed: int) -> dict:
-    B = build_jordan(spec)
-    curve = linear_curve(B, _random_exact_matrix(spec.n, seed))
-    checks = 0
-    violations = 0
-    for blk in spec.blocks:
-        for k in range(sum(blk.sizes)):
-            report = order_of_vanishing(spec, curve, blk.eigenvalue, k)
-            checks += 1
-            if not report.passed:
-                violations += 1
-    return {"checks": checks, "violations": violations, "ok": violations == 0}
+def _check_ord(spec: JordanSpec, seed: int, curve: MatrixPolynomial | None = None):
+    """Order reports along curve (default B + zeta*M, M drawn from seed)."""
+    if curve is None:
+        curve = linear_curve(build_jordan(spec), _random_exact_matrix(spec.n, seed))
+    reports = [
+        order_of_vanishing(spec, curve, blk.eigenvalue, k)
+        for blk in spec.blocks
+        for k in range(sum(blk.sizes))
+    ]
+    violations = sum(1 for r in reports if not r.passed)
+    return (curve, reports), {
+        "checks": len(reports), "violations": violations, "ok": violations == 0,
+    }
+
+
+#: mode -> (check, seed stream or None, repro subcommand or None).  A check
+#: takes the spec, plus its derived seed when the mode has a stream, and
+#: returns (raw, entry): raw is what the subcommand prints and entry the
+#: sweep record, whose "ok" is the mode's one pass rule.  A mode without a
+#: subcommand is reproduced by a one-mode sweep.
+_MODE_TABLE = {
+    "theorem": (_check_theorem, 1, "verify"),
+    "nullspace": (_check_nullspace, None, "nullspace"),
+    "tangent": (_check_tangent, None, "tangent"),
+    "vandermonde": (_check_vandermonde, None, None),
+    "ord": (_check_ord, 2, "ord"),
+}
 
 
 def _sweep_worker(item) -> dict:
     config, index, spec = item
     modes_out = {}
-    ok = True
     for mode in config.modes:
-        if mode == "theorem":
-            report = verify_theorem(spec, seed=_derived_seed(config.seed, index, 1))
-            entry = {
-                "min_poly_degree": report.min_poly_degree,
-                "rank": report.rank,
-                "theorem_holds": report.theorem_holds,
-                "conjugation_checked": report.conjugation_checked,
-                "ok": report.theorem_holds and report.conjugation_checked,
-            }
-        elif mode == "nullspace":
-            entry = _check_nullspace(spec)
-        elif mode == "tangent":
-            entry = _check_tangent(spec)
-        elif mode == "vandermonde":
-            entry = _check_vandermonde(spec)
+        check, stream, _ = _MODE_TABLE[mode]
+        if stream is None:
+            _, modes_out[mode] = check(spec)
         else:
-            entry = _check_ord(spec, _derived_seed(config.seed, index, 2))
-        modes_out[mode] = entry
-        ok = ok and entry["ok"]
+            _, modes_out[mode] = check(spec, _derived_seed(config.seed, index, stream))
     return {
         "index": index,
         "n": spec.n,
         "spec": spec.to_json(),
         "modes": modes_out,
-        "ok": ok,
+        "ok": all(entry["ok"] for entry in modes_out.values()),
     }
 
 
@@ -254,21 +264,16 @@ def _failure_record(record: dict, config: SweepConfig) -> dict:
     failed = [m for m, entry in record["modes"].items() if not entry["ok"]]
     repros = []
     for mode in failed:
-        seed = _derived_seed(config.seed, record["index"], 1 if mode == "theorem" else 2)
-        if mode == "theorem":
-            repros.append(f"symrank verify --spec '{spec_json}' --seed {seed}")
-        elif mode == "nullspace":
-            repros.append(f"symrank nullspace --spec '{spec_json}'")
-        elif mode == "tangent":
-            repros.append(f"symrank tangent --spec '{spec_json}'")
-        elif mode == "ord":
-            repros.append(f"symrank ord --spec '{spec_json}' --seed {seed}")
-        else:
+        _, stream, command = _MODE_TABLE[mode]
+        if command is None:
             pool = ",".join(format_eigenvalue(e) for e in config.pool)
-            repros.append(
-                f"symrank sweep --n-max {record['n']} --pool '{pool}' "
-                f"--modes vandermonde --seed {config.seed}"
-            )
+            repro = (f"symrank sweep --n-max {record['n']} --pool '{pool}' "
+                     f"--modes {mode} --seed {config.seed}")
+        else:
+            repro = f"symrank {command} --spec '{spec_json}'"
+            if stream is not None:
+                repro += f" --seed {_derived_seed(config.seed, record['index'], stream)}"
+        repros.append(repro)
     return {
         "index": record["index"],
         "spec": record["spec"],
@@ -291,8 +296,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if not config.modes:
         return SweepReport((), total, ())
     items = [(config, i, spec) for i, spec in enumerate(specs)]
-    if config.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    workers = min(config.parallelism, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, items, chunksize=16))
     else:
         records = [_sweep_worker(item) for item in items]
@@ -396,6 +402,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _spectral_bound(matrix: SquareMatrix) -> float | None:
+    """The float spectral-radius diagnostic, or None where it overflows."""
+    try:
+        return spectral_radius_bound(matrix.to_float(), iterations=8)
+    except (NumericFailure, OverflowError):
+        return None
+
+
 def _cmd_pi(args) -> int:
     matrix = _matrix_from(args)
     values = symmetrize(matrix)
@@ -404,9 +418,9 @@ def _cmd_pi(args) -> int:
         "field": matrix.field,
         "values": [scalar_to_json(v) for v in values],
     }
-    bound = spectral_radius_bound(matrix.to_float(), iterations=8)
+    bound = _spectral_bound(matrix)
     out["spectral_radius_bound"] = bound
-    out["in_spectral_ball"] = True if bound < 1.0 else None
+    out["in_spectral_ball"] = True if bound is not None and bound < 1.0 else None
     _emit(args, out)
     return 0
 
@@ -430,7 +444,7 @@ def _cmd_rank(args) -> int:
             "tolerance": profile.threshold,
             "singular_values": list(profile.singular_values),
             "threshold_gap": profile.gap,
-            "spectral_radius_bound": spectral_radius_bound(matrix, iterations=8),
+            "spectral_radius_bound": _spectral_bound(matrix),
         }
     _emit(args, out)
     return 0
@@ -448,41 +462,35 @@ def _cmd_minpoly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _jordan_spec_from(args)
-    report = verify_theorem(spec, seed=args.seed)
+    report, entry = _check_theorem(_jordan_spec_from(args), args.seed)
     _emit(args, report.to_json())
-    return 0 if report.theorem_holds and report.conjugation_checked else 1
+    return 0 if entry["ok"] else 1
 
 
 def _cmd_nullspace(args) -> int:
-    spec = _jordan_spec_from(args)
-    cert = nullspace_basis(spec)
-    outcome = _check_nullspace(spec)
+    cert, entry = _check_nullspace(_jordan_spec_from(args))
     _emit(args, cert.to_json())
     print(
-        f"nullspace: {outcome['count']}/{outcome['expected']} vectors, "
-        f"annihilates={outcome['annihilates']}, independent={outcome['independent']}",
+        f"nullspace: {entry['count']}/{entry['expected']} vectors, "
+        f"annihilates={entry['annihilates']}, independent={entry['independent']}",
         file=sys.stderr,
     )
-    return 0 if outcome["ok"] else 1
+    return 0 if entry["ok"] else 1
 
 
 def _cmd_tangent(args) -> int:
-    spec = _any_spec_from(args)
-    fspec = spec if isinstance(spec, FrobeniusSpec) else jordan_to_frobenius(spec)
-    cert = tangent_construction(fspec)
-    ok = len(cert.images) == fspec.min_degree and tangent_ok(cert)
+    cert, entry = _check_tangent(_any_spec_from(args))
     _emit(args, cert.to_json())
     print(
-        f"tangent: {len(cert.images)} images, pivots {list(cert.pivots)}, ok={ok}",
+        f"tangent: {entry['images']} images, pivots {entry['pivots']}, ok={entry['ok']}",
         file=sys.stderr,
     )
-    return 0 if ok else 1
+    return 0 if entry["ok"] else 1
 
 
 def _cmd_ord(args) -> int:
     spec = _jordan_spec_from(args)
-    B = build_jordan(spec)
+    curve = None
     if args.curve is not None or args.curve_file is not None:
         if args.curve is not None:
             obj = _parse_json(args.curve, "--curve")
@@ -494,24 +502,16 @@ def _cmd_ord(args) -> int:
             curve = MatrixPolynomial.from_json(obj)
         except ValueError as exc:
             raise CliInputError(f"{source}: {exc}") from None
-        if curve.coefficients[0] != B:
+        if curve.coefficients[0] != build_jordan(spec):
             raise CliInputError(f"{source}: curve base mismatch: curve(0) must equal the spec's matrix")
-    else:
-        curve = linear_curve(B, _random_exact_matrix(spec.n, args.seed))
-    results = []
-    all_passed = True
-    for blk in spec.blocks:
-        for k in range(sum(blk.sizes)):
-            report = order_of_vanishing(spec, curve, blk.eigenvalue, k)
-            results.append(report.to_json())
-            all_passed = all_passed and report.passed
+    (curve, reports), entry = _check_ord(spec, args.seed, curve)
     _emit(args, {
         "spec": spec.to_json(),
         "curve_degree": curve.degree,
-        "results": results,
-        "all_passed": all_passed,
+        "results": [r.to_json() for r in reports],
+        "all_passed": entry["ok"],
     })
-    return 0 if all_passed else 1
+    return 0 if entry["ok"] else 1
 
 
 def _parse_pool(text: str) -> tuple:

@@ -14,6 +14,7 @@ thresholding in the float field.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,33 +95,31 @@ def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
     Component k is (-1)^(k+1) times the coefficient of t^(n-k) in
     tr(adj(tI - B) M).
     """
-    if B.n != M.n:
-        raise ValueError(f"size mismatch: {B.n} vs {M.n}")
-    if B.field != M.field:
-        raise ValueError(f"field mismatch: {B.field} vs {M.field}")
-    _, adj = char_and_adjugate(B)
-    return _directional_from_adjugate(adj, M)
-
-
-def _directional_from_adjugate(adj, M: SquareMatrix) -> tuple:
+    B._check_compatible(M)
     n = M.n
+    _, adj = char_and_adjugate(B)
     zero = field_zero(M.field)
     out = []
     for k in range(1, n + 1):
-        degree = n - k
-        if degree > adj.degree:
-            tau = zero
-        else:
-            coeff_mat = adj.coefficients[degree]
-            tau = zero
-            for a in range(n):
-                for b in range(n):
-                    x = coeff_mat.entries[a][b]
-                    y = M.entries[b][a]
-                    if x and y:
+        grads = _adjugate_gradients(adj, k)
+        tau = zero
+        for j in range(n):
+            for i in range(n):
+                y = M.entries[i][j]
+                if y:
+                    x = grads[i][j]
+                    if x:
                         tau = tau + x * y
         out.append(tau if k % 2 == 1 else -tau)
     return tuple(out)
+
+
+def _adjugate_gradients(adj, k: int) -> tuple:
+    """Entry [i][j] is entry (j, i) of the t^(n-k) coefficient of adj(tI - B):
+    by the trace form, (-1)^(k+1) d sigma_k along E_ij.  adj(tI - B) has
+    degree n - 1 (its leading coefficient is I), so every k in 1..n has a
+    stored coefficient."""
+    return tuple(zip(*adj.coefficients[adj.n - k].entries))
 
 
 def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
@@ -132,17 +131,10 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
     """
     n = B.n
     _, adj = char_and_adjugate(B)
-    zero = field_zero(B.field)
     rows = []
     for k in range(1, n + 1):
-        degree = n - k
-        coeff_mat = adj.coefficients[degree] if degree <= adj.degree else None
-        row = []
-        for i in range(n):
-            for j in range(n):
-                tau = coeff_mat.entries[j][i] if coeff_mat is not None else zero
-                row.append(tau if k % 2 == 1 else -tau)
-        rows.append(tuple(row))
+        row = tuple(itertools.chain.from_iterable(_adjugate_gradients(adj, k)))
+        rows.append(row if k % 2 == 1 else tuple(-tau for tau in row))
     return JacobianMatrix(n, B.field, tuple(rows))
 
 

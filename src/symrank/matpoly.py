@@ -19,9 +19,7 @@ parallel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,12 +31,8 @@ from .scalars import (
     GaussianRational,
     NumericFailure,
     coerce_scalar,
-    ensure_finite,
-    field_of,
     field_one,
     field_zero,
-    gq,
-    scalar_from_int,
     scalar_from_json,
     scalar_to_json,
     to_complex,
@@ -168,9 +162,12 @@ class SquareMatrix:
             entries = obj["entries"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"matrix JSON missing key: {exc}") from None
+        if type(n) is not int:
+            raise ValueError(f"matrix 'n' must be an integer, got {n!r}")
         if field not in (EXACT, FLOAT):
             raise ValueError(f"unknown field {field!r}")
-        if len(entries) != n or any(len(r) != n for r in entries):
+        if (not isinstance(entries, list) or len(entries) != n
+                or any(not isinstance(r, list) or len(r) != n for r in entries)):
             raise ValueError(f"matrix JSON entries are not {n}x{n}")
         rows = [[scalar_from_json(x, field) for x in r] for r in entries]
         return cls.from_rows(rows, field)
@@ -423,10 +420,9 @@ class MatrixPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixPolynomial":
-        try:
-            coeffs = obj["coefficients"]
-        except (TypeError, KeyError):
-            raise ValueError("curve JSON must have a 'coefficients' list") from None
+        coeffs = obj.get("coefficients") if isinstance(obj, dict) else None
+        if not isinstance(coeffs, list):
+            raise ValueError("curve JSON must have a 'coefficients' list")
         return cls(tuple(SquareMatrix.from_json(c) for c in coeffs))
 
 
@@ -542,15 +538,6 @@ def falling_factorial(p: int, k: int) -> int:
     return out
 
 
-def _point_field(values, t) -> str:
-    for v in (t, *values):
-        if isinstance(v, GaussianRational):
-            return EXACT
-        if isinstance(v, (float, complex)):
-            return FLOAT
-    return EXACT
-
-
 def sym_poly_eval(v: Sequence, k: int, t):
     """k-th derivative of the monic polynomial attached to a symmetrized point.
 
@@ -562,7 +549,7 @@ def sym_poly_eval(v: Sequence, k: int, t):
     if k < 0:
         raise ValueError("derivative order must be non-negative")
     n = len(v)
-    field = _point_field(v, t)
+    field = _infer_field((t, *v))
     t = coerce_scalar(t, field)
     total = field_zero(field)
     if k > n:
@@ -585,7 +572,7 @@ def monomial_vector(n: int, k: int, lam) -> tuple:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"order k={k} out of range for size {n}")
-    field = _point_field((), lam)
+    field = _infer_field((lam,))
     lam = coerce_scalar(lam, field)
     zero = field_zero(field)
     out = []

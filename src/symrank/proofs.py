@@ -31,7 +31,6 @@ from .canonical import (
     build_frobenius,
     build_jordan,
     jordan_combinatorics,
-    min_poly_degree,
 )
 from .jacobian import _eliminate, directional_derivative, jacobian_exact, rank_exact
 from .matpoly import (
@@ -46,21 +45,14 @@ from .matpoly import (
 )
 from .scalars import (
     EXACT,
-    FLOAT,
     GaussianRational,
     coerce_scalar,
     field_one,
     field_zero,
-    gq,
     random_gaussian_rational,
     scalar_from_json,
     scalar_to_json,
-    to_complex,
 )
-
-#: Curves through B are matrix polynomials Phi(zeta) with Phi(0) = B.
-CurveSpec = MatrixPolynomial
-
 
 @dataclass(frozen=True)
 class NullVector:

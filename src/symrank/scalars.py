@@ -16,11 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 EXACT = "exact"
 FLOAT = "float"
-FIELDS = (EXACT, FLOAT)
 
 
 class NumericFailure(RuntimeError):
@@ -51,9 +49,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(body))
     except ValueError:
         raise ValueError(f"bad rational {text!r}") from None
-
-
-_RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(value) -> Fraction:
@@ -315,24 +310,12 @@ def approx_eq(a, b, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def field_of(x) -> str:
-    if isinstance(x, GaussianRational):
-        return EXACT
-    if isinstance(x, complex):
-        return FLOAT
-    raise TypeError(f"{x!r} is not a field scalar")
-
-
 def field_zero(field: str):
     return GQ_ZERO if field == EXACT else 0j
 
 
 def field_one(field: str):
     return GQ_ONE if field == EXACT else complex(1.0)
-
-
-def scalar_from_int(field: str, k: int):
-    return gq(k) if field == EXACT else complex(k)
 
 
 def coerce_scalar(value, field: str):
@@ -369,7 +352,7 @@ def scalar_from_json(obj, field: str):
             raise ValueError(f"exact scalar parts must be 'p/q' strings, got {obj!r}")
         return GaussianRational(parse_rational(re), parse_rational(im))
     if field == FLOAT:
-        if isinstance(re, str) or isinstance(im, str):
+        if type(re) not in (int, float) or type(im) not in (int, float):
             raise ValueError(f"float scalar parts must be numbers, got {obj!r}")
         return ensure_finite(complex(float(re), float(im)))
     raise ValueError(f"unknown field {field!r}")

@@ -408,3 +408,148 @@ def test_cli_env_var_field(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert out["field"] == "float"
     assert out["values"] == [[1.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# output contract: these pin bytes and strings that refactors must not move
+
+
+def test_cli_sweep_golden_digest(tmp_path):
+    import hashlib
+
+    out = tmp_path / "golden.jsonl"
+    assert main(["sweep", "--n-max", "3", "--seed", "0", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    body = out.read_bytes()
+    assert body.count(b"\n") == 90
+    assert hashlib.sha256(body).hexdigest() == (
+        "8464ba46639048f7a86906ccb044df8f5e78d54c6a92c8a71e0f91e7666d0c40")
+
+
+def test_failure_record_repro_strings_for_every_mode():
+    from symrank.cli import _failure_record
+
+    config = SweepConfig(n_max=2, pool=(gq(0), gq(1), gq(0, 1)), seed=5)
+    record = {
+        "index": 3,
+        "n": 2,
+        "spec": JordanSpec.of({0: [2]}).to_json(),
+        "modes": {m: {"ok": False} for m in MODES},
+        "ok": False,
+    }
+    spec = '{"blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [2]}], "n": 2}'
+    failure = _failure_record(record, config)
+    assert failure["modes_failed"] == list(MODES)
+    assert failure["repro"] == [
+        f"symrank verify --spec '{spec}' --seed 1227539",
+        f"symrank nullspace --spec '{spec}'",
+        f"symrank tangent --spec '{spec}'",
+        "symrank sweep --n-max 2 --pool '0,1,i' --modes vandermonde --seed 5",
+        f"symrank ord --spec '{spec}' --seed 1227540",
+    ]
+
+
+def test_run_sweep_calls_verify_theorem_through_the_module(monkeypatch):
+    import symrank.cli as cli
+
+    calls = []
+    original = cli.verify_theorem
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_theorem", counting)
+    report = run_sweep(SweepConfig(n_max=1, modes=("theorem",)))
+    assert report.passed
+    assert len(calls) == len(DEFAULT_POOL)
+
+
+# ---------------------------------------------------------------------------
+# input boundary and resource bounds
+
+
+ZERO_BLOCK = {"eigenvalue": ["0/1", "0/1"], "sizes": [1]}
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("verify", {"n": "1", "blocks": [ZERO_BLOCK]}, "n must be"),
+    ("verify", {"n": True, "blocks": [ZERO_BLOCK]}, "n must be"),
+    ("verify", {"n": 1, "blocks": 5}, "'blocks' must be"),
+    ("verify", {"n": 1, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [1.7]}]},
+     "block sizes"),
+    ("verify", {"n": 1, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [True]}]},
+     "block sizes"),
+    ("rank", {"n": 1, "field": "exact", "entries": 5}, "entries"),
+    ("rank", {"n": True, "field": "exact", "entries": [[["1/1", "0/1"]]]}, "'n' must be"),
+    ("rank", {"n": 1, "field": "float", "entries": [[[True, 0.0]]]}, "must be numbers"),
+    ("rank", {"n": 1, "field": "float", "entries": [[[None, 0.0]]]}, "must be numbers"),
+    ("tangent", {"invariant_factors": 5}, "'invariant_factors', a list"),
+    ("tangent", {"invariant_factors": [5]}, "'invariant_factors', a list"),
+    ("ord", {"coefficients": 5}, "'coefficients' list"),
+])
+def test_cli_malformed_json_exits_2(tmp_path, capsys, command, payload, named):
+    if command == "rank":
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, str(path)]
+    elif command == "ord":
+        argv = ["ord", "--spec", SPEC_0_11, "--curve", json.dumps(payload)]
+    else:
+        argv = [command, "--spec", json.dumps(payload)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("pi", ["10000000000/1", "0/1"]),
+    ("pi", [f"{10 ** 400}/1", "0/1"]),
+    ("rank", [1e200, 0.0]),
+])
+def test_cli_spectral_overflow_reports_null(tmp_path, capsys, command, entry):
+    field = "float" if isinstance(entry[0], float) else "exact"
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 1, "field": field, "entries": [[entry]]}))
+    assert main([command, str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["spectral_radius_bound"] is None
+    if command == "pi":
+        assert out["values"] == [entry]
+        assert out["in_spectral_ball"] is None
+    else:
+        assert out["rank"] == 1
+
+
+@pytest.mark.parametrize("cpus, pool_size, expected", [
+    (4, 5, [4]),   # capped at the CPU count
+    (8, 2, [2]),   # capped at the number of work items
+    (1, 5, []),    # one CPU: serial, no pool
+    (None, 5, []),  # unknown CPU count counts as one
+])
+def test_run_sweep_caps_worker_count(monkeypatch, cpus, pool_size, expected):
+    import symrank.cli as cli
+
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    pool = DEFAULT_POOL[:pool_size]
+    report = run_sweep(SweepConfig(n_max=1, pool=pool, modes=("vandermonde",),
+                                   parallelism=10 ** 9))
+    assert report.passed and len(report.records) == pool_size
+    assert started == expected
