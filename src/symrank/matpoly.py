@@ -11,7 +11,10 @@ which only ever divides by the integers 1..n.  An exact matrix is scaled by
 its common denominator D and run over Gaussian integers, where each of those
 divisions is exact (see :class:`symrank.scalars.GaussianInteger`), then
 scaled back.  The recursion simultaneously produces the adjugate polynomial
-adj(tI - M), the source of exact first derivatives of det.
+adj(tI - M), the source of exact first derivatives of det.  The same
+unchanged recursion expands det(tI - D*Phi) for a curve Phi(zeta) over
+Z[i][zeta] (:class:`symrank.scalars.GaussianIntegerPolynomial`), which is how
+``proofs.order_of_vanishing`` reads vanishing orders.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -186,8 +189,9 @@ class Polynomial:
 
     The zero polynomial has an empty coefficient tuple (degree -1).  Instances
     double as exact ring elements: matrices of Polynomials can be fed through
-    the generic characteristic-polynomial recursion, which is how curves in a
-    formal parameter are differentiated exactly.
+    the generic characteristic-polynomial recursion.  Over Gaussian-rational
+    coefficients that is the tests' reference for the curve expansion in
+    ``proofs``, which itself runs over Z[i][zeta].
     """
 
     coefficients: tuple

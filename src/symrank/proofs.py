@@ -14,12 +14,12 @@ Together the two certificates re-derive rank == m without any singular value
 decomposition.  Supporting tools: Newton divided differences with Hermite
 (repeated-node) data, a convergence check for the divided-difference limit
 formula, the confluent Vandermonde determinant against its closed form, and
-an order-of-vanishing verifier for polynomial curves through B.
+an order-of-vanishing verifier for polynomial curves through B, which expands
+each curve's characteristic polynomial once over Z[i][zeta].
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -35,7 +35,6 @@ from .canonical import (
 from .jacobian import _eliminate, directional_derivative, jacobian_exact, rank_exact
 from .matpoly import (
     MatrixPolynomial,
-    Polynomial,
     SquareMatrix,
     charpoly_in_ring,
     dot,
@@ -45,6 +44,8 @@ from .matpoly import (
 )
 from .scalars import (
     EXACT,
+    GaussianInteger,
+    GaussianIntegerPolynomial,
     GaussianRational,
     coerce_scalar,
     field_one,
@@ -52,6 +53,7 @@ from .scalars import (
     random_gaussian_rational,
     scalar_from_json,
     scalar_to_json,
+    to_gaussian_integers,
 )
 
 @dataclass(frozen=True)
@@ -426,24 +428,48 @@ def linear_curve(B: SquareMatrix, M: SquareMatrix) -> MatrixPolynomial:
     return MatrixPolynomial((B, M))
 
 
-@functools.lru_cache(maxsize=128)
-def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple:
-    """Characteristic coefficients of a curve, each a polynomial in the
-    curve parameter; cached since one curve is queried at many (lam, k)."""
-    n = curve.n
-    entries = [[curve.entry_poly(i, j) for j in range(n)] for i in range(n)]
-    coeffs, _ = charpoly_in_ring(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
-    return tuple(coeffs)
+#: (curve, D, coefficients) of the last curve expanded.  One curve is queried
+#: at every (lam, k) in turn, so one slot is enough, and matching by identity
+#: never hashes the curve's Fractions.  A single tuple, so that a reader
+#: always sees the parts of one curve.
+_last_curve = (None, 1, ())
+
+
+def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
+    """(D, c): D the common denominator of the curve's coefficient matrices,
+    c_0..c_n the coefficients of det(tI - D*Phi) over Z[i][zeta], so that
+    c_p(Phi) = D^p c_p(D*Phi) / D^n."""
+    global _last_curve
+    last, d, coeffs = _last_curve
+    if curve is last:
+        return d, coeffs
+    n, terms = curve.n, len(curve.coefficients)
+    d, scaled = to_gaussian_integers([row for c in curve.coefficients for row in c.entries])
+    # row q*n + i of scaled is row i of D*M_q, the zeta^q coefficient matrix
+    entries = [
+        [GaussianIntegerPolynomial([scaled[q * n + i][j].re for q in range(terms)],
+                                   [scaled[q * n + i][j].im for q in range(terms)])
+         for j in range(n)]
+        for i in range(n)
+    ]
+    coeffs, _ = charpoly_in_ring(entries, GaussianIntegerPolynomial([], []),
+                                 GaussianIntegerPolynomial([1], [0]))
+    coeffs = tuple(coeffs)
+    _last_curve = (curve, d, coeffs)
+    return d, coeffs
 
 
 def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -> VanishingReport:
     """Vanishing order in the curve parameter of the k-th derivative value.
 
-    The curve's characteristic polynomial is expanded exactly with polynomial
-    entries, its k-th t-derivative is evaluated at the eigenvalue, and the
-    lowest nonzero power of the curve parameter is compared against the
-    mandatory order coming from the block-start combinatorics (None means
-    identically zero, which passes every requirement).
+    The curve's characteristic polynomial is expanded exactly over
+    Z[i][zeta] after clearing the curve's common denominator D, its k-th
+    t-derivative is evaluated at the eigenvalue lam = a/e, and the lowest
+    nonzero power of the curve parameter is compared against the mandatory
+    order coming from the block-start combinatorics (None means identically
+    zero, which passes every requirement).  The value is taken in Z[i][zeta]
+    as sum_p ff(p, k) a^(p-k) e^(n-p) D^p c_p(D*Phi), which is D^n e^(n-k)
+    times the true value and so has the same lowest nonzero power.
     """
     lam = coerce_scalar(lam, EXACT)
     if curve.field != EXACT:
@@ -455,11 +481,15 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     if not 0 <= k <= comb.multiplicity - 1:
         raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
     n = spec.n
-    coeffs = _curve_char_coeffs(curve)
-    derivative_value = Polynomial.zero(EXACT)
+    d, coeffs = _curve_char_coeffs(curve)
+    e, ((a,),) = to_gaussian_integers([[lam]])
+    derivative_value = GaussianIntegerPolynomial([], [])
+    a_power = GaussianInteger(1)
     for p in range(k, n + 1):
-        weight = falling_factorial(p, k) * lam ** (p - k)
-        derivative_value = derivative_value + coeffs[p] * weight
+        weight = a_power * (falling_factorial(p, k) * e ** (n - p) * d ** p)
+        derivative_value = derivative_value + coeffs[p] * GaussianIntegerPolynomial(
+            [weight.re], [weight.im])
+        a_power = a_power * a
     observed = derivative_value.lowest_nonzero_degree()
     required = comb.orders[comb.multiplicity - k - 1]
     passed = observed is None or observed >= required

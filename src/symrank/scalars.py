@@ -5,7 +5,8 @@ Every other module is generic over a ``field`` tag, either ``"exact"``
 (built-in ``complex``).  Exact scalars make rank decisions decidable; the
 float field exists for finite-difference oracles and numeric cross-checks.
 The exact kernels clear denominators and compute in :class:`GaussianInteger`
-internally; their inputs and outputs stay Gaussian rationals.
+(curves: :class:`GaussianIntegerPolynomial`) internally; their inputs and
+outputs stay Gaussian rationals.
 
 All values are immutable and safe to share between threads.
 """
@@ -202,6 +203,13 @@ class GaussianInteger:
     * the similarity shears have integer multipliers, so D*M stays a
       Gaussian-integer matrix.
 
+    The first argument holds over any commutative ring in which ``k * x = y``
+    has at most one solution x, so it carries over to Z[i][zeta]
+    (:class:`GaussianIntegerPolynomial`): a curve Phi(zeta) = sum_j zeta^j M_j
+    scaled by the common denominator D of all its M_j has entries in
+    Z[i][zeta], the coefficients of det(tI - D*Phi) are integer polynomials in
+    them, and each ``/ k`` divides every zeta-coefficient exactly.
+
     A nonzero remainder therefore means a bug: ``/`` raises
     ``ArithmeticError`` instead of rounding.
     """
@@ -251,6 +259,98 @@ class GaussianInteger:
 
     def __repr__(self) -> str:
         return f"GaussianInteger({self.re}, {self.im})"
+
+
+class GaussianIntegerPolynomial:
+    """Element of Z[i][zeta]: the ring of curve characteristic polynomials.
+
+    ``re`` and ``im`` are equally long ascending int lists of the real and
+    imaginary parts of the zeta-coefficients, trimmed so that the top
+    coefficient is nonzero; zero is the pair of empty lists.  The constructor
+    trims and keeps the lists it is given, and no operation writes them after
+    that.  Divisions are exact for the reason given in
+    :class:`GaussianInteger`, so ``/ int`` raises ``ArithmeticError`` on any
+    remainder.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: list, im: list):
+        while re and not re[-1] and not im[-1]:
+            re.pop()
+            im.pop()
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re)
+
+    def __add__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        # no operation writes an element's lists, so sharing them is safe
+        if not ar:
+            return other
+        if not br:
+            return self
+        if len(ar) < len(br):
+            ar, ai, br, bi = br, bi, ar, ai
+        re, im = ar[:], ai[:]
+        for d, (x, y) in enumerate(zip(br, bi)):
+            re[d] += x
+            im[d] += y
+        return GaussianIntegerPolynomial(re, im)
+
+    def __sub__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
+        return self + -other
+
+    def __neg__(self) -> "GaussianIntegerPolynomial":
+        return GaussianIntegerPolynomial([-x for x in self.re], [-y for y in self.im])
+
+    def __mul__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if not ar or not br:
+            return GaussianIntegerPolynomial([], [])
+        if len(ar) > len(br):
+            ar, ai, br, bi = br, bi, ar, ai
+        # Z[i] has no zero divisors, so the top coefficient stays nonzero;
+        # real or imaginary coefficients of the shorter factor skip two products
+        size = len(ar) + len(br) - 1
+        re = [0] * size
+        im = [0] * size
+        for i, (a, b) in enumerate(zip(ar, ai)):
+            if a and b:
+                for j, (c, d) in enumerate(zip(br, bi)):
+                    re[i + j] += a * c - b * d
+                    im[i + j] += a * d + b * c
+            elif a:
+                for j, (c, d) in enumerate(zip(br, bi)):
+                    re[i + j] += a * c
+                    im[i + j] += a * d
+            elif b:
+                for j, (c, d) in enumerate(zip(br, bi)):
+                    re[i + j] -= b * d
+                    im[i + j] += b * c
+        return GaussianIntegerPolynomial(re, im)
+
+    def __truediv__(self, other: int) -> "GaussianIntegerPolynomial":
+        re, im = [], []
+        for x, y in zip(self.re, self.im):
+            q_re, r_re = divmod(x, other)
+            q_im, r_im = divmod(y, other)
+            if r_re or r_im:
+                raise ArithmeticError(f"{self!r} / {other!r} is not exact in Z[i][zeta]")
+            re.append(q_re)
+            im.append(q_im)
+        return GaussianIntegerPolynomial(re, im)
+
+    def lowest_nonzero_degree(self) -> int | None:
+        for d, (x, y) in enumerate(zip(self.re, self.im)):
+            if x or y:
+                return d
+        return None
+
+    def __repr__(self) -> str:
+        return f"GaussianIntegerPolynomial({self.re}, {self.im})"
 
 
 def to_gaussian_integers(rows) -> tuple[int, list]:
@@ -354,7 +454,14 @@ def scalar_from_json(obj, field: str):
     if field == FLOAT:
         if type(re) not in (int, float) or type(im) not in (int, float):
             raise ValueError(f"float scalar parts must be numbers, got {obj!r}")
-        return ensure_finite(complex(float(re), float(im)))
+        # JSON 1e400 parses to inf, and an int past the float range overflows
+        try:
+            z = complex(float(re), float(im))
+        except OverflowError:
+            z = complex(math.inf)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"float scalar parts must be finite numbers, got {obj!r}")
+        return z
     raise ValueError(f"unknown field {field!r}")
 
 

@@ -265,3 +265,31 @@ def test_criterion_9_corrected_derivative_identity():
         ok, f"{checked} exact checks",
     )
     assert ok, line
+
+
+def test_criterion_10_order_of_vanishing_exhaustive():
+    # one fresh random linear curve per structure, every structure with n <= 6
+    expected_total = sum(expected_spec_count(n, len(DEFAULT_POOL)) for n in range(1, 7))
+    specs = checks = violations = 0
+    start = time.monotonic()
+    for n in range(1, 7):
+        for index, spec in enumerate(enumerate_jordan_specs(n, DEFAULT_POOL)):
+            rng = random.Random((SWEEP_SEED * 1013 + n * 137 + index) * 29)
+            M = SquareMatrix.from_rows(
+                [[random_gaussian_rational(rng, 4) for _ in range(n)] for _ in range(n)],
+                EXACT,
+            )
+            curve = linear_curve(build_jordan(spec), M)
+            specs += 1
+            for blk in spec.blocks:
+                for k in range(sum(blk.sizes)):
+                    checks += 1
+                    if not order_of_vanishing(spec, curve, blk.eigenvalue, k).passed:
+                        violations += 1
+    elapsed = time.monotonic() - start
+    ok = violations == 0 and specs == expected_total
+    line = _criterion(
+        10, "order-of-vanishing bound on one random linear curve per structure, n <= 6",
+        ok, f"{specs} specs, {checks} checks, {violations} violations, {elapsed:.1f}s",
+    )
+    assert ok, line

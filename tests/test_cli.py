@@ -1,5 +1,6 @@
 """Enumeration, sweep harness, and the command-line interface."""
 
+import io
 import json
 import subprocess
 import sys
@@ -487,9 +488,15 @@ ZERO_BLOCK = {"eigenvalue": ["0/1", "0/1"], "sizes": [1]}
     ("tangent", {"invariant_factors": 5}, "'invariant_factors', a list"),
     ("tangent", {"invariant_factors": [5]}, "'invariant_factors', a list"),
     ("ord", {"coefficients": 5}, "'coefficients' list"),
+    ("rank", '{"n": 1, "field": "float", "entries": [[[1e400, 0]]]}', "must be finite"),
+    ("rank", {"n": 1, "field": "float", "entries": [[[10 ** 400, 0]]]}, "must be finite"),
 ])
-def test_cli_malformed_json_exits_2(tmp_path, capsys, command, payload, named):
-    if command == "rank":
+def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payload, named):
+    if command == "rank" and isinstance(payload, str):
+        # raw JSON text on stdin (json.dumps would write inf as Infinity)
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        argv = [command, "-"]
+    elif command == "rank":
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(payload))
         argv = [command, str(path)]

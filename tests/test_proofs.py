@@ -5,20 +5,31 @@ from fractions import Fraction
 
 import pytest
 
+from symrank import proofs
 from symrank.canonical import (
     FrobeniusSpec,
     JordanSpec,
     build_frobenius,
     build_jordan,
+    jordan_combinatorics,
     jordan_to_frobenius,
     min_poly_degree,
 )
 from symrank.cli import enumerate_jordan_specs
 from symrank.jacobian import directional_derivative, jacobian_exact, rank_exact
-from symrank.matpoly import MatrixPolynomial, Polynomial, SquareMatrix, dot, symmetrize
+from symrank.matpoly import (
+    MatrixPolynomial,
+    Polynomial,
+    SquareMatrix,
+    charpoly_in_ring,
+    dot,
+    falling_factorial,
+    symmetrize,
+)
 from symrank.proofs import (
     NullspaceCertificate,
     NullVector,
+    VanishingReport,
     confluent_vandermonde_det,
     divided_difference,
     genocchi_hermite_check,
@@ -347,6 +358,104 @@ def test_order_of_vanishing_quadratic_curve():
     curve = MatrixPolynomial((B, mats[0], mats[1]))
     for k in range(4):
         assert order_of_vanishing(spec, curve, gq(0), k).passed
+
+
+def reference_curve_char_coeffs(curve: MatrixPolynomial) -> list:
+    """The former curve expansion: Faddeev-LeVerrier over Polynomial entries
+    with Gaussian-rational coefficients; c_0..c_n of det(tI - Phi)."""
+    n = curve.n
+    entries = [[curve.entry_poly(i, j) for j in range(n)] for i in range(n)]
+    coeffs, _ = charpoly_in_ring(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
+    return coeffs
+
+
+def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
+    """The former report: the k-th t-derivative at lam over Gaussian rationals."""
+    comb = jordan_combinatorics(spec, lam)
+    value = Polynomial.zero(EXACT)
+    for p in range(k, spec.n + 1):
+        value = value + coeffs[p] * (falling_factorial(p, k) * lam ** (p - k))
+    observed = value.lowest_nonzero_degree()
+    required = comb.orders[comb.multiplicity - k - 1]
+    return VanishingReport(lam, k, observed, required, observed is None or observed >= required)
+
+
+def _unscaled(d: int, coeffs) -> list:
+    """c_p(Phi) = D^p c_p(D*Phi) / D^n as Gaussian-rational polynomials."""
+    n = len(coeffs) - 1
+    return [Polynomial(tuple(gq(Fraction(re * d ** p, d ** n), Fraction(im * d ** p, d ** n))
+                             for re, im in zip(c.re, c.im)))
+            for p, c in enumerate(coeffs)]
+
+
+def _oracle_curves(spec, rng):
+    """Constant, Gaussian-integer linear, rational linear and rational
+    quadratic curves through the spec's matrix."""
+    n = spec.n
+    B = build_jordan(spec)
+
+    def draw(rational):
+        def entry():
+            if rational:
+                return random_gaussian_rational(rng, 3)
+            return gq(rng.randint(-3, 3), rng.randint(-3, 3))
+        return SquareMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)], EXACT)
+
+    return [MatrixPolynomial((B,)), linear_curve(B, draw(False)), linear_curve(B, draw(True)),
+            MatrixPolynomial((B, draw(True), draw(True)))]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_curve_char_coeffs_and_reports_match_fraction_expansion(n):
+    # 1/2 - 2i/3 puts rational entries in B and a rational lam in every query
+    pool = [gq(0), gq("1/2", "-2/3"), gq(0, 1)]
+    specs = list(enumerate_jordan_specs(n, pool))
+    rng = random.Random(500 + n)
+    compared = 0
+    # the last spec has the most distinct eigenvalues of the pool
+    for spec in rng.sample(specs, min(4, len(specs))) + [specs[-1]]:
+        for curve in _oracle_curves(spec, rng):
+            expected = reference_curve_char_coeffs(curve)
+            d, coeffs = proofs._curve_char_coeffs(curve)
+            assert _unscaled(d, coeffs) == expected
+            for blk in spec.blocks:
+                for k in range(sum(blk.sizes)):
+                    got = order_of_vanishing(spec, curve, blk.eigenvalue, k)
+                    assert got == reference_order_of_vanishing(spec, expected, blk.eigenvalue, k)
+                    compared += 1
+    assert compared >= 5 * n
+
+
+def test_curve_expanded_once_per_curve(monkeypatch):
+    calls = []
+    original = proofs.charpoly_in_ring
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(proofs, "charpoly_in_ring", counting)
+    rng = random.Random(61)
+    spec = JordanSpec.of({0: [1, 2], 1: [1]})
+    B = build_jordan(spec)
+    M = SquareMatrix.from_rows(
+        [[random_gaussian_rational(rng, 4) for _ in range(4)] for _ in range(4)], EXACT)
+    curve = linear_curve(B, M)
+    queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
+    first = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
+    assert len(queries) == spec.n and len(calls) == 1
+    # an equal but distinct curve is expanded again and answers the same
+    twin = MatrixPolynomial(tuple(curve.coefficients))
+    assert twin == curve and twin is not curve
+    assert [order_of_vanishing(spec, twin, lam, k) for lam, k in queries] == first
+    assert len(calls) == 2
+    # a different curve in between never sees the last curve's coefficients
+    other = linear_curve(B, SquareMatrix.identity(4))
+    expected = reference_curve_char_coeffs(other)
+    assert [order_of_vanishing(spec, other, lam, k) for lam, k in queries] == [
+        reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
+    assert [order_of_vanishing(spec, curve, lam, k) for lam, k in queries] == first
+    assert len(calls) == 4
 
 
 def test_order_of_vanishing_rejects_mismatched_base():

@@ -9,6 +9,7 @@ from symrank.scalars import (
     EXACT,
     FLOAT,
     GaussianInteger,
+    GaussianIntegerPolynomial,
     GaussianRational,
     approx_eq,
     coerce_scalar,
@@ -24,6 +25,7 @@ from symrank.scalars import (
     to_gaussian_integers,
     to_gaussian_rationals,
 )
+from symrank.matpoly import Polynomial
 
 
 def test_normalize_gcd_reduction():
@@ -141,6 +143,13 @@ def test_scalar_json_field_mismatch():
         scalar_from_json([1.0], FLOAT)
 
 
+def test_scalar_json_float_rejects_non_finite():
+    # JSON 1e400 parses to inf; an int past the float range cannot be converted
+    for parts in ([float("inf"), 0.0], [0, float("-inf")], [float("nan"), 0], [10 ** 400, 0]):
+        with pytest.raises(ValueError, match="finite"):
+            scalar_from_json(parts, FLOAT)
+
+
 def test_coerce_rejects_cross_field():
     with pytest.raises(TypeError):
         coerce_scalar(0.5, EXACT)
@@ -195,3 +204,53 @@ def test_gaussian_integer_conversions():
         assert to_gaussian_rationals(d, scaled) == tuple(tuple(r) for r in rows)
     with pytest.raises(TypeError):
         to_gaussian_integers([[gq(1), 0.5]])
+
+
+def _as_polynomial(p: GaussianIntegerPolynomial) -> Polynomial:
+    return Polynomial(tuple(gq(re, im) for re, im in zip(p.re, p.im)))
+
+
+def test_gaussian_integer_polynomial_trims_and_tests_zero():
+    p = GaussianIntegerPolynomial([1, 2, 0, 0], [0, -1, 0, 0])
+    assert (p.re, p.im) == ([1, 2], [0, -1])
+    # a top coefficient with only an imaginary part is kept
+    q = GaussianIntegerPolynomial([0, 0], [0, 3])
+    assert (q.re, q.im) == ([0, 0], [0, 3])
+    zero = GaussianIntegerPolynomial([0, 0], [0, 0])
+    assert (zero.re, zero.im) == ([], []) and not zero
+    assert p and q and not p - p
+    # cancelling the top coefficient trims, also below the longer operand
+    r = p + GaussianIntegerPolynomial([0, -2], [0, 1])
+    assert (r.re, r.im) == ([1], [0])
+    assert (p.lowest_nonzero_degree(), q.lowest_nonzero_degree(),
+            zero.lowest_nonzero_degree()) == (0, 1, None)
+
+
+def test_gaussian_integer_polynomial_matches_polynomial_oracle():
+    rng = random.Random(41)
+
+    def draw():
+        size = rng.randint(0, 4)
+        return GaussianIntegerPolynomial([rng.randint(-5, 5) for _ in range(size)],
+                                         [rng.choice((0, rng.randint(-5, 5))) for _ in range(size)])
+
+    for _ in range(300):
+        a, b = draw(), draw()
+        pa, pb = _as_polynomial(a), _as_polynomial(b)
+        for got, want in ((a + b, pa + pb), (a - b, pa - pb), (b - a, pb - pa),
+                          (a * b, pa * pb), (b * a, pa * pb), (-a, -pa)):
+            assert _as_polynomial(got) == want
+            assert bool(got) == bool(want)
+            assert len(got.re) == len(got.im) == len(want.coefficients)
+        k = rng.randint(1, 6)
+        assert _as_polynomial((a * GaussianIntegerPolynomial([k], [0])) / k) == pa
+
+
+def test_gaussian_integer_polynomial_division_raises_on_remainder():
+    p = GaussianIntegerPolynomial([6, 4], [2, -8])
+    q = p / 2
+    assert (q.re, q.im) == ([3, 2], [1, -4])
+    with pytest.raises(ArithmeticError):
+        p / 4  # 6/4 in the constant term
+    with pytest.raises(ArithmeticError):
+        GaussianIntegerPolynomial([4, 4], [4, 3]) / 2  # only the top imaginary part is odd
