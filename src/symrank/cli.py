@@ -12,7 +12,8 @@ polynomial degree depend on the block structure and on which eigenvalues
 coincide, never on the particular values chosen, so a small pool exhausts
 the hypothesis space at each size.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input
+(including a matrix or spec larger than :data:`MAX_N`).
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ MODES = ("theorem", "nullspace", "tangent", "vandermonde", "ord")
 DEFAULT_POOL = (gq(0), gq(1), gq(-1), GQ_I, gq(2))
 FIELD_ENV_VAR = "SYMRANK_FIELD"
 
+#: Largest matrix size that any subcommand accepts, and the largest
+#: ``sweep --n-max``; beyond it a command exits 2.  It bounds the work of one
+#: matrix: at n = 12 the slowest subcommand, ``minpoly`` on a dense exact
+#: matrix, takes about 5.5 s (2 cores, Python 3.11.7), and the exact kernels
+#: grow faster than n^4.  A sweep's spec count still grows with --n-max
+#: (2,051 structures up to n = 6, 11,806 up to n = 8).
+MAX_N = 12
+
 
 class CliInputError(Exception):
     """Malformed or inconsistent input; maps to exit code 2."""
@@ -85,6 +94,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_max > MAX_N:
+            raise ValueError(f"n_max {self.n_max} exceeds the size limit MAX_N = {MAX_N}")
         if not self.pool:
             raise ValueError("eigenvalue pool must be non-empty")
         for a in range(len(self.pool)):
@@ -340,10 +351,17 @@ def _load_spec_arg(args) -> tuple[dict, str]:
     raise CliInputError("a spec is required: pass --spec '<json>' or --spec-file PATH")
 
 
+def _within_limit(obj, source: str):
+    """obj (a spec or a matrix) if its size n is at most MAX_N."""
+    if obj.n > MAX_N:
+        raise CliInputError(f"{source}: size n = {obj.n} exceeds the size limit MAX_N = {MAX_N}")
+    return obj
+
+
 def _jordan_spec_from(args) -> JordanSpec:
     obj, source = _load_spec_arg(args)
     try:
-        return JordanSpec.from_json(obj)
+        return _within_limit(JordanSpec.from_json(obj), source)
     except ValueError as exc:
         raise CliInputError(f"{source}: {exc}") from None
 
@@ -352,8 +370,8 @@ def _any_spec_from(args):
     obj, source = _load_spec_arg(args)
     try:
         if isinstance(obj, dict) and "invariant_factors" in obj:
-            return FrobeniusSpec.from_json(obj)
-        return JordanSpec.from_json(obj)
+            return _within_limit(FrobeniusSpec.from_json(obj), source)
+        return _within_limit(JordanSpec.from_json(obj), source)
     except ValueError as exc:
         raise CliInputError(f"{source}: {exc}") from None
 
@@ -362,7 +380,7 @@ def _matrix_from(args) -> SquareMatrix:
     text, source = _read_source(args.matrix)
     obj = _parse_json(text, source)
     try:
-        matrix = SquareMatrix.from_json(obj)
+        matrix = _within_limit(SquareMatrix.from_json(obj), source)
     except ValueError as exc:
         raise CliInputError(f"{source}: {exc}") from None
     requested = _field_choice(args)

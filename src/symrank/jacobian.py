@@ -28,6 +28,7 @@ from .scalars import (
     GQ_ZERO,
     NumericFailure,
     field_zero,
+    to_complex,
     to_gaussian_integers,
     to_gaussian_rationals,
 )
@@ -50,7 +51,8 @@ class JacobianMatrix:
         return i * self.n + j
 
     def to_numpy(self) -> np.ndarray:
-        from .scalars import to_complex
+        if self.field == FLOAT:
+            return np.array(self.rows, dtype=complex)
         return np.array([[to_complex(x) for x in row] for row in self.rows], dtype=complex)
 
     def to_json(self) -> dict:
@@ -131,10 +133,15 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
     """
     n = B.n
     _, adj = char_and_adjugate(B)
+    # an exact zero is its own negative, so it is kept; a float 0j negates to
+    # -0j, which `symrank jacobian` prints as -0.0
+    floats = B.field == FLOAT
     rows = []
     for k in range(1, n + 1):
         row = tuple(itertools.chain.from_iterable(_adjugate_gradients(adj, k)))
-        rows.append(row if k % 2 == 1 else tuple(-tau for tau in row))
+        if k % 2 == 0:
+            row = tuple(-tau if tau or floats else tau for tau in row)
+        rows.append(row)
     return JacobianMatrix(n, B.field, tuple(rows))
 
 
@@ -145,15 +152,24 @@ def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
     if not h > 0:
         raise ValueError("step h must be positive")
     n = B.n
+    step = complex(h)
+    # B + h*E_ij adds 0j to every other entry, which turns a -0.0 part into
+    # 0.0; subtracting 0j changes nothing
+    plus_rows = tuple(tuple(x + 0j for x in row) for row in B.entries)
     cols = []
     for i in range(n):
         for j in range(n):
-            step = SquareMatrix.basis(n, i, j, FLOAT).scale(complex(h))
-            plus = symmetrize(B + step)
-            minus = symmetrize(B - step)
+            plus = symmetrize(_replace_entry(plus_rows, i, j, plus_rows[i][j] + step))
+            minus = symmetrize(_replace_entry(B.entries, i, j, B.entries[i][j] - step))
             cols.append(tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus)))
     rows = tuple(tuple(col[k] for col in cols) for k in range(n))
     return JacobianMatrix(n, FLOAT, rows)
+
+
+def _replace_entry(rows: tuple, i: int, j: int, value) -> SquareMatrix:
+    row = list(rows[i])
+    row[j] = value
+    return SquareMatrix(len(rows), FLOAT, rows[:i] + (tuple(row),) + rows[i + 1:])
 
 
 def rank_exact(A) -> int:

@@ -14,7 +14,10 @@ scaled back.  The recursion simultaneously produces the adjugate polynomial
 adj(tI - M), the source of exact first derivatives of det.  The same
 unchanged recursion expands det(tI - D*Phi) for a curve Phi(zeta) over
 Z[i][zeta] (:class:`symrank.scalars.GaussianIntegerPolynomial`), which is how
-``proofs.order_of_vanishing`` reads vanishing orders.
+``proofs.order_of_vanishing`` reads vanishing orders.  A float matrix runs
+the recursion in numpy, and ``char_poly`` and ``symmetrize`` leave its
+adjugate unread: the finite-difference oracle calls them 2n^2 times per
+Jacobian.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -148,6 +151,8 @@ class SquareMatrix:
         ))
 
     def to_numpy(self) -> np.ndarray:
+        if self.field == FLOAT:
+            return np.array(self.entries, dtype=complex)
         return np.array([[to_complex(x) for x in r] for r in self.entries], dtype=complex)
 
     def to_json(self) -> dict:
@@ -471,22 +476,26 @@ def charpoly_in_ring(entries: Sequence[Sequence], zero, one):
 
 
 def _charpoly_float(a: np.ndarray):
+    """The Faddeev-LeVerrier recursion of :func:`charpoly_in_ring` in complex
+    floats: (coeffs, adj), coeffs[j] = c_j and adj[k - 1] = N_k.
+
+    Raises NumericFailure iff a coefficient or some N_k is not finite.
+    """
     n = a.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
+    # the coefficients and N_1..N_n share one buffer, so one test covers both
+    buf = np.empty(n + 1 + n ** 3, dtype=complex)
+    coeffs, adj = buf[:n + 1], buf[n + 1:].reshape(n, n, n)
     coeffs[n] = 1.0
     eye = np.eye(n, dtype=complex)
-    mk = eye.copy()
-    adj = []
+    adj[0] = eye
     with np.errstate(all="ignore"):
         for k in range(1, n + 1):
-            adj.append(mk)
-            am = a @ mk
-            ck = -np.trace(am) / k
+            am = a @ adj[k - 1]
+            ck = -am.trace() / k
             coeffs[n - k] = ck
             if k < n:
-                mk = am + ck * eye
-    if not (np.all(np.isfinite(coeffs.view(float))) and
-            all(np.all(np.isfinite(m.view(float))) for m in adj)):
+                np.add(am, ck * eye, out=adj[k])
+    if not np.isfinite(buf).all():
         raise NumericFailure("characteristic polynomial overflowed")
     return coeffs, adj
 
@@ -496,12 +505,8 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     n, field = M.n, M.field
     if field == FLOAT:
         coeffs, adj = _charpoly_float(M.to_numpy())
-        poly = Polynomial(tuple(complex(c) for c in coeffs), FLOAT)
-        mats = tuple(
-            SquareMatrix(n, FLOAT, tuple(tuple(complex(x) for x in row) for row in m))
-            for m in reversed(adj)
-        )
-        return poly, MatrixPolynomial(mats)
+        mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
+        return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
     d, scaled = to_gaussian_integers(M.entries)
     coeffs, adj = charpoly_in_ring(scaled, GaussianInteger(0), GaussianInteger(1))
     # det(tI - DM) = D^n det(t/D I - M): c_j(M) = c_j(DM) / D^(n-j), and
@@ -516,7 +521,13 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
 
 
 def char_poly(M: SquareMatrix) -> Polynomial:
-    """Monic degree-n polynomial det(tI - M), ascending coefficients."""
+    """Monic degree-n polynomial det(tI - M), ascending coefficients.
+
+    A float matrix runs the recursion without reading its adjugate back.
+    """
+    if M.field == FLOAT:
+        coeffs, _ = _charpoly_float(M.to_numpy())
+        return Polynomial(tuple(coeffs.tolist()), FLOAT)
     return char_and_adjugate(M)[0]
 
 

@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -560,3 +562,81 @@ def test_run_sweep_caps_worker_count(monkeypatch, cpus, pool_size, expected):
                                    parallelism=10 ** 9))
     assert report.passed and len(report.records) == pool_size
     assert started == expected
+
+
+def test_cli_float_jacobian_zero_matrix_bytes(tmp_path, capsys):
+    # the even-k rows of a float Jacobian negate 0j into -0j, printed as -0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 2, "field": "float", "entries": [[[0.0, 0.0]] * 2] * 2}))
+    assert main(["jacobian", str(path)]) == 0
+    expected = {
+        "n": 2, "field": "float", "rows": 2, "cols": 4,
+        "column_order": "direction (i,j) -> column i*n + j, 0-based row-major",
+        "entries": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                    [[-0.0, -0.0]] * 4],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_pi_float_overflow_is_a_numeric_failure(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "field": "float",
+                                "entries": [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]}))
+    assert main(["pi", str(path)]) == 1
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def _jordan_block_spec(n):
+    return json.dumps({"n": n, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [n]}]})
+
+
+@pytest.mark.parametrize("command", ["verify", "ord", "pi", "jacobian", "rank", "minpoly",
+                                     "sweep"])
+def test_cli_size_limit_exits_2(tmp_path, capsys, command):
+    import symrank.cli as cli
+
+    n = cli.MAX_N + 1
+    if command in ("verify", "ord"):
+        argv = [command, "--spec", _jordan_block_spec(n)]
+    elif command == "sweep":
+        # one eigenvalue and a cheap mode, so that without the limit it ends fast
+        argv = ["sweep", "--n-max", str(n), "--pool", "0", "--modes", "vandermonde"]
+    else:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"n": n, "field": "float",
+                                    "entries": [[[0.0, 0.0]] * n] * n}))
+        argv = [command, str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"MAX_N = {cli.MAX_N}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_cli_size_limit_admits_max_n(tmp_path, capsys):
+    import symrank.cli as cli
+
+    n = cli.MAX_N
+    assert main(["verify", "--spec", _jordan_block_spec(n)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == n
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": n, "field": "float", "entries": [[[0.0, 0.0]] * n] * n}))
+    assert main(["pi", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["values"]) == n
+    assert SweepConfig(n_max=n).n_max == n
+
+
+def test_python_dash_m_symrank_matches_main(capsys, monkeypatch):
+    import symrank
+
+    matrix = json.dumps({"n": 2, "field": "float",
+                         "entries": [[[0.5, -0.25], [0.0, 1.0]], [[2.0, 0.0], [-1.0, 0.5]]]})
+    src = str(Path(symrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", "symrank", "pi", "-"], input=matrix,
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
+    assert main(["pi", "-"]) == 0
+    assert done.stdout == capsys.readouterr().out

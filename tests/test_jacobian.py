@@ -7,6 +7,7 @@ import pytest
 
 from symrank.canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
 from symrank.jacobian import (
+    JacobianMatrix,
     _eliminate,
     directional_derivative,
     jacobian_exact,
@@ -24,7 +25,7 @@ from symrank.matpoly import (
 )
 from symrank.scalars import EXACT, FLOAT, approx_eq, gq, random_gaussian_rational
 from tests.test_canonical import gauss_rank
-from tests.test_matpoly import laplace_det
+from tests.test_matpoly import float_cases, laplace_det
 
 
 def directional_oracle(B, M):
@@ -181,6 +182,40 @@ def test_jacobian_fd_richardson_ratio():
             sampled += 1
             assert 3.2 < e1 / e2 < 4.8
     assert sampled >= 2
+
+
+def basis_step_fd(B, h, symmetrize=symmetrize):
+    """jacobian_fd with its steps built as B +- basis(i, j).scale(h)."""
+    n = B.n
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            step = SquareMatrix.basis(n, i, j, FLOAT).scale(complex(h))
+            plus = symmetrize(B + step)
+            minus = symmetrize(B - step)
+            cols.append(tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus)))
+    return JacobianMatrix(n, FLOAT, tuple(tuple(col[k] for col in cols) for k in range(n)))
+
+
+def test_jacobian_fd_bit_identical_to_basis_steps(monkeypatch):
+    # the perturbed matrices themselves match, signed zeros included, so the
+    # oracle stays the literal central difference of pi
+    import symrank.jacobian as jacobian_module
+
+    def recorder(seen):
+        def record(M):
+            seen.append(repr(M))
+            return symmetrize(M)
+        return record
+
+    for B in float_cases():
+        for h in (1e-5, 0.25):
+            old, new = [], []
+            expected = basis_step_fd(B, h, recorder(old))
+            monkeypatch.setattr(jacobian_module, "symmetrize", recorder(new))
+            assert repr(jacobian_fd(B, h)) == repr(expected)
+            monkeypatch.undo()
+            assert new == old
 
 
 def test_jacobian_fd_rejects_bad_input():

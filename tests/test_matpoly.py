@@ -8,9 +8,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symrank.canonical import JordanSpec, build_jordan, random_similarity
+from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import (
     MatrixPolynomial,
     Polynomial,
@@ -386,3 +388,76 @@ def test_char_and_adjugate_matches_fraction_recursion(n):
         assert p.coefficients == tuple(coeffs)
         assert [m.entries for m in adj.coefficients] == [
             tuple(tuple(row) for row in m) for m in reversed(mats)]
+
+
+def reference_char_and_adjugate_float(M):
+    """The float route with the adjugate read back entry by entry: one array
+    per N_k, an np.all per N_k, and complex() on every numpy scalar.  The
+    one-buffer kernel and the adjugate-free char_poly must match it bit for
+    bit, signed zeros included."""
+    n = M.n
+    a = np.array([[complex(x) for x in r] for r in M.entries], dtype=complex)
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[n] = 1.0
+    eye = np.eye(n, dtype=complex)
+    mk = eye.copy()
+    adj = []
+    with np.errstate(all="ignore"):
+        for k in range(1, n + 1):
+            adj.append(mk)
+            am = a @ mk
+            ck = -np.trace(am) / k
+            coeffs[n - k] = ck
+            if k < n:
+                mk = am + ck * eye
+    if not (np.all(np.isfinite(coeffs.view(float)))
+            and all(np.all(np.isfinite(m.view(float))) for m in adj)):
+        raise NumericFailure("characteristic polynomial overflowed")
+    poly = Polynomial(tuple(complex(c) for c in coeffs), FLOAT)
+    mats = tuple(SquareMatrix(n, FLOAT, tuple(tuple(complex(x) for x in row) for row in m))
+                 for m in reversed(adj))
+    return poly, MatrixPolynomial(mats)
+
+
+def float_cases():
+    """Random complex matrices n = 1..8, zero matrices, signed-zero parts and
+    Jordan matrices cast to floats."""
+    rng = random.Random(77)
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    cases = []
+    for n in range(1, 9):
+        for _ in range(4):
+            cases.append(SquareMatrix.from_rows(
+                [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+                 for _ in range(n)], FLOAT))
+        cases.append(SquareMatrix.zeros(n, FLOAT))
+        cases.append(SquareMatrix.from_rows(
+            [[complex(rng.choice(parts), rng.choice(parts)) for _ in range(n)]
+             for _ in range(n)], FLOAT))
+    for n in (1, 3):
+        cases.extend(build_jordan(spec).to_float()
+                     for spec in enumerate_jordan_specs(n, DEFAULT_POOL))
+    return cases
+
+
+def test_float_char_poly_and_adjugate_bit_identical_to_reference():
+    for M in float_cases():
+        poly, adj = reference_char_and_adjugate_float(M)
+        n = M.n
+        sigma = tuple(poly.coefficient(n - j) if j % 2 == 0 else -poly.coefficient(n - j)
+                      for j in range(1, n + 1))
+        assert repr(char_and_adjugate(M)) == repr((poly, adj))
+        assert repr(char_poly(M)) == repr(poly)
+        assert repr(symmetrize(M)) == repr(sigma)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e200, 0.0], [0.0, 1e200]],
+    # N_3 overflows first (1e200 * 1e200 off the diagonal); c_3 follows as nan
+    [[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]],
+])
+def test_float_overflow_raises_alike_with_and_without_adjugate(rows):
+    M = SquareMatrix.from_rows(rows, FLOAT)
+    for fn in (reference_char_and_adjugate_float, char_and_adjugate, char_poly, symmetrize):
+        with pytest.raises(NumericFailure):
+            fn(M)
