@@ -24,6 +24,8 @@ from .matpoly import Polynomial, SquareMatrix
 from .scalars import (
     EXACT,
     FLOAT,
+    GaussianInteger,
+    GaussianIntegerPolynomial,
     GaussianRational,
     coerce_scalar,
     field_one,
@@ -336,7 +338,9 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
         stack = np.column_stack(vecs + [target])
         sv = np.linalg.svd(stack, compute_uv=False)
         threshold = tol if tol is not None else max(stack.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        if sv[-1] <= threshold:
+        # more columns than rows (only n = 1) are dependent, and then the
+        # stack has fewer singular values than columns
+        if stack.shape[1] > stack.shape[0] or sv[-1] <= threshold:
             basis = np.column_stack(vecs)
             combo, *_ = np.linalg.lstsq(basis, target, rcond=None)
             coeffs = [complex(-c) for c in combo] + [complex(1.0)]
@@ -350,18 +354,28 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
 
     The k-th factor from the top multiplies, over all eigenvalues, the linear
     factor raised to the (k+1)-th largest block size present there; the last
-    factor is the minimal polynomial.
+    factor is the minimal polynomial.  With lam = a/e over Gaussian integers,
+    (e t - a)^s = e^s (t - lam)^s, so each factor is expanded over Z[i][t]
+    and divided by the product of the e^s once at the end.
     """
     depth = max(len(blk.sizes) for blk in spec.blocks)
+    linears = []
+    for blk in spec.blocks:
+        e, ((a,),) = to_gaussian_integers([[blk.eigenvalue]])
+        linears.append((GaussianIntegerPolynomial([-a.re, e], [-a.im, 0]), e,
+                        sorted(blk.sizes, reverse=True)))
     factors = []
     for level in range(depth):
-        poly = Polynomial.one(EXACT)
-        for blk in spec.blocks:
-            sizes_desc = sorted(blk.sizes, reverse=True)
+        poly = GaussianIntegerPolynomial([1], [0])
+        scale = 1
+        for linear, e, sizes_desc in linears:
             if level < len(sizes_desc):
-                linear = Polynomial.make([-blk.eigenvalue, 1], EXACT)
-                poly = poly * linear ** sizes_desc[level]
-        factors.append(poly)
+                for _ in range(sizes_desc[level]):
+                    poly = poly * linear
+                scale *= e ** sizes_desc[level]
+        (coeffs,) = to_gaussian_rationals(
+            scale, [[GaussianInteger(x, y) for x, y in zip(poly.re, poly.im)]])
+        factors.append(Polynomial(coeffs, EXACT))
     return FrobeniusSpec(tuple(reversed(factors)))
 
 

@@ -20,17 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
-from .matpoly import SquareMatrix, char_and_adjugate, symmetrize
+from .matpoly import SquareMatrix, _scaled_char_and_adjugate, char_and_adjugate, symmetrize
 from .scalars import (
     EXACT,
     FLOAT,
-    GQ_ONE,
-    GQ_ZERO,
+    GaussianInteger,
     NumericFailure,
     field_zero,
     to_complex,
     to_gaussian_integers,
-    to_gaussian_rationals,
 )
 
 COLUMN_ORDER = "direction (i,j) -> column i*n + j, 0-based row-major"
@@ -91,27 +89,44 @@ class TheoremReport:
         }
 
 
+#: (B, J) of the last matrix :func:`directional_derivative` differentiated.
+#: ``tangent_construction`` asks for m directions at one B in a row, so one
+#: slot is enough, and matching by identity never hashes B's Fractions.  It
+#: is kept here and not in :func:`jacobian_exact`, so that a caller of
+#: ``jacobian_exact`` alone keeps no matrix alive between calls.  A single
+#: tuple, so that a reader always sees the parts of one matrix.
+_last_jacobian = (None, None)
+
+
 def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
-    """d/deps at 0 of symmetrize(B + eps*M), computed from the adjugate.
+    """d/deps at 0 of symmetrize(B + eps*M): the derivative matrix at B
+    applied to vec(M).
 
     Component k is (-1)^(k+1) times the coefficient of t^(n-k) in
-    tr(adj(tI - B) M).
+    tr(adj(tI - B) M).  The matrix comes from :func:`jacobian_exact`; a
+    repeated call with the same B object reuses it, so m directions at one
+    B share one adjugate.
     """
+    global _last_jacobian
     B._check_compatible(M)
     n = M.n
-    _, adj = char_and_adjugate(B)
+    last, jac = _last_jacobian
+    if B is not last:
+        jac = jacobian_exact(B)
+        _last_jacobian = (B, jac)
     zero = field_zero(M.field)
+    # M's nonzero entries as (column of J, entry), in the trace form's order
+    support = [(i * n + j, M.entries[i][j])
+               for j in range(n) for i in range(n) if M.entries[i][j]]
     out = []
-    for k in range(1, n + 1):
-        grads = _adjugate_gradients(adj, k)
+    for k, row in enumerate(jac.rows, 1):
+        # the sum runs over the unsigned trace-form entries and is signed at
+        # the end, so a float sum that cancels to zero keeps its sign
         tau = zero
-        for j in range(n):
-            for i in range(n):
-                y = M.entries[i][j]
-                if y:
-                    x = grads[i][j]
-                    if x:
-                        tau = tau + x * y
+        for c, y in support:
+            x = row[c]
+            if x:
+                tau = tau + (x if k % 2 == 1 else -x) * y
         out.append(tau if k % 2 == 1 else -tau)
     return tuple(out)
 
@@ -143,6 +158,21 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
             row = tuple(-tau if tau or floats else tau for tau in row)
         rows.append(row)
     return JacobianMatrix(n, B.field, tuple(rows))
+
+
+def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list]:
+    """(D, rows) over Z[i] for an exact B, D the common denominator of its
+    entries: row k is D^(k-1) times row k of :func:`jacobian_exact`, read
+    straight from the adjugate of D*B (see
+    :class:`symrank.scalars.GaussianInteger` for why the scaling is sound)."""
+    d, _, adj = _scaled_char_and_adjugate(B)
+    rows = []
+    for k, mk in enumerate(adj, 1):
+        row = [x for col in zip(*mk) for x in col]
+        if k % 2 == 0:
+            row = [-x if x else x for x in row]
+        rows.append(row)
+    return d, rows
 
 
 def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
@@ -186,26 +216,24 @@ def rank_exact(A) -> int:
         rows = A.entries
     else:
         rows = A
-    return _eliminate(rows)[0]
-
-
-def _eliminate(rows) -> tuple:
-    """(rank, determinant) of exact rows by one Bareiss pass over Z[i].
-
-    The determinant is that of the rows as given (zero unless they are square
-    and independent): the last pivot of the scaled rows, divided by the row
-    scales and signed by the row and column swaps.
-    """
-    work, scale = [], 1
     try:
-        for row in rows:
-            d, (scaled,) = to_gaussian_integers([row])
-            work.append(scaled)
-            scale *= d
+        work = [to_gaussian_integers([row])[1][0] for row in rows]
     except TypeError:
         raise ValueError("exact rank requires exact entries") from None
+    return _bareiss(work)[0]
+
+
+def _bareiss(work: list) -> tuple:
+    """(rank, last pivot, sign) of one fraction-free elimination pass over
+    Z[i] on the GaussianInteger row lists ``work``, which it overwrites.
+
+    Pivots are the first nonzero entry in a row-major scan of the remaining
+    block.  For square independent rows the last pivot times ``sign`` (the
+    parity of the row and column swaps) is their determinant.  Without a
+    pivot the last pivot is 1, the determinant of the empty matrix.
+    """
     if not work:
-        return 0, GQ_ONE
+        return 0, GaussianInteger(1), 1
     nrows = len(work)
     ncols = len(work[0])
     rank = 0
@@ -247,10 +275,7 @@ def _eliminate(rows) -> tuple:
                 row[j] = num / prev if (prev is not None and num) else num
         prev = p
         rank += 1
-    if rank < nrows or rank < ncols:
-        return rank, GQ_ZERO
-    ((det,),) = to_gaussian_rationals(scale, [[prev * sign]])
-    return rank, det
+    return rank, GaussianInteger(1) if prev is None else prev, sign
 
 
 @dataclass(frozen=True)
@@ -289,12 +314,13 @@ def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:
 
     Builds B from the spec, computes the exact rank of the exact derivative
     matrix, and re-checks the rank after one random unimodular conjugation.
+    Both ranks are taken on the row-scaled Gaussian-integer derivative.
     """
     B = build_jordan(spec)
-    rank = rank_exact(jacobian_exact(B))
+    rank = _bareiss(_scaled_jacobian(B)[1])[0]
     m = min_poly_degree(spec)
     conjugated = random_similarity(B, seed)
-    rank_conj = rank_exact(jacobian_exact(conjugated))
+    rank_conj = _bareiss(_scaled_jacobian(conjugated)[1])[0]
     return TheoremReport(
         spec=spec,
         n=spec.n,

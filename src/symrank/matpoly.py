@@ -322,8 +322,9 @@ class Polynomial:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def divmod_exact(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -500,6 +501,19 @@ def _charpoly_float(a: np.ndarray):
     return coeffs, adj
 
 
+def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, list, list]:
+    """(D, coeffs, adj) of the exact matrix D*M, D the common denominator of
+    M's entries: the Faddeev-LeVerrier recursion of :func:`charpoly_in_ring`
+    over Gaussian integers.
+
+    det(tI - DM) = D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and
+    adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1).
+    """
+    d, scaled = to_gaussian_integers(M.entries)
+    coeffs, adj = charpoly_in_ring(scaled, GaussianInteger(0), GaussianInteger(1))
+    return d, coeffs, adj
+
+
 def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     """Characteristic polynomial of M together with adj(tI - M)."""
     n, field = M.n, M.field
@@ -507,10 +521,7 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
         coeffs, adj = _charpoly_float(M.to_numpy())
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
-    d, scaled = to_gaussian_integers(M.entries)
-    coeffs, adj = charpoly_in_ring(scaled, GaussianInteger(0), GaussianInteger(1))
-    # det(tI - DM) = D^n det(t/D I - M): c_j(M) = c_j(DM) / D^(n-j), and
-    # adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1)
+    d, coeffs, adj = _scaled_char_and_adjugate(M)
     (unscaled,) = to_gaussian_rationals(d ** n, [[c * d ** j for j, c in enumerate(coeffs)]])
     poly = Polynomial(unscaled, field)
     mats = tuple(

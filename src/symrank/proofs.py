@@ -32,18 +32,18 @@ from .canonical import (
     build_jordan,
     jordan_combinatorics,
 )
-from .jacobian import _eliminate, directional_derivative, jacobian_exact, rank_exact
+from .jacobian import _bareiss, _scaled_jacobian, directional_derivative, rank_exact
 from .matpoly import (
     MatrixPolynomial,
     SquareMatrix,
     charpoly_in_ring,
-    dot,
     falling_factorial,
     monomial_vector,
     symmetrize,
 )
 from .scalars import (
     EXACT,
+    GQ_ZERO,
     GaussianInteger,
     GaussianIntegerPolynomial,
     GaussianRational,
@@ -54,6 +54,7 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 @dataclass(frozen=True)
@@ -126,15 +127,35 @@ def nullspace_basis(spec: JordanSpec) -> NullspaceCertificate:
 
 
 def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
-    """True iff every certificate vector kills every column of the derivative."""
+    """True iff every certificate vector kills every column of the derivative.
+
+    The products are taken over Z[i], against the row-scaled derivative of
+    ``jacobian._scaled_jacobian`` and each vector rescaled to match (see
+    :class:`symrank.scalars.GaussianInteger`).
+    """
     if B.field != EXACT:
         raise ValueError("annihilation check requires an exact matrix")
     if any(not isinstance(x, GaussianRational) for v in cert.vectors for x in v.vector):
         raise ValueError("certificate vectors must be exact")
-    jac = jacobian_exact(B)
+    n = B.n
     for v in cert.vectors:
-        for c in range(B.n * B.n):
-            if dot(v.vector, jac.column(c)):
+        if len(v.vector) != n:
+            raise ValueError(f"length mismatch: {len(v.vector)} vs {n}")
+    if not cert.vectors:
+        return True
+    d, rows = _scaled_jacobian(B)
+    zero = GaussianInteger(0)
+    for v in cert.vectors:
+        # row k is D^(k-1) J_k, so w_k = L v_k D^(n-k) gives w . rows = L D^(n-1) v . J
+        _, (w,) = to_gaussian_integers([v.vector])
+        terms = [(wk * d ** (n - k), row) for k, (wk, row) in enumerate(zip(w, rows), 1) if wk]
+        for c in range(n * n):
+            total = zero
+            for wk, row in terms:
+                x = row[c]
+                if x:
+                    total = total + wk * x
+            if total:
                 return False
     return True
 
@@ -283,12 +304,31 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
             if groups[a][0] == groups[b][0]:
                 raise ValueError(f"repeated cluster eigenvalue {groups[a][0]}")
     n = sum(m for _, m in groups)
-    columns = []
+    # column d of lam = a/e is monomial_vector(n, d, lam) scaled by
+    # e^(n-1-d): entry j is the Gaussian integer
+    # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1)
+    columns, scale = [], 1
     for lam, mult in groups:
+        e, ((a,),) = to_gaussian_integers([[lam]])
+        powers = [GaussianInteger(1)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * a)
         for d in range(mult):
-            columns.append(monomial_vector(n, d, lam))
-    rows = [[columns[c][r] for c in range(n)] for r in range(n)]
-    _, det = _eliminate(rows)
+            column = []
+            for j in range(1, n + 1):
+                p = n - j
+                if p < d:
+                    column.append(GaussianInteger(0))
+                    continue
+                term = powers[p - d] * (falling_factorial(p, d) * e ** (j - 1))
+                column.append(-term if j % 2 == 1 else term)
+            columns.append(column)
+            scale *= e ** (n - 1 - d)
+    rank, pivot, sign = _bareiss([list(row) for row in zip(*columns)])
+    if rank < n:
+        det = GQ_ZERO
+    else:
+        ((det,),) = to_gaussian_rationals(scale, [[pivot * sign]])
     det_abs2 = (det * det.conjugate()).re
     factorial_part = 1
     for _, mult in groups:

@@ -155,8 +155,9 @@ class GaussianRational:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __repr__(self) -> str:
@@ -202,6 +203,25 @@ class GaussianInteger:
       pivot order (first nonzero in a row-major scan) does not change;
     * the similarity shears have integer multipliers, so D*M stays a
       Gaussian-integer matrix.
+
+    Three scalings carry the certificate checks into Z[i] without changing
+    their verdicts:
+
+    * row scaling: N_k(D*B) = D^(k-1) N_k(B) for the adjugate coefficients,
+      so row k of the derivative read from the adjugate of D*B is D^(k-1)
+      times row k of pi'(B) (``jacobian._scaled_jacobian``).  Each row is
+      scaled by a nonzero integer, so the rank is that of pi'(B);
+    * covector rescale: for a covector v and L the common denominator of the
+      w_k = v_k D^(n-k), sum_k (L w_k)(D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k,
+      so v annihilates a column of J = pi'(B) iff the Gaussian integers L w
+      annihilate that column of the scaled rows (``verify_annihilation``);
+    * determinant column scale: scaling column c by s_c multiplies the
+      determinant by the product of the s_c.  With lam = a/e, the confluent
+      Vandermonde column of order d scaled by e^(n-1-d) has entries
+      +-ff(p, d) a^(p-d) e^(n-1-p) in Z[i] (p <= n - 1), so the determinant
+      is the scaled one divided by the product of those scales
+      (``confluent_vandermonde_det``).  Likewise (e t - a)^s = e^s (t - lam)^s
+      expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
 
     The first argument holds over any commutative ring in which ``k * x = y``
     has at most one solution x, so it carries over to Z[i][zeta]

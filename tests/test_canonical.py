@@ -17,7 +17,7 @@ from symrank.canonical import (
     min_poly_krylov,
     random_similarity,
 )
-from symrank.cli import enumerate_jordan_specs
+from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
 from symrank.scalars import EXACT, FLOAT, gq, random_gaussian_rational
 
@@ -251,6 +251,29 @@ def test_jordan_to_frobenius_examples():
     fs = jordan_to_frobenius(JordanSpec.of({0: [1, 2], 1: [1]}))
     assert [p.degree for p in fs.invariant_factors] == [1, 3]
     assert fs.invariant_factors[0].divides(fs.invariant_factors[1])
+
+
+def reference_jordan_to_frobenius(spec):
+    """The former expansion: products of powers of t - lam as Polynomials
+    over Gaussian rationals."""
+    depth = max(len(blk.sizes) for blk in spec.blocks)
+    factors = []
+    for level in range(depth):
+        poly = Polynomial.one(EXACT)
+        for blk in spec.blocks:
+            sizes_desc = sorted(blk.sizes, reverse=True)
+            if level < len(sizes_desc):
+                poly = poly * Polynomial.make([-blk.eigenvalue, 1], EXACT) ** sizes_desc[level]
+        factors.append(poly)
+    return FrobeniusSpec(tuple(reversed(factors)))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, (gq(0), gq("1/2"), gq("1/3", "2/5"))],
+                         ids=["default", "rational"])
+def test_jordan_to_frobenius_matches_polynomial_powers(pool):
+    for n in range(1, 6):
+        for spec in enumerate_jordan_specs(n, pool):
+            assert jordan_to_frobenius(spec) == reference_jordan_to_frobenius(spec)
 
 
 def test_jordan_frobenius_same_invariants():

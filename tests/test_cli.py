@@ -248,6 +248,16 @@ def test_cli_field_promotion_rules(tmp_path, capsys):
     assert "promote" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0.5, 0, 1e200])
+def test_cli_minpoly_float_one_by_one(value, monkeypatch, capsys):
+    matrix = {"n": 1, "field": "float", "entries": [[[value, 0]]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(matrix)))
+    assert main(["minpoly", "-"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["degree"] == 1
+    assert out["coefficients"] == [[-value, -0.0], [1.0, 0.0]]
+
+
 def test_cli_minpoly(tmp_path, capsys):
     spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["2/1", "0/1"], "sizes": [3]}]})
     matrix_path = tmp_path / "matrix.json"
@@ -427,6 +437,22 @@ def test_cli_sweep_golden_digest(tmp_path):
     assert body.count(b"\n") == 90
     assert hashlib.sha256(body).hexdigest() == (
         "8464ba46639048f7a86906ccb044df8f5e78d54c6a92c8a71e0f91e7666d0c40")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_golden_digest_rational_pool(tmp_path, jobs):
+    # 1/2 and 1/3 + 2/5 i put denominators into the Jordan matrices, the
+    # Frobenius factors and the Vandermonde columns, which the default pool
+    # never does
+    import hashlib
+
+    out = tmp_path / "golden.jsonl"
+    assert main(["sweep", "--n-max", "4", "--pool", "0,1/2,1/3+2/5i", "--seed", "0",
+                 "--jobs", jobs, "--out", str(out)]) == 0
+    body = out.read_bytes()
+    assert body.count(b"\n") == 85
+    assert hashlib.sha256(body).hexdigest() == (
+        "8217be9e5a9914595999da44fd89e02066fa78e334c6e8df58fc95b044173dd5")
 
 
 def test_failure_record_repro_strings_for_every_mode():

@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from symrank import jacobian
 from symrank.canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
+from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.jacobian import (
     JacobianMatrix,
-    _eliminate,
+    _adjugate_gradients,
+    _bareiss,
+    _scaled_jacobian,
     directional_derivative,
     jacobian_exact,
     jacobian_fd,
@@ -20,10 +24,22 @@ from symrank.jacobian import (
 from symrank.matpoly import (
     Polynomial,
     SquareMatrix,
+    char_and_adjugate,
     charpoly_in_ring,
     symmetrize,
 )
-from symrank.scalars import EXACT, FLOAT, approx_eq, gq, random_gaussian_rational
+from symrank.scalars import (
+    EXACT,
+    FLOAT,
+    GQ_ONE,
+    GQ_ZERO,
+    approx_eq,
+    field_zero,
+    gq,
+    random_gaussian_rational,
+    to_gaussian_integers,
+    to_gaussian_rationals,
+)
 from tests.test_canonical import gauss_rank
 from tests.test_matpoly import float_cases, laplace_det
 
@@ -279,6 +295,25 @@ def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
         assert rank_exact(rows) == gauss_rank(rows)
 
 
+def reference_eliminate(rows) -> tuple:
+    """The former ``jacobian._eliminate``: (rank, determinant) of exact rows,
+    each row scaled by its own denominator, by one ``_bareiss`` pass; the
+    determinant is the last pivot, signed, divided by the row scales."""
+    work, scale = [], 1
+    for row in rows:
+        d, (scaled,) = to_gaussian_integers([row])
+        work.append(scaled)
+        scale *= d
+    if not work:
+        return 0, GQ_ONE
+    nrows, ncols = len(work), len(work[0])
+    rank, pivot, sign = _bareiss(work)
+    if rank < nrows or rank < ncols:
+        return rank, GQ_ZERO
+    ((det,),) = to_gaussian_rationals(scale, [[pivot * sign]])
+    return rank, det
+
+
 def test_eliminate_determinant_matches_cofactor_oracle():
     rng = random.Random(91)
     for trial in range(60):
@@ -287,7 +322,7 @@ def test_eliminate_determinant_matches_cofactor_oracle():
                  for _ in range(n)] for _ in range(n)]
         if n > 1 and trial % 4 == 0:
             rows[-1] = [gq(2) * x for x in rows[0]]
-        rank, det = _eliminate(rows)
+        rank, det = reference_eliminate(rows)
         assert det == laplace_det(rows)
         assert rank == gauss_rank(rows)
 
@@ -382,3 +417,112 @@ def test_similarity_invariance_of_rank():
     for seed in range(6):
         C = random_similarity(B, seed)
         assert rank_exact(jacobian_exact(C)) == base
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-integer derivative against the Gaussian-rational routes
+
+
+def reference_directional_derivative(B, M):
+    """The former route: its own adjugate per call, then the trace form."""
+    B._check_compatible(M)
+    n = M.n
+    _, adj = char_and_adjugate(B)
+    zero = field_zero(M.field)
+    out = []
+    for k in range(1, n + 1):
+        grads = _adjugate_gradients(adj, k)
+        tau = zero
+        for j in range(n):
+            for i in range(n):
+                y = M.entries[i][j]
+                if y:
+                    x = grads[i][j]
+                    if x:
+                        tau = tau + x * y
+        out.append(tau if k % 2 == 1 else -tau)
+    return tuple(out)
+
+
+def _oracle_matrices(n, rng):
+    """A Jordan matrix with a rational eigenvalue, a conjugate of it and a
+    random Gaussian-rational matrix of size n."""
+    spec = JordanSpec.of({gq("1/2", "-2/3"): [n]})
+    B = build_jordan(spec)
+    return [B, random_similarity(B, n), random_exact(rng, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scaled_jacobian_unscales_to_jacobian_exact(n):
+    rng = random.Random(800 + n)
+    specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
+    mats = _oracle_matrices(n, rng) + [build_jordan(rng.choice(specs))]
+    for B in mats:
+        d, rows = _scaled_jacobian(B)
+        unscaled = tuple(to_gaussian_rationals(d ** k, [row])[0] for k, row in enumerate(rows))
+        assert unscaled == jacobian_exact(B).rows
+    # the rational Jordan matrix is really scaled: D = lcm(2, 3)
+    assert _scaled_jacobian(mats[0])[0] == 6
+
+
+def test_bareiss_rank_of_scaled_jacobian_matches_rank_exact():
+    rng = random.Random(810)
+    for n in range(1, 6):
+        for B in _oracle_matrices(n, rng):
+            assert _bareiss(_scaled_jacobian(B)[1])[0] == rank_exact(jacobian_exact(B))
+
+
+def test_directional_derivative_matches_per_adjugate_route():
+    rng = random.Random(820)
+    for n in range(1, 6):
+        for B in _oracle_matrices(n, rng):
+            for M in (random_exact(rng, n), SquareMatrix.basis(n, n - 1, 0)):
+                assert directional_derivative(B, M) == reference_directional_derivative(B, M)
+    # floats to the bit, signed zeros included
+    for n in range(1, 5):
+        floats = [SquareMatrix.zeros(n, FLOAT),
+                  SquareMatrix.from_rows([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                           for _ in range(n)] for _ in range(n)], FLOAT)]
+        for B in floats:
+            for M in (SquareMatrix.identity(n, FLOAT), SquareMatrix.basis(n, 0, n - 1, FLOAT),
+                      SquareMatrix.zeros(n, FLOAT), B):
+                assert repr(directional_derivative(B, M)) == repr(
+                    reference_directional_derivative(B, M))
+
+
+def test_directional_derivative_reuses_the_last_matrix(monkeypatch):
+    calls = []
+    original = jacobian.char_and_adjugate
+
+    def counting(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(jacobian, "char_and_adjugate", counting)
+    rng = random.Random(830)
+    B = random_exact(rng, 3)
+    directions = [random_exact(rng, 3) for _ in range(3)]
+    first = [directional_derivative(B, M) for M in directions]
+    assert len(calls) == 1
+    # an equal but distinct matrix is differentiated again and answers the same
+    twin = SquareMatrix(B.n, B.field, tuple(B.entries))
+    assert twin == B and twin is not B
+    assert [directional_derivative(twin, M) for M in directions] == first
+    assert len(calls) == 2
+    # a different matrix in between never sees the last matrix's derivative
+    other = random_exact(rng, 3)
+    assert [directional_derivative(other, M) for M in directions] == [
+        directional_oracle(other, M) for M in directions]
+    assert [directional_derivative(B, M) for M in directions] == first
+    assert len(calls) == 4
+    # jacobian_exact itself keeps nothing: every call builds the adjugate
+    assert jacobian_exact(B) == jacobian_exact(B)
+    assert len(calls) == 6
+
+
+def test_verify_theorem_ranks_the_conjugated_matrix(monkeypatch):
+    # a stand-in "conjugate" of another rank must show up in the report
+    monkeypatch.setattr(jacobian, "random_similarity", lambda B, seed: SquareMatrix.zeros(B.n))
+    report = verify_theorem(JordanSpec.of({0: [3]}))
+    assert report.rank == report.min_poly_degree == 3
+    assert report.theorem_holds and not report.conjugation_checked

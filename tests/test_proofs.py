@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symrank import proofs
+from symrank import jacobian, proofs
 from symrank.canonical import (
     FrobeniusSpec,
     JordanSpec,
@@ -15,7 +15,7 @@ from symrank.canonical import (
     jordan_to_frobenius,
     min_poly_degree,
 )
-from symrank.cli import enumerate_jordan_specs
+from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.jacobian import directional_derivative, jacobian_exact, rank_exact
 from symrank.matpoly import (
     MatrixPolynomial,
@@ -24,11 +24,13 @@ from symrank.matpoly import (
     charpoly_in_ring,
     dot,
     falling_factorial,
+    monomial_vector,
     symmetrize,
 )
 from symrank.proofs import (
     NullspaceCertificate,
     NullVector,
+    VandermondeComparison,
     VanishingReport,
     confluent_vandermonde_det,
     divided_difference,
@@ -43,6 +45,7 @@ from symrank.proofs import (
     verify_annihilation,
 )
 from symrank.scalars import EXACT, gq, random_gaussian_rational
+from tests.test_jacobian import reference_eliminate
 from tests.test_matpoly import laplace_det
 
 
@@ -490,3 +493,111 @@ def test_certificate_counts_bracket_rank():
             assert len(null_cert.vectors) + len(tan_cert.images) == spec.n
             if null_cert.vectors:
                 assert rank_exact([v.vector for v in null_cert.vectors]) == spec.n - m
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian-integer certificates against the Gaussian-rational routes
+
+#: 1/2 and 1/3 + 2/5 i give denominators 2 and 15, so their Jordan matrices
+#: and Vandermonde columns are scaled, where the default pool's are not
+RATIONAL_POOL = (gq(0), gq("1/2"), gq("1/3", "2/5"))
+
+
+def reference_vandermonde_det(clusters) -> VandermondeComparison:
+    """The former determinant: monomial_vector columns over Gaussian
+    rationals, eliminated row by row; the rest as confluent_vandermonde_det."""
+    groups = [(lam, mult) for lam, mult in clusters]
+    n = sum(m for _, m in groups)
+    columns = [monomial_vector(n, d, lam) for lam, mult in groups for d in range(mult)]
+    _, det = reference_eliminate([[columns[c][r] for c in range(n)] for r in range(n)])
+    expected = confluent_vandermonde_det(clusters)
+    return VandermondeComparison(
+        det, (det * det.conjugate()).re, expected.closed_abs_squared, expected.closed_form_abs,
+        (det * det.conjugate()).re == expected.closed_abs_squared,
+        None if det.im else (0 if not det.re else (1 if det.re > 0 else -1)))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, RATIONAL_POOL], ids=["default", "rational"])
+def test_vandermonde_matches_gaussian_rational_route(pool):
+    compared = 0
+    for n in range(1, 6):
+        for spec in enumerate_jordan_specs(n, pool):
+            clusters = [(blk.eigenvalue, sum(blk.sizes)) for blk in spec.blocks]
+            got = confluent_vandermonde_det(clusters)
+            assert got == reference_vandermonde_det(clusters)
+            assert got.matches
+            compared += 1
+    assert compared > 100
+
+
+def test_vandermonde_determinant_independent_of_closed_form():
+    # the reference above borrows the closed form; the determinant alone
+    # against cofactor expansion, with scaled columns (e = 15 and e = 2)
+    clusters = [(gq("1/3", "2/5"), 2), (gq("1/2"), 2), (gq(0), 1)]
+    n = 5
+    columns = [monomial_vector(n, d, lam) for lam, mult in clusters for d in range(mult)]
+    direct = laplace_det([[columns[c][r] for c in range(n)] for r in range(n)])
+    result = confluent_vandermonde_det(clusters)
+    assert result.determinant == direct
+    assert result.matches
+
+
+def test_tangent_construction_builds_one_adjugate_per_spec(monkeypatch):
+    calls = []
+    original = jacobian.char_and_adjugate
+
+    def counting(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(jacobian, "char_and_adjugate", counting)
+    for spec in [JordanSpec.of({0: [1, 3], 1: [1]}), JordanSpec.of({gq("1/2"): [4]})]:
+        fspec = jordan_to_frobenius(spec)
+        before = len(calls)
+        cert = tangent_construction(fspec)
+        assert len(cert.images) == fspec.min_degree == 4
+        assert len(calls) == before + 1
+        # an equal but distinct matrix is differentiated again
+        B = build_frobenius(fspec)
+        for i, image in zip(cert.directions, cert.images):
+            assert image == directional_derivative(B, tangent_direction(fspec, i))
+        assert len(calls) == before + 2
+        assert tangent_ok(cert)
+
+
+def reference_annihilation(cert, B) -> bool:
+    """The former check: Gaussian-rational dot products with J(B)'s columns."""
+    jac = jacobian_exact(B)
+    return all(not dot(v.vector, jac.column(c))
+               for v in cert.vectors for c in range(B.n * B.n))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, RATIONAL_POOL], ids=["default", "rational"])
+def test_verify_annihilation_matches_gaussian_rational_route(pool):
+    broken = 0
+    for n in range(1, 5):
+        for spec in enumerate_jordan_specs(n, pool):
+            B = build_jordan(spec)
+            cert = nullspace_basis(spec)
+            assert verify_annihilation(cert, B) == reference_annihilation(cert, B) is True
+            if not cert.vectors:
+                continue
+            # move one entry of the last vector at a time
+            v = cert.vectors[-1]
+            for k in range(n):
+                vec = list(v.vector)
+                vec[k] = vec[k] + gq("1/3")
+                bumped = NullspaceCertificate(cert.vectors[:-1] + (
+                    NullVector(v.eigenvalue, v.order, tuple(vec)),))
+                expected = reference_annihilation(bumped, B)
+                assert verify_annihilation(bumped, B) == expected
+                broken += not expected
+    assert broken > 20
+
+
+def test_verify_annihilation_rejects_wrong_length():
+    spec = JordanSpec.of({0: [1, 1]})
+    v = nullspace_basis(spec).vectors[0]
+    short = NullspaceCertificate((NullVector(v.eigenvalue, v.order, v.vector[:1]),))
+    with pytest.raises(ValueError, match="length mismatch"):
+        verify_annihilation(short, build_jordan(spec))

@@ -120,6 +120,34 @@ def test_powers():
     assert x ** 3 == x * x * x
 
 
+def _count_products(monkeypatch, cls):
+    calls = []
+    original = cls.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("x", [gq("2/3", "-1/2"), Polynomial.make([gq(1, 1), gq("1/2")])],
+                         ids=["gaussian_rational", "polynomial"])
+def test_power_is_repeated_product_without_a_spare_square(x, monkeypatch):
+    one = gq(1) if isinstance(x, GaussianRational) else Polynomial.one(EXACT)
+    expected = one
+    for e in range(9):
+        assert x ** e == expected
+        expected = expected * x
+    calls = _count_products(monkeypatch, type(x))
+    for e in range(9):
+        calls.clear()
+        x ** e
+        # one product per set bit, one square per bit below the top one
+        assert len(calls) == (bin(e).count("1") + e.bit_length() - 1 if e else 0)
+
+
 def test_scalar_json_exact_round_trip():
     x = gq("3/4", "-1/2")
     encoded = scalar_to_json(x)
