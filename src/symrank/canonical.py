@@ -20,13 +20,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .matpoly import Polynomial, SquareMatrix
+from .matpoly import Polynomial, SquareMatrix, check_size
 from .scalars import (
     EXACT,
     FLOAT,
     GaussianInteger,
     GaussianIntegerPolynomial,
     GaussianRational,
+    NumericFailure,
     coerce_scalar,
     field_one,
     field_zero,
@@ -57,14 +58,14 @@ class JordanSpec:
             raise ValueError(f"matrix size n must be a positive integer, got {self.n!r}")
         if not self.blocks:
             raise ValueError("at least one eigenvalue group required")
-        seen = []
+        seen = set()
         total = 0
         for blk in self.blocks:
             if not isinstance(blk.eigenvalue, GaussianRational):
                 raise ValueError("eigenvalues must be exact scalars")
-            if any(e == blk.eigenvalue for e in seen):
+            if blk.eigenvalue in seen:
                 raise ValueError(f"repeated eigenvalue {blk.eigenvalue}")
-            seen.append(blk.eigenvalue)
+            seen.add(blk.eigenvalue)
             if not blk.sizes:
                 raise ValueError("each eigenvalue needs at least one block")
             if any(type(s) is not int or s < 1 for s in blk.sizes):
@@ -129,7 +130,9 @@ class JordanSpec:
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"bad Jordan block entry: {exc}") from None
             groups.append(EigenvalueBlocks(eig, sizes))
-        return cls(n, tuple(groups))
+        spec = cls(n, tuple(groups))
+        check_size(spec.n)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,10 @@ class FrobeniusSpec:
         factors = obj.get("invariant_factors") if isinstance(obj, dict) else None
         if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
             raise ValueError("Frobenius spec JSON needs 'invariant_factors', a list of coefficient lists")
-        return cls(tuple(Polynomial.from_json(f, EXACT) for f in factors))
+        factors = tuple(Polynomial.from_json(f, EXACT) for f in factors)
+        # before the divisibility checks, which are quadratic in the degree
+        check_size(sum(p.degree for p in factors))
+        return cls(factors)
 
 
 @dataclass(frozen=True)
@@ -333,20 +339,22 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     power = np.eye(n, dtype=complex)
     vecs = [power.ravel()]
     for k in range(1, n + 1):
-        power = a @ power
+        with np.errstate(all="ignore"):
+            power = a @ power
+        if not np.isfinite(power).all():
+            raise NumericFailure(f"matrix power M^{k} overflowed")
         target = power.ravel()
         stack = np.column_stack(vecs + [target])
         sv = np.linalg.svd(stack, compute_uv=False)
         threshold = tol if tol is not None else max(stack.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        # more columns than rows (only n = 1) are dependent, and then the
-        # stack has fewer singular values than columns
-        if stack.shape[1] > stack.shape[0] or sv[-1] <= threshold:
+        # I, M, ..., M^n are dependent (Cayley-Hamilton) whatever the
+        # tolerance; at n = 1 the stack even has fewer rows than columns
+        if k == n or sv[-1] <= threshold:
             basis = np.column_stack(vecs)
             combo, *_ = np.linalg.lstsq(basis, target, rcond=None)
             coeffs = [complex(-c) for c in combo] + [complex(1.0)]
             return Polynomial(tuple(coeffs), FLOAT)
         vecs.append(target)
-    raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
 
 
 def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:

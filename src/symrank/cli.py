@@ -13,16 +13,20 @@ coincide, never on the particular values chosen, so a small pool exhausts
 the hypothesis space at each size.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input
-(including a matrix or spec larger than :data:`MAX_N`).
+(including a matrix or spec larger than :data:`MAX_N` and a --tol that is
+not a finite number >= 0) or an unwritable --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +46,7 @@ from .jacobian import (
     rank_exact,
     verify_theorem,
 )
-from .matpoly import SquareMatrix, spectral_radius_bound, symmetrize
+from .matpoly import MAX_N, SquareMatrix, spectral_radius_bound, symmetrize
 from .proofs import (
     confluent_vandermonde_det,
     linear_curve,
@@ -68,19 +72,10 @@ from .scalars import (
 
 MODES = ("theorem", "nullspace", "tangent", "vandermonde", "ord")
 DEFAULT_POOL = (gq(0), gq(1), gq(-1), GQ_I, gq(2))
-FIELD_ENV_VAR = "SYMRANK_FIELD"
-
-#: Largest matrix size that any subcommand accepts, and the largest
-#: ``sweep --n-max``; beyond it a command exits 2.  It bounds the work of one
-#: matrix: at n = 12 the slowest subcommand, ``minpoly`` on a dense exact
-#: matrix, takes about 5.5 s (2 cores, Python 3.11.7), and the exact kernels
-#: grow faster than n^4.  A sweep's spec count still grows with --n-max
-#: (2,051 structures up to n = 6, 11,806 up to n = 8).
-MAX_N = 12
 
 
 class CliInputError(Exception):
-    """Malformed or inconsistent input; maps to exit code 2."""
+    """Malformed or inconsistent input, or an unwritable --out; exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,9 @@ class SweepConfig:
             raise ValueError(f"n_max {self.n_max} exceeds the size limit MAX_N = {MAX_N}")
         if not self.pool:
             raise ValueError("eigenvalue pool must be non-empty")
-        for a in range(len(self.pool)):
-            for b in range(a + 1, len(self.pool)):
-                if self.pool[a] == self.pool[b]:
-                    raise ValueError(f"pool values must be distinct, got {self.pool[a]} twice")
+        twice = [value for value, count in Counter(self.pool).items() if count > 1]
+        if twice:
+            raise ValueError(f"pool values must be distinct, got {twice[0]} twice")
         unknown = [m for m in self.modes if m not in MODES]
         if unknown:
             raise ValueError(f"unknown modes: {unknown}")
@@ -323,100 +317,80 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # command-line front end
 
 
-def _read_source(path_or_dash: str) -> tuple[str, str]:
-    if path_or_dash == "-":
-        return sys.stdin.read(), "<stdin>"
+def _read(decode, path: str | None, text: str | None = None, flag: str = "--spec"):
+    """decode(parsed JSON) of the inline text given to flag, else of the file at
+    path ("-" is stdin).
+
+    Every read, encoding, JSON, schema or size (:data:`MAX_N`) error becomes a
+    CliInputError that names its source.
+    """
+    source = flag if text is not None else "<stdin>" if path == "-" else path
     try:
-        with open(path_or_dash, "r", encoding="utf-8") as fh:
-            return fh.read(), path_or_dash
+        if text is None:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+        return decode(json.loads(text))
     except OSError as exc:
-        raise CliInputError(f"{path_or_dash}: {exc.strerror or exc}") from None
-
-
-def _parse_json(text: str, source: str):
-    try:
-        return json.loads(text)
+        raise CliInputError(f"{source}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{source}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
         ) from None
-
-
-def _load_spec_arg(args) -> tuple[dict, str]:
-    if getattr(args, "spec", None) is not None:
-        return _parse_json(args.spec, "--spec"), "--spec"
-    if getattr(args, "spec_file", None) is not None:
-        text, source = _read_source(args.spec_file)
-        return _parse_json(text, source), source
-    raise CliInputError("a spec is required: pass --spec '<json>' or --spec-file PATH")
-
-
-def _within_limit(obj, source: str):
-    """obj (a spec or a matrix) if its size n is at most MAX_N."""
-    if obj.n > MAX_N:
-        raise CliInputError(f"{source}: size n = {obj.n} exceeds the size limit MAX_N = {MAX_N}")
-    return obj
-
-
-def _jordan_spec_from(args) -> JordanSpec:
-    obj, source = _load_spec_arg(args)
-    try:
-        return _within_limit(JordanSpec.from_json(obj), source)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise CliInputError(f"{source}: {exc}") from None
 
 
-def _any_spec_from(args):
-    obj, source = _load_spec_arg(args)
+def _any_spec(obj):
+    """A Frobenius spec if obj lists invariant factors, else a Jordan spec."""
+    if isinstance(obj, dict) and "invariant_factors" in obj:
+        return FrobeniusSpec.from_json(obj)
+    return JordanSpec.from_json(obj)
+
+
+def _matrix(args) -> SquareMatrix:
+    """The matrix argument, promoted to --field float if asked."""
+    matrix = _read(SquareMatrix.from_json, args.matrix)
+    if args.field == EXACT and matrix.field == FLOAT:
+        raise CliInputError("cannot promote a float matrix to the exact field")
+    return matrix.to_float() if args.field == FLOAT else matrix
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
     try:
-        if isinstance(obj, dict) and "invariant_factors" in obj:
-            return _within_limit(FrobeniusSpec.from_json(obj), source)
-        return _within_limit(JordanSpec.from_json(obj), source)
-    except ValueError as exc:
-        raise CliInputError(f"{source}: {exc}") from None
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
-def _matrix_from(args) -> SquareMatrix:
-    text, source = _read_source(args.matrix)
-    obj = _parse_json(text, source)
+def _open_out(path: str | None):
+    """The file at path, truncated for writing, or stdout when path is empty.
+
+    An unwritable path is a CliInputError naming it and the OS error.
+    """
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        matrix = _within_limit(SquareMatrix.from_json(obj), source)
-    except ValueError as exc:
-        raise CliInputError(f"{source}: {exc}") from None
-    requested = _field_choice(args)
-    if requested and requested != matrix.field:
-        if requested == FLOAT:
-            matrix = matrix.to_float()
-        else:
-            raise CliInputError("cannot promote a float matrix to the exact field")
-    return matrix
-
-
-def _field_choice(args) -> str | None:
-    field = getattr(args, "field", None)
-    if field is None:
-        field = os.environ.get(FIELD_ENV_VAR) or None
-    if field is not None and field not in (EXACT, FLOAT):
-        raise CliInputError(f"unknown field {field!r}; expected 'exact' or 'float'")
-    return field
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliInputError(f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_gen(args) -> int:
-    spec = _any_spec_from(args)
+    spec = _read(_any_spec, args.spec_file, args.spec)
     matrix = build_frobenius(spec) if isinstance(spec, FrobeniusSpec) else build_jordan(spec)
-    if _field_choice(args) == FLOAT:
-        matrix = matrix.to_float()
-    _emit(args, matrix.to_json())
+    _emit(args, (matrix.to_float() if args.field == FLOAT else matrix).to_json())
     return 0
 
 
@@ -429,7 +403,7 @@ def _spectral_bound(matrix: SquareMatrix) -> float | None:
 
 
 def _cmd_pi(args) -> int:
-    matrix = _matrix_from(args)
+    matrix = _matrix(args)
     values = symmetrize(matrix)
     out = {
         "n": matrix.n,
@@ -444,13 +418,13 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
-    matrix = _matrix_from(args)
+    matrix = _matrix(args)
     _emit(args, jacobian_exact(matrix).to_json())
     return 0
 
 
 def _cmd_rank(args) -> int:
-    matrix = _matrix_from(args)
+    matrix = _matrix(args)
     jac = jacobian_exact(matrix)
     if matrix.field == EXACT:
         out = {"field": EXACT, "rank": rank_exact(jac), "tolerance": None}
@@ -469,8 +443,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_minpoly(args) -> int:
-    matrix = _matrix_from(args)
-    poly = min_poly_krylov(matrix, getattr(args, "tol", None))
+    matrix = _matrix(args)
+    poly = min_poly_krylov(matrix, args.tol)
     _emit(args, {
         "field": matrix.field,
         "degree": poly.degree,
@@ -480,13 +454,14 @@ def _cmd_minpoly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report, entry = _check_theorem(_jordan_spec_from(args), args.seed)
+    spec = _read(JordanSpec.from_json, args.spec_file, args.spec)
+    report, entry = _check_theorem(spec, args.seed)
     _emit(args, report.to_json())
     return 0 if entry["ok"] else 1
 
 
 def _cmd_nullspace(args) -> int:
-    cert, entry = _check_nullspace(_jordan_spec_from(args))
+    cert, entry = _check_nullspace(_read(JordanSpec.from_json, args.spec_file, args.spec))
     _emit(args, cert.to_json())
     print(
         f"nullspace: {entry['count']}/{entry['expected']} vectors, "
@@ -497,7 +472,7 @@ def _cmd_nullspace(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    cert, entry = _check_tangent(_any_spec_from(args))
+    cert, entry = _check_tangent(_read(_any_spec, args.spec_file, args.spec))
     _emit(args, cert.to_json())
     print(
         f"tangent: {entry['images']} images, pivots {entry['pivots']}, ok={entry['ok']}",
@@ -507,21 +482,17 @@ def _cmd_tangent(args) -> int:
 
 
 def _cmd_ord(args) -> int:
-    spec = _jordan_spec_from(args)
+    spec = _read(JordanSpec.from_json, args.spec_file, args.spec)
+
+    def through_spec(obj) -> MatrixPolynomial:
+        curve = MatrixPolynomial.from_json(obj)
+        if curve.coefficients[0] != build_jordan(spec):
+            raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
+        return curve
+
     curve = None
     if args.curve is not None or args.curve_file is not None:
-        if args.curve is not None:
-            obj = _parse_json(args.curve, "--curve")
-            source = "--curve"
-        else:
-            text, source = _read_source(args.curve_file)
-            obj = _parse_json(text, source)
-        try:
-            curve = MatrixPolynomial.from_json(obj)
-        except ValueError as exc:
-            raise CliInputError(f"{source}: {exc}") from None
-        if curve.coefficients[0] != build_jordan(spec):
-            raise CliInputError(f"{source}: curve base mismatch: curve(0) must equal the spec's matrix")
+        curve = _read(through_spec, args.curve_file, args.curve, "--curve")
     (curve, reports), entry = _check_ord(spec, args.seed, curve)
     _emit(args, {
         "spec": spec.to_json(),
@@ -533,22 +504,16 @@ def _cmd_ord(args) -> int:
 
 
 def _parse_pool(text: str) -> tuple:
-    items = [part for part in text.split(",") if part.strip()]
-    if not items:
-        raise CliInputError("eigenvalue pool must be non-empty")
     try:
-        return tuple(parse_eigenvalue(part) for part in items)
+        return tuple(parse_eigenvalue(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise CliInputError(f"bad pool: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
     pool = _parse_pool(args.pool) if args.pool is not None else DEFAULT_POOL
-    if args.modes is None:
-        modes = MODES
-    else:
-        names = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-        modes = names
+    modes = MODES if args.modes is None else tuple(
+        m.strip() for m in args.modes.split(",") if m.strip())
     try:
         config = SweepConfig(
             n_max=args.n_max,
@@ -559,17 +524,13 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    report = run_sweep(config)
-    lines = [
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in report.records
-    ]
-    body = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    # opened first, so that an unwritable --out fails before the checks run
+    with _open_out(args.out) as fh:
+        report = run_sweep(config)
+        fh.write("".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            for record in report.records
+        ))
     print(
         f"sweep: {report.total_specs} specs, {len(report.records)} checked, "
         f"{len(report.failures)} failures",
@@ -587,77 +548,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p):
-        p.add_argument("--spec", help="inline spec JSON")
-        p.add_argument("--spec-file", help="path to spec JSON")
-
-    def add_out(p):
+    def command(name, handler, help, reads=None):
+        """A subcommand that reads a spec or a matrix (or neither)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if reads == "spec":
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--spec", help="inline spec JSON")
+            source.add_argument("--spec-file", help="path to spec JSON, or - for stdin")
+        elif reads == "matrix":
+            p.add_argument("matrix", help="matrix JSON path, or - for stdin")
+            p.add_argument("--field", choices=(EXACT, FLOAT))
         p.add_argument("--out", help="write output to this path instead of stdout")
+        return p
 
-    p = sub.add_parser("gen", help="build the matrix of a Jordan or Frobenius spec")
-    add_spec_args(p)
-    p.add_argument("--field", choices=(EXACT, FLOAT))
-    add_out(p)
-    p.set_defaults(handler=_cmd_gen)
+    command("gen", _cmd_gen, "build the matrix of a Jordan or Frobenius spec",
+            "spec").add_argument("--field", choices=(EXACT, FLOAT))
+    command("pi", _cmd_pi, "symmetrize a matrix", "matrix")
+    command("jacobian", _cmd_jacobian, "exact derivative matrix of the symmetrization map",
+            "matrix")
+    command("rank", _cmd_rank, "rank of the derivative at a matrix", "matrix").add_argument(
+        "--tol", type=_tolerance, help="numeric rank threshold, finite and >= 0")
+    command("minpoly", _cmd_minpoly, "minimal polynomial via the Krylov sequence",
+            "matrix").add_argument(
+        "--tol", type=_tolerance, help="dependence threshold (float field), finite and >= 0")
+    command("verify", _cmd_verify, "check rank == minimal polynomial degree for a spec",
+            "spec").add_argument("--seed", type=int, default=0)
+    command("nullspace", _cmd_nullspace, "null-space certificate for a Jordan spec", "spec")
+    command("tangent", _cmd_tangent, "echelon tangent certificate for a spec", "spec")
 
-    p = sub.add_parser("pi", help="symmetrize a matrix")
-    p.add_argument("matrix", help="matrix JSON path, or - for stdin")
-    p.add_argument("--field", choices=(EXACT, FLOAT))
-    add_out(p)
-    p.set_defaults(handler=_cmd_pi)
-
-    p = sub.add_parser("jacobian", help="exact derivative matrix of the symmetrization map")
-    p.add_argument("matrix", help="matrix JSON path, or - for stdin")
-    p.add_argument("--field", choices=(EXACT, FLOAT))
-    add_out(p)
-    p.set_defaults(handler=_cmd_jacobian)
-
-    p = sub.add_parser("rank", help="rank of the derivative at a matrix")
-    p.add_argument("matrix", help="matrix JSON path, or - for stdin")
-    p.add_argument("--field", choices=(EXACT, FLOAT))
-    p.add_argument("--tol", type=float, default=None, help="numeric rank threshold")
-    add_out(p)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("minpoly", help="minimal polynomial via the Krylov sequence")
-    p.add_argument("matrix", help="matrix JSON path, or - for stdin")
-    p.add_argument("--field", choices=(EXACT, FLOAT))
-    p.add_argument("--tol", type=float, default=None, help="dependence threshold (float field)")
-    add_out(p)
-    p.set_defaults(handler=_cmd_minpoly)
-
-    p = sub.add_parser("verify", help="check rank == minimal polynomial degree for a spec")
-    add_spec_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    add_out(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("nullspace", help="null-space certificate for a Jordan spec")
-    add_spec_args(p)
-    add_out(p)
-    p.set_defaults(handler=_cmd_nullspace)
-
-    p = sub.add_parser("tangent", help="echelon tangent certificate for a spec")
-    add_spec_args(p)
-    add_out(p)
-    p.set_defaults(handler=_cmd_tangent)
-
-    p = sub.add_parser("ord", help="order-of-vanishing report for a curve through a spec")
-    add_spec_args(p)
-    p.add_argument("--curve", help="inline curve JSON (coefficient matrices)")
-    p.add_argument("--curve-file", help="path to curve JSON")
+    p = command("ord", _cmd_ord, "order-of-vanishing report for a curve through a spec",
+                "spec")
+    curve = p.add_mutually_exclusive_group()
+    curve.add_argument("--curve", help="inline curve JSON (coefficient matrices)")
+    curve.add_argument("--curve-file", help="path to curve JSON, or - for stdin")
     p.add_argument("--seed", type=int, default=0, help="seed for the random linear curve")
-    add_out(p)
-    p.set_defaults(handler=_cmd_ord)
 
-    p = sub.add_parser("sweep", help="exhaustive verification over all specs up to n-max")
+    p = command("sweep", _cmd_sweep, "exhaustive verification over all specs up to n-max")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--pool", help="comma-separated eigenvalues, e.g. '0,1,-1,i,2'")
     p.add_argument("--modes", help=f"comma-separated subset of {','.join(MODES)}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    add_out(p)
-    p.set_defaults(handler=_cmd_sweep)
 
     return parser
 

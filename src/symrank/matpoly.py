@@ -49,6 +49,22 @@ from .scalars import (
 #: A point of the symmetrized space: tuple (sigma_1, ..., sigma_n) of scalars.
 SymPoint = tuple
 
+#: Largest matrix size n that the JSON decoders (``SquareMatrix``,
+#: ``MatrixPolynomial``, ``JordanSpec`` and ``FrobeniusSpec.from_json``)
+#: accept, checked before any work superlinear in the input; also the largest
+#: ``sweep --n-max``.  It bounds the work of one matrix: at n = 12 the
+#: slowest subcommand, ``minpoly`` on a dense exact matrix, takes about 5.5 s
+#: (2 cores, Python 3.11.7), and the exact kernels grow faster than n^4.  A
+#: sweep's spec count still grows with --n-max (2,051 structures up to n = 6,
+#: 11,806 up to n = 8).
+MAX_N = 12
+
+
+def check_size(n: int) -> None:
+    """Raise ValueError if a decoded matrix size n exceeds :data:`MAX_N`."""
+    if n > MAX_N:
+        raise ValueError(f"size n = {n} exceeds the size limit MAX_N = {MAX_N}")
+
 
 def _infer_field(values: Iterable) -> str:
     for v in values:
@@ -172,6 +188,7 @@ class SquareMatrix:
             raise ValueError(f"matrix JSON missing key: {exc}") from None
         if type(n) is not int:
             raise ValueError(f"matrix 'n' must be an integer, got {n!r}")
+        check_size(n)
         if field not in (EXACT, FLOAT):
             raise ValueError(f"unknown field {field!r}")
         if (not isinstance(entries, list) or len(entries) != n

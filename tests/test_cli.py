@@ -412,12 +412,11 @@ def test_cli_sweep_all_modes_exhaustive_small(tmp_path):
     assert set(records[0]["modes"]) == set(MODES)
 
 
-def test_cli_env_var_field(tmp_path, capsys, monkeypatch):
+def test_cli_field_float_promotes_exact_matrix(tmp_path, capsys):
     spec = json.dumps({"n": 1, "blocks": [{"eigenvalue": ["1/1", "0/1"], "sizes": [1]}]})
     matrix_path = tmp_path / "m.json"
     main(["gen", "--spec", spec, "--out", str(matrix_path)])
-    monkeypatch.setenv("SYMRANK_FIELD", "float")
-    assert main(["pi", str(matrix_path)]) == 0
+    assert main(["pi", str(matrix_path), "--field", "float"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["field"] == "float"
     assert out["values"] == [[1.0, 0.0]]
@@ -616,14 +615,20 @@ def _jordan_block_spec(n):
     return json.dumps({"n": n, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [n]}]})
 
 
-@pytest.mark.parametrize("command", ["verify", "ord", "pi", "jacobian", "rank", "minpoly",
-                                     "sweep"])
+@pytest.mark.parametrize("command", ["verify", "ord", "gen", "nullspace", "tangent", "pi",
+                                     "jacobian", "rank", "minpoly", "sweep"])
 def test_cli_size_limit_exits_2(tmp_path, capsys, command):
     import symrank.cli as cli
 
     n = cli.MAX_N + 1
-    if command in ("verify", "ord"):
+    if command in ("verify", "ord", "gen", "nullspace"):
         argv = [command, "--spec", _jordan_block_spec(n)]
+    elif command == "tangent":
+        # t^6 + 1 does not divide t^(n-6): the size must be refused before
+        # the divisibility check runs
+        one, zero = ["1/1", "0/1"], ["0/1", "0/1"]
+        fspec = {"invariant_factors": [[one] + [zero] * 5 + [one], [zero] * (n - 6) + [one]]}
+        argv = ["tangent", "--spec", json.dumps(fspec)]
     elif command == "sweep":
         # one eigenvalue and a cheap mode, so that without the limit it ends fast
         argv = ["sweep", "--n-max", str(n), "--pool", "0", "--modes", "vandermonde"]
@@ -666,3 +671,95 @@ def test_python_dash_m_symrank_matches_main(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
     assert main(["pi", "-"]) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+FLOAT_2X2 = {"n": 2, "field": "float",
+             "entries": [[[0.5, -0.25], [0.0, 1.0]], [[2.0, 0.0], [-1.0, 0.5]]]}
+
+
+@pytest.mark.parametrize("command", ["rank", "minpoly"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0.1x"])
+def test_cli_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, tol):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(FLOAT_2X2))
+    with pytest.raises(SystemExit) as exited:
+        main([command, str(path), "--tol", tol])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "finite number >= 0" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-300"])
+def test_cli_minpoly_tiny_tol_stops_at_degree_n(tmp_path, capsys, tol):
+    # roundoff keeps the last singular value above a zero threshold, but
+    # I, M, M^2 are dependent for any 2x2 M
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(FLOAT_2X2))
+    assert main(["minpoly", str(path), "--tol", tol]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 2
+
+
+def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["pi", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "utf-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", SPEC_0_11],
+    ["pi", "MATRIX"],
+    ["jacobian", "MATRIX"],
+    ["rank", "MATRIX"],
+    ["minpoly", "MATRIX"],
+    ["verify", "--spec", SPEC_0_11],
+    ["nullspace", "--spec", SPEC_0_11],
+    ["tangent", "--spec", SPEC_0_11],
+    ["ord", "--spec", SPEC_0_11],
+    ["sweep", "--n-max", "1", "--modes", "theorem"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    import symrank.cli as cli
+
+    def no_checks(config):
+        raise AssertionError("sweep ran its checks before opening --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_checks)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(FLOAT_2X2))
+    out = tmp_path / "missing" / "out.json"
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and "No such file or directory" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_cli_minpoly_float_power_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # M^2 overflows; with a zero tolerance M alone is independent of I, so
+    # the overflowed power reached the SVD, which raised LinAlgError
+    entries = [[[0.0, 0.0]] * 3 for _ in range(3)]
+    entries[2][2] = [1e200, 0.0]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "field": "float", "entries": entries}))
+    assert main(["minpoly", str(path), "--tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_cli_spec_and_spec_file_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(_jordan_block_spec(1))
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--spec", SPEC_0_11, "--spec-file", str(path)])
+    assert exited.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["pi", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "recursion" in err and "Traceback" not in err
