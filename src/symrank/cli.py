@@ -13,8 +13,9 @@ coincide, never on the particular values chosen, so a small pool exhausts
 the hypothesis space at each size.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input
-(including a matrix or spec larger than :data:`MAX_N` and a --tol that is
-not a finite number >= 0) or an unwritable --out.
+(including a matrix or spec larger than :data:`MAX_N`, a curve of degree
+above ``MAX_CURVE_DEGREE`` and a --tol that is not a finite number >= 0) or
+an unwritable --out.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _check_vandermonde(spec: JordanSpec):
 
 
 def _check_ord(spec: JordanSpec, seed: int, curve: MatrixPolynomial | None = None):
-    """Order reports along curve (default B + zeta*M, M drawn from seed)."""
+    """Order reports along curve (default B + zeta*M, M drawn from seed); an
+    entry with violations lists each failing (lambda, k, observed, required)."""
     if curve is None:
         curve = linear_curve(build_jordan(spec), _random_exact_matrix(spec.n, seed))
     reports = [
@@ -226,10 +228,15 @@ def _check_ord(spec: JordanSpec, seed: int, curve: MatrixPolynomial | None = Non
         for blk in spec.blocks
         for k in range(sum(blk.sizes))
     ]
-    violations = sum(1 for r in reports if not r.passed)
-    return (curve, reports), {
-        "checks": len(reports), "violations": violations, "ok": violations == 0,
-    }
+    failing = [r for r in reports if not r.passed]
+    entry = {"checks": len(reports), "violations": len(failing), "ok": not failing}
+    if failing:
+        entry["failures"] = [
+            {"lambda": scalar_to_json(r.eigenvalue), "k": r.order,
+             "observed_order": r.observed_order, "required_order": r.required_order}
+            for r in failing
+        ]
+    return (curve, reports), entry
 
 
 #: mode -> (check, seed stream or None, repro subcommand or None).  A check
@@ -321,8 +328,8 @@ def _read(decode, path: str | None, text: str | None = None, flag: str = "--spec
     """decode(parsed JSON) of the inline text given to flag, else of the file at
     path ("-" is stdin).
 
-    Every read, encoding, JSON, schema or size (:data:`MAX_N`) error becomes a
-    CliInputError that names its source.
+    Every read, encoding, JSON, schema or size (:data:`MAX_N`, curve degree)
+    error becomes a CliInputError that names its source.
     """
     source = flag if text is not None else "<stdin>" if path == "-" else path
     try:

@@ -12,12 +12,13 @@ its common denominator D and run over Gaussian integers, where each of those
 divisions is exact (see :class:`symrank.scalars.GaussianInteger`), then
 scaled back.  The recursion simultaneously produces the adjugate polynomial
 adj(tI - M), the source of exact first derivatives of det.  The same
-unchanged recursion expands det(tI - D*Phi) for a curve Phi(zeta) over
-Z[i][zeta] (:class:`symrank.scalars.GaussianIntegerPolynomial`), which is how
-``proofs.order_of_vanishing`` reads vanishing orders.  A float matrix runs
-the recursion in numpy, and ``char_poly`` and ``symmetrize`` leave its
-adjugate unread: the finite-difference oracle calls them 2n^2 times per
-Jacobian.
+unchanged recursion expands det(tI - D*Phi) for a curve Phi(zeta): it runs
+over Gaussian integers on D*Phi(2^w), and the zeta-coefficients are read back
+as base-2^w digits (Kronecker substitution, ``proofs._curve_char_coeffs``),
+which is how ``proofs.order_of_vanishing`` reads vanishing orders.  A float
+matrix runs the recursion in numpy, and ``char_poly`` and ``symmetrize``
+leave its adjugate unread: the finite-difference oracle calls them 2n^2 times
+per Jacobian.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -58,6 +59,14 @@ SymPoint = tuple
 #: sweep's spec count still grows with --n-max (2,051 structures up to n = 6,
 #: 11,806 up to n = 8).
 MAX_N = 12
+
+#: Largest curve degree that ``MatrixPolynomial.from_json`` accepts, checked
+#: before any matrix is decoded.  The expansion of det(tI - D*Phi) grows
+#: faster than the degree squared, and at this bound a dense n = MAX_N curve
+#: with magnitude-4 rational entries (``symrank ord --curve``) takes about
+#: 3.4 s, less than ``minpoly`` at MAX_N on the same host (about 3.9 s; 2
+#: cores, Python 3.11.7).  Degree 13 took up to 3.9 s and degree 16 about 5 s.
+MAX_CURVE_DEGREE = 12
 
 
 def check_size(n: int) -> None:
@@ -213,7 +222,7 @@ class Polynomial:
     double as exact ring elements: matrices of Polynomials can be fed through
     the generic characteristic-polynomial recursion.  Over Gaussian-rational
     coefficients that is the tests' reference for the curve expansion in
-    ``proofs``, which itself runs over Z[i][zeta].
+    ``proofs``, which itself runs over Z[i] by Kronecker substitution.
     """
 
     coefficients: tuple
@@ -450,6 +459,9 @@ class MatrixPolynomial:
         coeffs = obj.get("coefficients") if isinstance(obj, dict) else None
         if not isinstance(coeffs, list):
             raise ValueError("curve JSON must have a 'coefficients' list")
+        if len(coeffs) - 1 > MAX_CURVE_DEGREE:
+            raise ValueError(f"curve 'coefficients' give degree {len(coeffs) - 1}, above the "
+                             f"degree limit MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")
         return cls(tuple(SquareMatrix.from_json(c) for c in coeffs))
 
 

@@ -15,7 +15,8 @@ decomposition.  Supporting tools: Newton divided differences with Hermite
 (repeated-node) data, a convergence check for the divided-difference limit
 formula, the confluent Vandermonde determinant against its closed form, and
 an order-of-vanishing verifier for polynomial curves through B, which expands
-each curve's characteristic polynomial once over Z[i][zeta].
+each curve's characteristic polynomial once, over Z[i] by Kronecker
+substitution, into its Z[i][zeta] coefficients.
 """
 
 from __future__ import annotations
@@ -468,35 +469,65 @@ def linear_curve(B: SquareMatrix, M: SquareMatrix) -> MatrixPolynomial:
     return MatrixPolynomial((B, M))
 
 
-#: (curve, D, coefficients) of the last curve expanded.  One curve is queried
-#: at every (lam, k) in turn, so one slot is enough, and matching by identity
-#: never hashes the curve's Fractions.  A single tuple, so that a reader
-#: always sees the parts of one curve.
-_last_curve = (None, 1, ())
+def _balanced_digits(value: int, w: int, count: int) -> list:
+    """The digits r_0..r_(count-1), each in [-2^(w-1), 2^(w-1)), of
+    value = sum_q r_q 2^(q*w); raises ArithmeticError if count digits do not
+    exhaust value."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    digits = []
+    for _ in range(count):
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> w
+    if value:
+        raise ArithmeticError(f"{count} base-2^{w} digits leave {value}")
+    return digits
 
 
 def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
     """(D, c): D the common denominator of the curve's coefficient matrices,
     c_0..c_n the coefficients of det(tI - D*Phi) over Z[i][zeta], so that
-    c_p(Phi) = D^p c_p(D*Phi) / D^n."""
-    global _last_curve
-    last, d, coeffs = _last_curve
-    if curve is last:
-        return d, coeffs
+    c_p(Phi) = D^p c_p(D*Phi) / D^n.
+
+    The expansion runs over Z[i] by Kronecker substitution: D*Phi is evaluated
+    at zeta = X = 2^w, ``charpoly_in_ring`` runs on that Gaussian-integer
+    matrix, and the real and imaginary parts of each c_p(X) are split into
+    balanced base-X digits.  w is chosen from the input so that
+    2^(w-1) > (nL)^n, L the largest l1 norm of an entry of D*Phi; that makes
+    the digits the zeta-coefficients (the bound argument in
+    :class:`symrank.scalars.GaussianInteger`).
+    """
     n, terms = curve.n, len(curve.coefficients)
     d, scaled = to_gaussian_integers([row for c in curve.coefficients for row in c.entries])
     # row q*n + i of scaled is row i of D*M_q, the zeta^q coefficient matrix
-    entries = [
-        [GaussianIntegerPolynomial([scaled[q * n + i][j].re for q in range(terms)],
-                                   [scaled[q * n + i][j].im for q in range(terms)])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    coeffs, _ = charpoly_in_ring(entries, GaussianIntegerPolynomial([], []),
-                                 GaussianIntegerPolynomial([1], [0]))
-    coeffs = tuple(coeffs)
-    _last_curve = (curve, d, coeffs)
-    return d, coeffs
+    polys = [[[scaled[q * n + i][j] for q in range(terms)] for j in range(n)]
+             for i in range(n)]
+    l1 = max(sum(abs(z.re) + abs(z.im) for z in entry) for row in polys for entry in row)
+    w = ((n * max(l1, 1)) ** n).bit_length() + 1
+    entries = []
+    for row in polys:
+        out = []
+        for entry in row:
+            re = im = 0
+            for z in reversed(entry):
+                re = (re << w) + z.re
+                im = (im << w) + z.im
+            out.append(GaussianInteger(re, im))
+        entries.append(out)
+    coeffs, _ = charpoly_in_ring(entries, GaussianInteger(0), GaussianInteger(1))
+    # deg c_p <= (n - p) * deg Phi
+    return d, tuple(
+        GaussianIntegerPolynomial(_balanced_digits(c.re, w, (n - p) * (terms - 1) + 1),
+                                  _balanced_digits(c.im, w, (n - p) * (terms - 1) + 1))
+        for p, c in enumerate(coeffs))
+
+
+#: (curve, D, coefficients, spec, lam -> (combinatorics, e, a)) of the last
+#: (curve, spec) pair queried, lam = a/e.  One curve is queried at every
+#: (lam, k) of one spec in turn, so one slot is enough, and matching curve and
+#: spec by identity never hashes the curve's Fractions.  A single tuple, so
+#: that a reader always sees the parts of one pair.
+_last_query = (None, 1, (), None, {})
 
 
 def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -> VanishingReport:
@@ -510,19 +541,31 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     zero, which passes every requirement).  The value is taken in Z[i][zeta]
     as sum_p ff(p, k) a^(p-k) e^(n-p) D^p c_p(D*Phi), which is D^n e^(n-k)
     times the true value and so has the same lowest nonzero power.
+
+    The expansion, the check that curve(0) is the spec's matrix, and per lam
+    the combinatorics and a/e are computed once for each (curve, spec) pair.
     """
+    global _last_query
     lam = coerce_scalar(lam, EXACT)
     if curve.field != EXACT:
         raise ValueError("vanishing orders are computed in the exact field")
-    B = build_jordan(spec)
-    if curve.coefficients[0] != B:
-        raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
-    comb = jordan_combinatorics(spec, lam)
+    last_curve, d, coeffs, last_spec, per_lam = _last_query
+    if curve is not last_curve or spec is not last_spec:
+        if curve.coefficients[0] != build_jordan(spec):
+            raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
+        if curve is not last_curve:
+            d, coeffs = _curve_char_coeffs(curve)
+        per_lam = {}
+        _last_query = (curve, d, coeffs, spec, per_lam)
+    shared = per_lam.get(lam)
+    if shared is None:
+        comb = jordan_combinatorics(spec, lam)
+        e, ((a,),) = to_gaussian_integers([[lam]])
+        shared = per_lam[lam] = (comb, e, a)
+    comb, e, a = shared
     if not 0 <= k <= comb.multiplicity - 1:
         raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
     n = spec.n
-    d, coeffs = _curve_char_coeffs(curve)
-    e, ((a,),) = to_gaussian_integers([[lam]])
     derivative_value = GaussianIntegerPolynomial([], [])
     a_power = GaussianInteger(1)
     for p in range(k, n + 1):

@@ -5,8 +5,8 @@ Every other module is generic over a ``field`` tag, either ``"exact"``
 (built-in ``complex``).  Exact scalars make rank decisions decidable; the
 float field exists for finite-difference oracles and numeric cross-checks.
 The exact kernels clear denominators and compute in :class:`GaussianInteger`
-(curves: :class:`GaussianIntegerPolynomial`) internally; their inputs and
-outputs stay Gaussian rationals.
+internally (curves too, by Kronecker substitution); their inputs and outputs
+stay Gaussian rationals.
 
 All values are immutable and safe to share between threads.
 """
@@ -223,15 +223,26 @@ class GaussianInteger:
       (``confluent_vandermonde_det``).  Likewise (e t - a)^s = e^s (t - lam)^s
       expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
 
-    The first argument holds over any commutative ring in which ``k * x = y``
-    has at most one solution x, so it carries over to Z[i][zeta]
-    (:class:`GaussianIntegerPolynomial`): a curve Phi(zeta) = sum_j zeta^j M_j
-    scaled by the common denominator D of all its M_j has entries in
-    Z[i][zeta], the coefficients of det(tI - D*Phi) are integer polynomials in
-    them, and each ``/ k`` divides every zeta-coefficient exactly.
+    A fourth argument, a bound, carries curves into Z[i] by Kronecker
+    substitution (``proofs._curve_char_coeffs``).  A curve
+    Phi(zeta) = sum_q zeta^q M_q scaled by the common denominator D of all its
+    M_q has entries in Z[i][zeta].  Evaluation at zeta = X is a ring
+    homomorphism Z[i][zeta] -> Z[i], so Faddeev-LeVerrier on D*Phi(X) gives
+    c_p(X) for each coefficient c_p of det(tI - D*Phi), and every ``/ k``
+    stays exact by the first argument.  To read c_p back from c_p(X), let
+    |z|_1 = |Re z| + |Im z|, which is submultiplicative on Z[i], and let L be
+    the largest entry l1 norm sum_q |z_q|_1 over the zeta^q coefficients of
+    an entry.  The l1 norm of a product of polynomials is at most the product
+    of their l1 norms.  Each zeta-coefficient of c_p is a signed sum of the
+    C(n, s) s! products of s = n - p entries in the principal s-minors, each
+    of l1 norm at most L^s, so its real and imaginary parts are at most
+    n^s L^s <= (nL)^n (for L >= 1).  With X = 2^w and 2^(w-1) > (nL)^n, those
+    parts are therefore the unique balanced base-X digits, each in
+    [-X/2, X/2), of the real and imaginary parts of c_p(X).
 
     A nonzero remainder therefore means a bug: ``/`` raises
-    ``ArithmeticError`` instead of rounding.
+    ``ArithmeticError`` instead of rounding, and so does a digit split that
+    leaves a remainder.
     """
 
     __slots__ = ("re", "im")
@@ -282,15 +293,20 @@ class GaussianInteger:
 
 
 class GaussianIntegerPolynomial:
-    """Element of Z[i][zeta]: the ring of curve characteristic polynomials.
+    """Element of Z[i][zeta] (or Z[i][t]): a polynomial with Gaussian-integer
+    coefficients.
+
+    Its uses: ``proofs._curve_char_coeffs`` returns the coefficients of a
+    curve's characteristic polynomial as these, read off by Kronecker
+    substitution (see :class:`GaussianInteger`); ``proofs.order_of_vanishing``
+    forms the t-derivative value from them with ``+`` and ``*`` and reads its
+    ``lowest_nonzero_degree``; and ``canonical.jordan_to_frobenius`` multiplies
+    out the invariant factors over Z[i][t].
 
     ``re`` and ``im`` are equally long ascending int lists of the real and
-    imaginary parts of the zeta-coefficients, trimmed so that the top
-    coefficient is nonzero; zero is the pair of empty lists.  The constructor
-    trims and keeps the lists it is given, and no operation writes them after
-    that.  Divisions are exact for the reason given in
-    :class:`GaussianInteger`, so ``/ int`` raises ``ArithmeticError`` on any
-    remainder.
+    imaginary parts of the coefficients, trimmed so that the top coefficient
+    is nonzero; zero is the pair of empty lists.  The constructor trims and
+    keeps the lists it is given, and no operation writes them after that.
     """
 
     __slots__ = ("re", "im")
@@ -350,17 +366,6 @@ class GaussianIntegerPolynomial:
                 for j, (c, d) in enumerate(zip(br, bi)):
                     re[i + j] -= b * d
                     im[i + j] += b * c
-        return GaussianIntegerPolynomial(re, im)
-
-    def __truediv__(self, other: int) -> "GaussianIntegerPolynomial":
-        re, im = [], []
-        for x, y in zip(self.re, self.im):
-            q_re, r_re = divmod(x, other)
-            q_im, r_im = divmod(y, other)
-            if r_re or r_im:
-                raise ArithmeticError(f"{self!r} / {other!r} is not exact in Z[i][zeta]")
-            re.append(q_re)
-            im.append(q_im)
         return GaussianIntegerPolynomial(re, im)
 
     def lowest_nonzero_degree(self) -> int | None:

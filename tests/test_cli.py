@@ -329,6 +329,47 @@ def test_cli_ord_curve_base_mismatch(capsys):
     assert "base mismatch" in capsys.readouterr().err
 
 
+def test_cli_ord_curve_degree_limit_exits_2(capsys):
+    from symrank.matpoly import MAX_CURVE_DEGREE
+
+    zero = {"n": 2, "field": "exact", "entries": [[["0/1", "0/1"]] * 2] * 2}
+    one = {"n": 2, "field": "exact",
+           "entries": [[["1/1", "0/1"], ["0/1", "0/1"]], [["0/1", "0/1"], ["1/1", "0/1"]]]}
+    at_limit = [zero] * MAX_CURVE_DEGREE + [one]
+    assert main(["ord", "--spec", SPEC_0_11,
+                 "--curve", json.dumps({"coefficients": at_limit})]) == 0
+    assert json.loads(capsys.readouterr().out)["curve_degree"] == MAX_CURVE_DEGREE
+    assert main(["ord", "--spec", SPEC_0_11,
+                 "--curve", json.dumps({"coefficients": at_limit + [one]})]) == 2
+    captured = capsys.readouterr()
+    assert "'coefficients'" in captured.err
+    assert f"MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_ord_entry_lists_failing_reports(monkeypatch):
+    import symrank.cli as cli
+    from symrank.proofs import VanishingReport
+
+    spec = JordanSpec.from_json(json.loads(SPEC_0_11))
+    _, entry = cli._check_ord(spec, 5)
+    assert entry == {"checks": 2, "violations": 0, "ok": True}
+
+    def failing_at_k0(spec, curve, lam, k):
+        return VanishingReport(lam, k, 1 if k == 0 else None, 2 - k, k != 0)
+
+    monkeypatch.setattr(cli, "order_of_vanishing", failing_at_k0)
+    _, entry = cli._check_ord(spec, 5)
+    assert entry == {
+        "checks": 2, "violations": 1, "ok": False,
+        "failures": [{"lambda": ["0/1", "0/1"], "k": 0, "observed_order": 1,
+                      "required_order": 2}],
+    }
+    record = run_sweep(SweepConfig(n_max=2, pool=(gq(0),), modes=("ord",))).records[-1]
+    assert record["modes"]["ord"]["failures"] == entry["failures"]
+    assert not record["ok"]
+
+
 def test_cli_sweep_jsonl_deterministic(tmp_path):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

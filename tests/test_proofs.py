@@ -429,6 +429,63 @@ def test_curve_char_coeffs_and_reports_match_fraction_expansion(n):
     assert compared >= 5 * n
 
 
+def test_balanced_digits_round_trip_and_refuse_a_remainder():
+    rng = random.Random(3)
+    for _ in range(200):
+        w, count = rng.randint(2, 70), rng.randint(1, 6)
+        digits = [rng.randrange(-2 ** (w - 1), 2 ** (w - 1)) for _ in range(count)]
+        value = sum(digit << (q * w) for q, digit in enumerate(digits))
+        assert proofs._balanced_digits(value, w, count) == digits
+    with pytest.raises(ArithmeticError):
+        proofs._balanced_digits(1 << 8, 4, 2)
+
+
+def _kronecker_stress_curves(spec, rng):
+    """A rational curve of degree 8-12, linear and quadratic curves with
+    entries of at least 2^40, and a linear curve whose top zeta-coefficient of
+    det(tI - D*Phi), 2^(n-1) (Da)^n, is close to L^n: a digit width that drops
+    the factor n from the (nL)^n bound splits it wrongly for n >= 2."""
+    n = spec.n
+    B = build_jordan(spec)
+
+    def big():
+        return rng.choice([-1, 1]) * rng.randint(2 ** 40, 2 ** 64)
+
+    def draw(entry):
+        return SquareMatrix.from_rows([[entry() for _ in range(n)] for _ in range(n)], EXACT)
+
+    def rational():
+        return random_gaussian_rational(rng, 3)
+
+    def large():
+        return gq(Fraction(big(), rng.randint(1, 5)), Fraction(big(), rng.randint(1, 5)))
+
+    # a on and above the diagonal, -a below: determinant 2^(n-1) a^n, with
+    # a^n just above a power of two
+    a = 2 ** 40 + 1
+    extreme = SquareMatrix.from_rows(
+        [[gq(a if i <= j else -a) for j in range(n)] for i in range(n)], EXACT)
+    return [MatrixPolynomial((B,) + tuple(draw(rational) for _ in range(rng.randint(8, 12)))),
+            linear_curve(B, draw(large)), MatrixPolynomial((B, draw(large), draw(large))),
+            linear_curve(B, extreme)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_curve_char_coeffs_match_fraction_expansion_at_high_degree_and_size(n):
+    pool = [gq(0), gq("1/2", "-2/3"), gq(0, 1)]
+    specs = list(enumerate_jordan_specs(n, pool))
+    rng = random.Random(700 + n)
+    for spec in (rng.choice(specs), specs[-1]):
+        for curve in _kronecker_stress_curves(spec, rng):
+            expected = reference_curve_char_coeffs(curve)
+            d, coeffs = proofs._curve_char_coeffs(curve)
+            assert _unscaled(d, coeffs) == expected
+            for blk in spec.blocks:
+                for k in range(sum(blk.sizes)):
+                    got = order_of_vanishing(spec, curve, blk.eigenvalue, k)
+                    assert got == reference_order_of_vanishing(spec, expected, blk.eigenvalue, k)
+
+
 def test_curve_expanded_once_per_curve(monkeypatch):
     calls = []
     original = proofs.charpoly_in_ring
@@ -459,6 +516,30 @@ def test_curve_expanded_once_per_curve(monkeypatch):
         reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
     assert [order_of_vanishing(spec, curve, lam, k) for lam, k in queries] == first
     assert len(calls) == 4
+
+
+def test_base_checked_once_per_curve_and_spec(monkeypatch):
+    calls = []
+    original = proofs.build_jordan
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(proofs, "build_jordan", counting)
+    spec = JordanSpec.of({0: [1, 2], 1: [1]})
+    curve = linear_curve(original(spec), SquareMatrix.identity(4))
+    queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
+    first = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
+    assert len(queries) == spec.n and len(calls) == 1
+    # the cached curve still refuses a spec whose matrix differs
+    other = JordanSpec.of({0: [2, 2]})
+    assert original(other) != curve.coefficients[0]
+    with pytest.raises(ValueError, match="curve base mismatch"):
+        order_of_vanishing(other, curve, gq(0), 0)
+    assert len(calls) == 2
+    assert [order_of_vanishing(spec, curve, lam, k) for lam, k in queries] == first
+    assert len(calls) == 2
 
 
 def test_order_of_vanishing_rejects_mismatched_base():

@@ -270,15 +270,3 @@ def test_gaussian_integer_polynomial_matches_polynomial_oracle():
             assert _as_polynomial(got) == want
             assert bool(got) == bool(want)
             assert len(got.re) == len(got.im) == len(want.coefficients)
-        k = rng.randint(1, 6)
-        assert _as_polynomial((a * GaussianIntegerPolynomial([k], [0])) / k) == pa
-
-
-def test_gaussian_integer_polynomial_division_raises_on_remainder():
-    p = GaussianIntegerPolynomial([6, 4], [2, -8])
-    q = p / 2
-    assert (q.re, q.im) == ([3, 2], [1, -4])
-    with pytest.raises(ArithmeticError):
-        p / 4  # 6/4 in the constant term
-    with pytest.raises(ArithmeticError):
-        GaussianIntegerPolynomial([4, 4], [4, 3]) / 2  # only the top imaginary part is odd
