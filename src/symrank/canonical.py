@@ -24,10 +24,10 @@ from .matpoly import Polynomial, SquareMatrix, check_size
 from .scalars import (
     EXACT,
     FLOAT,
-    GaussianInteger,
     GaussianIntegerPolynomial,
     GaussianRational,
     NumericFailure,
+    clear_denominator,
     coerce_scalar,
     field_one,
     field_zero,
@@ -369,7 +369,7 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     depth = max(len(blk.sizes) for blk in spec.blocks)
     linears = []
     for blk in spec.blocks:
-        e, ((a,),) = to_gaussian_integers([[blk.eigenvalue]])
+        e, a = clear_denominator(blk.eigenvalue)
         linears.append((GaussianIntegerPolynomial([-a.re, e], [-a.im, 0]), e,
                         sorted(blk.sizes, reverse=True)))
     factors = []
@@ -381,8 +381,7 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
                 for _ in range(sizes_desc[level]):
                     poly = poly * linear
                 scale *= e ** sizes_desc[level]
-        (coeffs,) = to_gaussian_rationals(
-            scale, [[GaussianInteger(x, y) for x, y in zip(poly.re, poly.im)]])
+        (coeffs,) = to_gaussian_rationals(scale, [poly.re], [poly.im])
         factors.append(Polynomial(coeffs, EXACT))
     return FrobeniusSpec(tuple(reversed(factors)))
 
@@ -392,9 +391,9 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
     """Conjugate M by a random integer unimodular matrix Q (det Q = 1).
 
     Q is a product of elementary shears I + c E_ij with |c| <= magnitude.
-    Each shear is applied to D*M (D the common denominator) in draw order as
-    a row operation plus a column operation, so the result stays in the exact
-    field and Q itself is never formed; see
+    Each shear is applied to the split rows of D*M (D the common denominator)
+    in draw order as a row operation plus a column operation, so the result
+    stays in the exact field and Q itself is never formed; see
     :class:`symrank.scalars.GaussianInteger` for why D*M stays integral.
     """
     if M.field != EXACT:
@@ -404,7 +403,9 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
         return M
     rng = random.Random(seed)
     count = shear_count if shear_count is not None else 2 * n
-    d, work = to_gaussian_integers(M.entries)
+    d, work_re, work_im = to_gaussian_integers(M.entries)
+    # integer shears keep a real matrix real
+    parts = (work_re,) if not any(any(row) for row in work_im) else (work_re, work_im)
     for _ in range(count):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
@@ -412,7 +413,8 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
             j += 1
         c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
         # (I + c E_ij) M (I - c E_ij): row i += c row j, then column j -= c column i
-        work[i] = [a + b * c for a, b in zip(work[i], work[j])]
-        for row in work:
-            row[j] = row[j] - row[i] * c
-    return SquareMatrix(n, EXACT, to_gaussian_rationals(d, work))
+        for work in parts:
+            work[i] = [a + b * c for a, b in zip(work[i], work[j])]
+            for row in work:
+                row[j] -= row[i] * c
+    return SquareMatrix(n, EXACT, to_gaussian_rationals(d, work_re, work_im))

@@ -68,6 +68,7 @@ from .scalars import (
     gq,
     parse_eigenvalue,
     random_gaussian_rational,
+    render_rational,
     scalar_to_json,
 )
 
@@ -168,14 +169,18 @@ def _random_exact_matrix(n: int, seed: int, magnitude: int = 4) -> SquareMatrix:
 
 
 def _check_theorem(spec: JordanSpec, seed: int):
+    """A failing entry also carries the rank at the random conjugate."""
     report = verify_theorem(spec, seed=seed)
-    return report, {
+    entry = {
         "min_poly_degree": report.min_poly_degree,
         "rank": report.rank,
         "theorem_holds": report.theorem_holds,
         "conjugation_checked": report.conjugation_checked,
         "ok": report.theorem_holds and report.conjugation_checked,
     }
+    if not entry["ok"]:
+        entry["conjugated_rank"] = report.conjugated_rank
+    return report, entry
 
 
 def _check_nullspace(spec: JordanSpec):
@@ -209,13 +214,18 @@ def _check_tangent(spec):
 
 
 def _check_vandermonde(spec: JordanSpec):
+    """A failing entry also carries both squared moduli as "p/q" strings."""
     clusters = [(blk.eigenvalue, sum(blk.sizes)) for blk in spec.blocks]
     result = confluent_vandermonde_det(clusters)
-    return result, {
+    entry = {
         "clusters": [[format_eigenvalue(lam), mult] for lam, mult in clusters],
         "closed_form_abs": result.closed_form_abs,
         "ok": result.matches,
     }
+    if not result.matches:
+        entry["det_abs_squared"] = render_rational(result.det_abs_squared)
+        entry["closed_abs_squared"] = render_rational(result.closed_abs_squared)
+    return result, entry
 
 
 def _check_ord(spec: JordanSpec, seed: int, curve: MatrixPolynomial | None = None):

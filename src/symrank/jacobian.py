@@ -26,6 +26,7 @@ from .scalars import (
     FLOAT,
     GaussianInteger,
     NumericFailure,
+    exact_quotients,
     field_zero,
     to_complex,
     to_gaussian_integers,
@@ -76,6 +77,9 @@ class TheoremReport:
     theorem_holds: bool
     field: str
     conjugation_checked: bool
+    #: rank of the derivative at the random conjugate; a failing sweep entry
+    #: reports it, ``to_json`` leaves it out
+    conjugated_rank: int
 
     def to_json(self) -> dict:
         return {
@@ -160,19 +164,22 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
     return JacobianMatrix(n, B.field, tuple(rows))
 
 
-def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list]:
-    """(D, rows) over Z[i] for an exact B, D the common denominator of its
-    entries: row k is D^(k-1) times row k of :func:`jacobian_exact`, read
-    straight from the adjugate of D*B (see
+def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
+    """(D, re, im) over Z[i] for an exact B, D the common denominator of its
+    entries and (re, im) split rows: row k is D^(k-1) times row k of
+    :func:`jacobian_exact`, read straight from the adjugate of D*B (see
     :class:`symrank.scalars.GaussianInteger` for why the scaling is sound)."""
     d, _, adj = _scaled_char_and_adjugate(B)
-    rows = []
-    for k, mk in enumerate(adj, 1):
-        row = [x for col in zip(*mk) for x in col]
+    rows_re, rows_im = [], []
+    for k, (m_re, m_im) in enumerate(adj, 1):
+        row_re = [x for col in zip(*m_re) for x in col]
+        row_im = [x for col in zip(*m_im) for x in col]
         if k % 2 == 0:
-            row = [-x if x else x for x in row]
-        rows.append(row)
-    return d, rows
+            row_re = [-x for x in row_re]
+            row_im = [-x for x in row_im]
+        rows_re.append(row_re)
+        rows_im.append(row_im)
+    return d, rows_re, rows_im
 
 
 def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
@@ -216,34 +223,45 @@ def rank_exact(A) -> int:
         rows = A.entries
     else:
         rows = A
+    rows_re, rows_im = [], []
     try:
-        work = [to_gaussian_integers([row])[1][0] for row in rows]
+        for row in rows:
+            _, (row_re,), (row_im,) = to_gaussian_integers([row])
+            rows_re.append(row_re)
+            rows_im.append(row_im)
     except TypeError:
         raise ValueError("exact rank requires exact entries") from None
-    return _bareiss(work)[0]
+    return _bareiss(rows_re, rows_im)[0]
 
 
-def _bareiss(work: list) -> tuple:
+def _bareiss(rows_re: list, rows_im: list) -> tuple:
     """(rank, last pivot, sign) of one fraction-free elimination pass over
-    Z[i] on the GaussianInteger row lists ``work``, which it overwrites.
+    Z[i] on split rows: ``rows_re`` and ``rows_im`` are the int rows of the
+    real and imaginary parts, and are overwritten.
 
     Pivots are the first nonzero entry in a row-major scan of the remaining
-    block.  For square independent rows the last pivot times ``sign`` (the
-    parity of the row and column swaps) is their determinant.  Without a
-    pivot the last pivot is 1, the determinant of the empty matrix.
+    block.  For square independent rows the last pivot, a GaussianInteger,
+    times ``sign`` (the parity of the row and column swaps) is their
+    determinant.  Without a pivot the last pivot is 1, the determinant of
+    the empty matrix.  Each step replaces x by (p x - m z) / q, p the pivot, m
+    the row's entry in the pivot column, z the pivot row's entry and q the
+    previous pivot; every division is checked, and one that leaves a
+    remainder raises ArithmeticError.
     """
-    if not work:
+    nrows = len(rows_re)
+    if not nrows:
         return 0, GaussianInteger(1), 1
-    nrows = len(work)
-    ncols = len(work[0])
+    ncols = len(rows_re[0])
+    real = not any(any(row) for row in rows_im)
     rank = 0
     sign = 1
-    prev = None
+    q_re, q_im = 1, 0
     for _ in range(min(nrows, ncols)):
         pivot = None
         for i in range(rank, nrows):
+            row_re, row_im = rows_re[i], rows_im[i]
             for j in range(rank, ncols):
-                if work[i][j]:
+                if row_re[j] or row_im[j]:
                     pivot = (i, j)
                     break
             if pivot:
@@ -252,30 +270,44 @@ def _bareiss(work: list) -> tuple:
             break
         pi, pj = pivot
         if pi != rank:
-            work[rank], work[pi] = work[pi], work[rank]
+            rows_re[rank], rows_re[pi] = rows_re[pi], rows_re[rank]
+            rows_im[rank], rows_im[pi] = rows_im[pi], rows_im[rank]
             sign = -sign
         if pj != rank:
-            for row in work:
+            for row in rows_re:
+                row[rank], row[pj] = row[pj], row[rank]
+            for row in rows_im:
                 row[rank], row[pj] = row[pj], row[rank]
             sign = -sign
-        p = work[rank][rank]
-        pivot_row = work[rank]
+        top_re, top_im = rows_re[rank], rows_im[rank]
+        p_re, p_im = top_re[rank], top_im[rank]
+        z_re, z_im = top_re[rank + 1:], top_im[rank + 1:]
         for i in range(rank + 1, nrows):
-            row = work[i]
-            multiplier = row[rank]
-            for j in range(rank + 1, ncols):
-                x = row[j]
-                z = pivot_row[j]
-                if multiplier and z:
-                    num = (p * x - multiplier * z) if x else -(multiplier * z)
-                elif x:
-                    num = p * x
-                else:
-                    continue
-                row[j] = num / prev if (prev is not None and num) else num
-        prev = p
+            row_re, row_im = rows_re[i], rows_im[i]
+            m_re, m_im = row_re[rank], row_im[rank]
+            x_re = row_re[rank + 1:]
+            if real:
+                num_re = [p_re * x - m_re * z for x, z in zip(x_re, z_re)]
+                if rank:
+                    num_re = exact_quotients(num_re, [], q_re)[0]
+                row_re[rank + 1:] = num_re
+                continue
+            x_im = row_im[rank + 1:]
+            if m_re or m_im:
+                num_re = [p_re * xr - p_im * xi - m_re * zr + m_im * zi
+                          for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
+                num_im = [p_re * xi + p_im * xr - m_re * zi - m_im * zr
+                          for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
+            else:
+                num_re = [p_re * xr - p_im * xi for xr, xi in zip(x_re, x_im)]
+                num_im = [p_re * xi + p_im * xr for xr, xi in zip(x_re, x_im)]
+            if rank:
+                num_re, num_im = exact_quotients(num_re, num_im, q_re, q_im)
+            row_re[rank + 1:] = num_re
+            row_im[rank + 1:] = num_im
+        q_re, q_im = p_re, p_im
         rank += 1
-    return rank, GaussianInteger(1) if prev is None else prev, sign
+    return rank, GaussianInteger(q_re, q_im), sign
 
 
 @dataclass(frozen=True)
@@ -317,10 +349,10 @@ def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:
     Both ranks are taken on the row-scaled Gaussian-integer derivative.
     """
     B = build_jordan(spec)
-    rank = _bareiss(_scaled_jacobian(B)[1])[0]
+    rank = _bareiss(*_scaled_jacobian(B)[1:])[0]
     m = min_poly_degree(spec)
     conjugated = random_similarity(B, seed)
-    rank_conj = _bareiss(_scaled_jacobian(conjugated)[1])[0]
+    rank_conj = _bareiss(*_scaled_jacobian(conjugated)[1:])[0]
     return TheoremReport(
         spec=spec,
         n=spec.n,
@@ -329,4 +361,5 @@ def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:
         theorem_holds=(rank == m),
         field=EXACT,
         conjugation_checked=(rank_conj == rank),
+        conjugated_rank=rank_conj,
     )

@@ -10,12 +10,15 @@ characteristic polynomial is computed by the Faddeev-LeVerrier recursion,
 which only ever divides by the integers 1..n.  An exact matrix is scaled by
 its common denominator D and run over Gaussian integers, where each of those
 divisions is exact (see :class:`symrank.scalars.GaussianInteger`), then
-scaled back.  The recursion simultaneously produces the adjugate polynomial
-adj(tI - M), the source of exact first derivatives of det.  The same
-unchanged recursion expands det(tI - D*Phi) for a curve Phi(zeta): it runs
-over Gaussian integers on D*Phi(2^w), and the zeta-coefficients are read back
-as base-2^w digits (Kronecker substitution, ``proofs._curve_char_coeffs``),
-which is how ``proofs.order_of_vanishing`` reads vanishing orders.  A float
+scaled back.  Over Z[i] the recursion runs on split rows, the int rows of
+the real and imaginary parts, with every product written out on those ints
+and every ``/ k`` checked.  The recursion simultaneously produces the
+adjugate polynomial adj(tI - M), the source of exact first derivatives of
+det.  The same recursion expands det(tI - D*Phi) for a curve Phi(zeta): it
+runs over Gaussian integers on D*Phi(2^w), and the zeta-coefficients are read
+back as base-2^w digits (Kronecker substitution,
+``proofs._curve_char_coeffs``), which is how ``proofs.order_of_vanishing``
+reads vanishing orders.  A float
 matrix runs the recursion in numpy, and ``char_poly`` and ``symmetrize``
 leave its adjugate unread: the finite-difference oracle calls them 2n^2 times
 per Jacobian.
@@ -38,6 +41,7 @@ from .scalars import (
     GaussianRational,
     NumericFailure,
     coerce_scalar,
+    exact_quotients,
     field_one,
     field_zero,
     scalar_from_json,
@@ -465,14 +469,24 @@ class MatrixPolynomial:
         return cls(tuple(SquareMatrix.from_json(c) for c in coeffs))
 
 
-def charpoly_in_ring(entries: Sequence[Sequence], zero, one):
+def charpoly_in_ring(entries, zero, one):
     """Faddeev-LeVerrier over any commutative ring with exact division by 1..n.
 
     Returns (coeffs, adj_matrices): coeffs is the ascending coefficient list
     c_0..c_n of det(tI - A), and adj_matrices is [N_1, ..., N_n] with
     adj(tI - A) = sum_k N_k t^(n-k).  Entry types must support +, -, *, unary
     minus, and true division by a Python int.
+
+    Over Z[i], marked by a :class:`GaussianInteger` ``zero``, ``entries`` are
+    split rows, the pair (re, im) of int row lists that
+    :func:`symrank.scalars.to_gaussian_integers` returns, and the same
+    recursion runs on those ints (:func:`_charpoly_split`): each c_j is a
+    GaussianInteger and each N_k a split pair.  Every ``/ k`` there is checked
+    and raises ArithmeticError if it leaves a remainder.  The generic loop
+    below is the reference the tests hold that path to.
     """
+    if type(zero) is GaussianInteger:
+        return _charpoly_split(*entries)
     n = len(entries)
     coeffs = [zero] * (n + 1)
     coeffs[n] = one
@@ -505,6 +519,70 @@ def charpoly_in_ring(entries: Sequence[Sequence], zero, one):
     return coeffs, adj
 
 
+def _charpoly_split(a_re: list, a_im: list):
+    """:func:`charpoly_in_ring` over Z[i] on split rows: (coeffs, adj) with
+    coeffs[j] = c_j a GaussianInteger and adj[k - 1] = N_k = (re, im) int row
+    lists.  A real A (every imaginary part zero) keeps every N_k real and
+    skips the imaginary half; its N_k share one zero ``im`` list of rows, so
+    callers must not write the returned rows."""
+    n = len(a_re)
+    real = not any(any(row) for row in a_im)
+    # A stays fixed and is often sparse: per row, (column, re, im) of its
+    # nonzero entries
+    support = [[(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
+               for row_re, row_im in zip(a_re, a_im)]
+    coeffs = [None] * (n + 1)
+    coeffs[n] = GaussianInteger(1)
+    m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    zeros = [[0] * n for _ in range(n)]
+    m_im = zeros if real else [row[:] for row in zeros]
+    adj = []
+    for k in range(1, n + 1):
+        adj.append((m_re, m_im))
+        if k == n:
+            # only the trace of A N_n is needed, for c_0
+            tr_re = tr_im = 0
+            for i, row in enumerate(support):
+                for j, x, y in row:
+                    u, v = m_re[j][i], m_im[j][i]
+                    tr_re += x * u - y * v
+                    tr_im += x * v + y * u
+        else:
+            am_re, am_im = [], zeros if real else []
+            for row in support:
+                out_re = [0] * n
+                if real:
+                    for j, x, _ in row:
+                        out_re = [s + x * u for s, u in zip(out_re, m_re[j])]
+                    am_re.append(out_re)
+                    continue
+                out_im = [0] * n
+                for j, x, y in row:
+                    u_row, v_row = m_re[j], m_im[j]
+                    if not y:
+                        out_re = [s + x * u for s, u in zip(out_re, u_row)]
+                        out_im = [s + x * v for s, v in zip(out_im, v_row)]
+                    elif not x:
+                        out_re = [s - y * v for s, v in zip(out_re, v_row)]
+                        out_im = [s + y * u for s, u in zip(out_im, u_row)]
+                    else:
+                        out_re = [s + x * u - y * v for s, u, v in zip(out_re, u_row, v_row)]
+                        out_im = [s + x * v + y * u for s, u, v in zip(out_im, u_row, v_row)]
+                am_re.append(out_re)
+                am_im.append(out_im)
+            tr_re = sum(am_re[i][i] for i in range(n))
+            tr_im = sum(am_im[i][i] for i in range(n))
+        (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], k)
+        coeffs[n - k] = GaussianInteger(-q_re, -q_im)
+        if k < n:
+            for i in range(n):
+                am_re[i][i] -= q_re
+                if not real:
+                    am_im[i][i] -= q_im
+            m_re, m_im = am_re, am_im
+    return coeffs, adj
+
+
 def _charpoly_float(a: np.ndarray):
     """The Faddeev-LeVerrier recursion of :func:`charpoly_in_ring` in complex
     floats: (coeffs, adj), coeffs[j] = c_j and adj[k - 1] = N_k.
@@ -533,13 +611,14 @@ def _charpoly_float(a: np.ndarray):
 def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, list, list]:
     """(D, coeffs, adj) of the exact matrix D*M, D the common denominator of
     M's entries: the Faddeev-LeVerrier recursion of :func:`charpoly_in_ring`
-    over Gaussian integers.
+    over Gaussian integers, coeffs as GaussianInteger and each N_k as split
+    rows.
 
     det(tI - DM) = D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and
     adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1).
     """
-    d, scaled = to_gaussian_integers(M.entries)
-    coeffs, adj = charpoly_in_ring(scaled, GaussianInteger(0), GaussianInteger(1))
+    d, re, im = to_gaussian_integers(M.entries)
+    coeffs, adj = charpoly_in_ring((re, im), GaussianInteger(0), GaussianInteger(1))
     return d, coeffs, adj
 
 
@@ -551,11 +630,12 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
     d, coeffs, adj = _scaled_char_and_adjugate(M)
-    (unscaled,) = to_gaussian_rationals(d ** n, [[c * d ** j for j, c in enumerate(coeffs)]])
+    (unscaled,) = to_gaussian_rationals(d ** n, [[c.re * d ** j for j, c in enumerate(coeffs)]],
+                                        [[c.im * d ** j for j, c in enumerate(coeffs)]])
     poly = Polynomial(unscaled, field)
     mats = tuple(
-        SquareMatrix(n, field, to_gaussian_rationals(d ** (k - 1), m))
-        for k, m in reversed(list(enumerate(adj, 1)))
+        SquareMatrix(n, field, to_gaussian_rationals(d ** (k - 1), re, im))
+        for k, (re, im) in reversed(list(enumerate(adj, 1)))
     )
     return poly, MatrixPolynomial(mats)
 

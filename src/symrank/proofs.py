@@ -48,6 +48,7 @@ from .scalars import (
     GaussianInteger,
     GaussianIntegerPolynomial,
     GaussianRational,
+    clear_denominator,
     coerce_scalar,
     field_one,
     field_zero,
@@ -144,19 +145,20 @@ def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
             raise ValueError(f"length mismatch: {len(v.vector)} vs {n}")
     if not cert.vectors:
         return True
-    d, rows = _scaled_jacobian(B)
-    zero = GaussianInteger(0)
+    d, rows_re, rows_im = _scaled_jacobian(B)
     for v in cert.vectors:
         # row k is D^(k-1) J_k, so w_k = L v_k D^(n-k) gives w . rows = L D^(n-1) v . J
-        _, (w,) = to_gaussian_integers([v.vector])
-        terms = [(wk * d ** (n - k), row) for k, (wk, row) in enumerate(zip(w, rows), 1) if wk]
+        _, (w_re,), (w_im,) = to_gaussian_integers([v.vector])
+        terms = [(a * d ** (n - k), b * d ** (n - k), rows_re[k - 1], rows_im[k - 1])
+                 for k, (a, b) in enumerate(zip(w_re, w_im), 1) if a or b]
         for c in range(n * n):
-            total = zero
-            for wk, row in terms:
-                x = row[c]
-                if x:
-                    total = total + wk * x
-            if total:
+            total_re = total_im = 0
+            for a, b, row_re, row_im in terms:
+                x, y = row_re[c], row_im[c]
+                if x or y:
+                    total_re += a * x - b * y
+                    total_im += a * y + b * x
+            if total_re or total_im:
                 return False
     return True
 
@@ -310,7 +312,7 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1)
     columns, scale = [], 1
     for lam, mult in groups:
-        e, ((a,),) = to_gaussian_integers([[lam]])
+        e, a = clear_denominator(lam)
         powers = [GaussianInteger(1)]
         for _ in range(n - 1):
             powers.append(powers[-1] * a)
@@ -325,11 +327,13 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
                 column.append(-term if j % 2 == 1 else term)
             columns.append(column)
             scale *= e ** (n - 1 - d)
-    rank, pivot, sign = _bareiss([list(row) for row in zip(*columns)])
+    rows = list(zip(*columns))
+    rank, pivot, sign = _bareiss([[z.re for z in row] for row in rows],
+                                 [[z.im for z in row] for row in rows])
     if rank < n:
         det = GQ_ZERO
     else:
-        ((det,),) = to_gaussian_rationals(scale, [[pivot * sign]])
+        ((det,),) = to_gaussian_rationals(scale, [[pivot.re * sign]], [[pivot.im * sign]])
     det_abs2 = (det * det.conjugate()).re
     factorial_part = 1
     for _, mult in groups:
@@ -498,23 +502,29 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
     :class:`symrank.scalars.GaussianInteger`).
     """
     n, terms = curve.n, len(curve.coefficients)
-    d, scaled = to_gaussian_integers([row for c in curve.coefficients for row in c.entries])
-    # row q*n + i of scaled is row i of D*M_q, the zeta^q coefficient matrix
-    polys = [[[scaled[q * n + i][j] for q in range(terms)] for j in range(n)]
-             for i in range(n)]
-    l1 = max(sum(abs(z.re) + abs(z.im) for z in entry) for row in polys for entry in row)
+    d, scaled_re, scaled_im = to_gaussian_integers(
+        [row for c in curve.coefficients for row in c.entries])
+    # row q*n + i of the split rows is row i of D*M_q, the zeta^q coefficient
+    # matrix
+    l1 = max(sum(abs(scaled_re[q * n + i][j]) + abs(scaled_im[q * n + i][j])
+                 for q in range(terms))
+             for i in range(n) for j in range(n))
     w = ((n * max(l1, 1)) ** n).bit_length() + 1
-    entries = []
-    for row in polys:
+
+    def at_x(scaled):
         out = []
-        for entry in row:
-            re = im = 0
-            for z in reversed(entry):
-                re = (re << w) + z.re
-                im = (im << w) + z.im
-            out.append(GaussianInteger(re, im))
-        entries.append(out)
-    coeffs, _ = charpoly_in_ring(entries, GaussianInteger(0), GaussianInteger(1))
+        for i in range(n):
+            row = []
+            for j in range(n):
+                value = 0
+                for q in range(terms - 1, -1, -1):
+                    value = (value << w) + scaled[q * n + i][j]
+                row.append(value)
+            out.append(row)
+        return out
+
+    coeffs, _ = charpoly_in_ring((at_x(scaled_re), at_x(scaled_im)),
+                                 GaussianInteger(0), GaussianInteger(1))
     # deg c_p <= (n - p) * deg Phi
     return d, tuple(
         GaussianIntegerPolynomial(_balanced_digits(c.re, w, (n - p) * (terms - 1) + 1),
@@ -522,8 +532,9 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
         for p, c in enumerate(coeffs))
 
 
-#: (curve, D, coefficients, spec, lam -> (combinatorics, e, a)) of the last
-#: (curve, spec) pair queried, lam = a/e.  One curve is queried at every
+#: (curve, D, coefficients, spec, lam -> (combinatorics, a^j, scales)) of the
+#: last (curve, spec) pair queried, lam = a/e: a^j for j = 0..n as (re, im)
+#: int pairs and scales[p] = e^(n-p) D^p.  One curve is queried at every
 #: (lam, k) of one spec in turn, so one slot is enough, and matching curve and
 #: spec by identity never hashes the curve's Fractions.  A single tuple, so
 #: that a reader always sees the parts of one pair.
@@ -540,16 +551,19 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     order coming from the block-start combinatorics (None means identically
     zero, which passes every requirement).  The value is taken in Z[i][zeta]
     as sum_p ff(p, k) a^(p-k) e^(n-p) D^p c_p(D*Phi), which is D^n e^(n-k)
-    times the true value and so has the same lowest nonzero power.
+    times the true value and so has the same lowest nonzero power; it is
+    summed one power of zeta at a time, up to the first nonzero one.
 
     The expansion, the check that curve(0) is the spec's matrix, and per lam
-    the combinatorics and a/e are computed once for each (curve, spec) pair.
+    the combinatorics and the powers of a, e and D are computed once for
+    each (curve, spec) pair.
     """
     global _last_query
     lam = coerce_scalar(lam, EXACT)
     if curve.field != EXACT:
         raise ValueError("vanishing orders are computed in the exact field")
     last_curve, d, coeffs, last_spec, per_lam = _last_query
+    n = spec.n
     if curve is not last_curve or spec is not last_spec:
         if curve.coefficients[0] != build_jordan(spec):
             raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
@@ -560,20 +574,34 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     shared = per_lam.get(lam)
     if shared is None:
         comb = jordan_combinatorics(spec, lam)
-        e, ((a,),) = to_gaussian_integers([[lam]])
-        shared = per_lam[lam] = (comb, e, a)
-    comb, e, a = shared
+        e, a = clear_denominator(lam)
+        a_powers = [(1, 0)]
+        for _ in range(n):
+            x, y = a_powers[-1]
+            a_powers.append((x * a.re - y * a.im, x * a.im + y * a.re))
+        scales = [e ** (n - p) * d ** p for p in range(n + 1)]
+        shared = per_lam[lam] = (comb, a_powers, scales)
+    comb, a_powers, scales = shared
     if not 0 <= k <= comb.multiplicity - 1:
         raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
-    n = spec.n
-    derivative_value = GaussianIntegerPolynomial([], [])
-    a_power = GaussianInteger(1)
+    terms = []
     for p in range(k, n + 1):
-        weight = a_power * (falling_factorial(p, k) * e ** (n - p) * d ** p)
-        derivative_value = derivative_value + coeffs[p] * GaussianIntegerPolynomial(
-            [weight.re], [weight.im])
-        a_power = a_power * a
-    observed = derivative_value.lowest_nonzero_degree()
+        c = coeffs[p]
+        if c:
+            x, y = a_powers[p - k]
+            s = falling_factorial(p, k) * scales[p]
+            terms.append((c.re, c.im, x * s, y * s))
+    observed = None
+    for q in range(max((len(re) for re, *_ in terms), default=0)):
+        total_re = total_im = 0
+        for re, im, w_re, w_im in terms:
+            if q < len(re):
+                x, y = re[q], im[q]
+                total_re += x * w_re - y * w_im
+                total_im += x * w_im + y * w_re
+        if total_re or total_im:
+            observed = q
+            break
     required = comb.orders[comb.multiplicity - k - 1]
     passed = observed is None or observed >= required
     return VanishingReport(lam, k, observed, required, passed)

@@ -4,9 +4,13 @@ Every other module is generic over a ``field`` tag, either ``"exact"``
 (:class:`GaussianRational`, pairs of ``fractions.Fraction``) or ``"float"``
 (built-in ``complex``).  Exact scalars make rank decisions decidable; the
 float field exists for finite-difference oracles and numeric cross-checks.
-The exact kernels clear denominators and compute in :class:`GaussianInteger`
-internally (curves too, by Kronecker substitution); their inputs and outputs
-stay Gaussian rationals.
+The exact kernels clear denominators and compute over Z[i] internally (curves
+too, by Kronecker substitution) on split rows: a Gaussian-integer matrix held
+as two lists of int rows, one of real and one of imaginary parts, which
+:func:`to_gaussian_integers` produces and :func:`to_gaussian_rationals`
+reads back.  Their inputs and outputs stay Gaussian rationals.
+:class:`GaussianInteger` is the scalar type where only a few values are
+touched.
 
 All values are immutable and safe to share between threads.
 """
@@ -144,7 +148,8 @@ class GaussianRational:
         return other / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        # a zero imaginary part is its own negative; real entries are common
+        return GaussianRational(-self.re, -self.im if self.im else self.im)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int) or exponent < 0:
@@ -191,9 +196,13 @@ class GaussianInteger:
     """Element of Z[i]: the ring the exact kernels actually compute in.
 
     Every exact matrix the kernels see is a Gaussian-integer matrix up to one
-    common denominator, so :func:`to_gaussian_integers` clears it, the kernel
-    runs on int pairs, and :func:`to_gaussian_rationals` divides it back in.
-    Each division a kernel makes is exact in Z[i]:
+    common denominator, so :func:`to_gaussian_integers` clears it into split
+    rows (two lists of int rows, real and imaginary parts), the kernels work
+    on those ints with the product (a + bi)(c + di) written out, and
+    :func:`to_gaussian_rationals` divides the result back in.  This class is
+    the scalar type where only a few values are touched: eigenvalues,
+    covectors, pivots and characteristic-polynomial coefficients.  Each
+    division a kernel makes is exact in Z[i]:
 
     * the coefficients of det(tI - A) and of adj(tI - A) are integer
       polynomials in A's entries, so every ``/ k`` in Faddeev-LeVerrier
@@ -240,9 +249,9 @@ class GaussianInteger:
     parts are therefore the unique balanced base-X digits, each in
     [-X/2, X/2), of the real and imaginary parts of c_p(X).
 
-    A nonzero remainder therefore means a bug: ``/`` raises
-    ``ArithmeticError`` instead of rounding, and so does a digit split that
-    leaves a remainder.
+    A nonzero remainder therefore means a bug: :func:`exact_quotients`, the
+    one division of the kernels, raises ``ArithmeticError`` instead of
+    rounding, and so does a digit split that leaves a remainder.
     """
 
     __slots__ = ("re", "im")
@@ -276,20 +285,29 @@ class GaussianInteger:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianInteger":
-        if type(other) is int:
-            re, im, norm = self.re, self.im, other
-        else:
-            c, d = other.re, other.im
-            re, im, norm = self.re * c + self.im * d, self.im * c - self.re * d, c * c + d * d
-        q_re, r_re = divmod(re, norm)
-        q_im, r_im = divmod(im, norm)
-        if r_re or r_im:
-            raise ArithmeticError(f"{self!r} / {other!r} is not exact in Z[i]")
-        return GaussianInteger(q_re, q_im)
-
     def __repr__(self) -> str:
         return f"GaussianInteger({self.re}, {self.im})"
+
+
+def exact_quotients(re: list, im: list, divisor_re: int, divisor_im: int = 0) -> tuple:
+    """(re + i*im) / (divisor_re + i*divisor_im) entrywise over Z[i], as new
+    (re, im) int lists; raises ArithmeticError if a quotient is not in Z[i]
+    and ZeroDivisionError for a zero divisor."""
+    if divisor_im:
+        norm = divisor_re * divisor_re + divisor_im * divisor_im
+        # times the conjugate, then an exact division by the norm
+        re, im = ([x * divisor_re + y * divisor_im for x, y in zip(re, im)],
+                  [y * divisor_re - x * divisor_im for x, y in zip(re, im)])
+    else:
+        norm = divisor_re
+    if not norm:
+        raise ZeroDivisionError("division by zero in Z[i]")
+    q_re = [x // norm for x in re]
+    q_im = [y // norm for y in im]
+    if [q * norm for q in q_re] != re or [q * norm for q in q_im] != im:
+        raise ArithmeticError(
+            f"division by GaussianInteger({divisor_re}, {divisor_im}) is not exact in Z[i]")
+    return q_re, q_im
 
 
 class GaussianIntegerPolynomial:
@@ -298,10 +316,10 @@ class GaussianIntegerPolynomial:
 
     Its uses: ``proofs._curve_char_coeffs`` returns the coefficients of a
     curve's characteristic polynomial as these, read off by Kronecker
-    substitution (see :class:`GaussianInteger`); ``proofs.order_of_vanishing``
-    forms the t-derivative value from them with ``+`` and ``*`` and reads its
-    ``lowest_nonzero_degree``; and ``canonical.jordan_to_frobenius`` multiplies
-    out the invariant factors over Z[i][t].
+    substitution (see :class:`GaussianInteger`), and
+    ``proofs.order_of_vanishing`` sums the t-derivative value from their
+    ``re`` and ``im`` lists; ``canonical.jordan_to_frobenius`` multiplies out
+    the invariant factors over Z[i][t].
 
     ``re`` and ``im`` are equally long ascending int lists of the real and
     imaginary parts of the coefficients, trimmed so that the top coefficient
@@ -320,27 +338,6 @@ class GaussianIntegerPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self.re)
-
-    def __add__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        # no operation writes an element's lists, so sharing them is safe
-        if not ar:
-            return other
-        if not br:
-            return self
-        if len(ar) < len(br):
-            ar, ai, br, bi = br, bi, ar, ai
-        re, im = ar[:], ai[:]
-        for d, (x, y) in enumerate(zip(br, bi)):
-            re[d] += x
-            im[d] += y
-        return GaussianIntegerPolynomial(re, im)
-
-    def __sub__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
-        return self + -other
-
-    def __neg__(self) -> "GaussianIntegerPolynomial":
-        return GaussianIntegerPolynomial([-x for x in self.re], [-y for y in self.im])
 
     def __mul__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
         ar, ai, br, bi = self.re, self.im, other.re, other.im
@@ -368,49 +365,68 @@ class GaussianIntegerPolynomial:
                     im[i + j] += b * c
         return GaussianIntegerPolynomial(re, im)
 
-    def lowest_nonzero_degree(self) -> int | None:
-        for d, (x, y) in enumerate(zip(self.re, self.im)):
-            if x or y:
-                return d
-        return None
-
     def __repr__(self) -> str:
         return f"GaussianIntegerPolynomial({self.re}, {self.im})"
 
 
-def to_gaussian_integers(rows) -> tuple[int, list]:
-    """(D, D * rows) with D the lcm of every denominator and D * rows as
-    :class:`GaussianInteger` lists.  Entries may be int, Fraction or
-    GaussianRational; anything else raises TypeError."""
-    parts = []
+def to_gaussian_integers(rows) -> tuple[int, list, list]:
+    """(D, re, im): D the lcm of every denominator in ``rows`` and D * rows
+    as split rows, ``re`` and ``im`` the int rows of its real and imaginary
+    parts.  Entries may be int, Fraction or GaussianRational; anything else
+    raises TypeError."""
+    re_rows, im_rows = [], []
     denominators = set()
     for row in rows:
-        out = []
+        re_row, im_row = [], []
         for x in row:
             if type(x) is GaussianRational:
-                re, im = x.re, x.im
-                denominators.add(im.denominator)
+                re, re_den = x.re.as_integer_ratio()
+                im, im_den = x.im.as_integer_ratio()
             elif isinstance(x, (int, Fraction)):
-                re, im = x, 0
+                re, re_den = x.as_integer_ratio()
+                im, im_den = 0, 1
             else:
                 raise TypeError(f"{x!r} is not an exact scalar")
-            denominators.add(re.denominator)
-            out.append((re, im))
-        parts.append(out)
+            re_row.append((re, re_den))
+            im_row.append((im, im_den))
+            denominators.add(re_den)
+            denominators.add(im_den)
+        re_rows.append(re_row)
+        im_rows.append(im_row)
     d = math.lcm(*denominators)
-    return d, [[GaussianInteger(re.numerator * (d // re.denominator),
-                                im.numerator * (d // im.denominator))
-                 for re, im in row] for row in parts]
+    if d == 1:
+        # every default-pool matrix: the parts are already integers
+        return (1, [[x for x, _ in row] for row in re_rows],
+                [[x for x, _ in row] for row in im_rows])
+    return (d, [[x * (d // den) for x, den in row] for row in re_rows],
+            [[x * (d // den) for x, den in row] for row in im_rows])
 
 
-def to_gaussian_rationals(denominator: int, rows) -> tuple:
-    """Rows of GaussianInteger divided by ``denominator``, as tuples of
-    GaussianRational: the inverse of :func:`to_gaussian_integers`."""
+def clear_denominator(x: GaussianRational) -> tuple[int, GaussianInteger]:
+    """(e, a) with x = a / e, e the lcm of the denominators of x's parts."""
+    re, im = x.re, x.im
+    e = math.lcm(re.denominator, im.denominator)
+    return e, GaussianInteger(re.numerator * (e // re.denominator),
+                              im.numerator * (e // im.denominator))
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def to_gaussian_rationals(denominator: int, re_rows, im_rows) -> tuple:
+    """Split rows divided by ``denominator``, as tuples of GaussianRational:
+    the inverse of :func:`to_gaussian_integers`."""
+    zero = _FRACTION_ZERO
+    if denominator == 1:
+        return tuple(
+            tuple(GaussianRational(Fraction(x) if x else zero, Fraction(y) if y else zero)
+                  if x or y else GQ_ZERO for x, y in zip(re_row, im_row))
+            for re_row, im_row in zip(re_rows, im_rows))
     return tuple(
-        tuple(GaussianRational(Fraction(z.re, denominator), Fraction(z.im, denominator))
-              if z else GQ_ZERO for z in row)
-        for row in rows
-    )
+        tuple(GaussianRational(Fraction(x, denominator) if x else zero,
+                               Fraction(y, denominator) if y else zero)
+              if x or y else GQ_ZERO for x, y in zip(re_row, im_row))
+        for re_row, im_row in zip(re_rows, im_rows))
 
 
 def to_complex(x) -> complex:

@@ -1,5 +1,7 @@
 """Jordan and Frobenius constructions, minimal polynomials, combinatorics."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -353,3 +355,38 @@ def test_random_similarity_matches_dense_product():
                 seed = 100 * n + trial
                 assert (random_similarity(M, seed, shear_count=count)
                         == dense_similarity(M, seed, shear_count=count))
+
+
+def _entries_digest(M):
+    body = json.dumps(M.to_json()["entries"], separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_random_similarity_matches_recorded_matrices():
+    """Conjugates recorded from the GaussianInteger-list kernel, which the
+    split-row shears must reproduce exactly (sha256 of the compact JSON
+    entries)."""
+    mixed = JordanSpec.of({gq("1/2", "-2/3"): [2], gq(0, 1): [1], gq(2): [1]})
+    six = JordanSpec.of({gq(-1): [1], gq(0, 1): [2], gq("1/3"): [1], gq(2): [2]})
+    rng = random.Random(2024)
+    dense = SquareMatrix.from_rows(
+        [[random_gaussian_rational(rng, 7) for _ in range(5)] for _ in range(5)], EXACT)
+    real = SquareMatrix.from_rows([[gq(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)],
+                                  EXACT)
+    cases = [
+        (build_jordan(mixed), 0, {},
+         "967721425090ccc92b12cd20d570b9bba30ba05a577d8c740dea2f25da8ca0bf"),
+        (build_jordan(mixed), 7, {},
+         "9385b18b8faa7e621505c0a97392dffaf689a426f336d6aa8d9fe9806460bc82"),
+        (build_jordan(six), 11, {},
+         "655284a4af8d28532210647ef906109e8a54d8cee2c09d0fcec655851d211f6f"),
+        (dense, 5, {}, "fa577250fbad4d4a8eeec72d08a3bfb133a6abc7ada4d6df187f9b6b1b0c908a"),
+        (dense, 6, {"shear_count": 12, "magnitude": 3},
+         "ce2f9b4e3416a38afd0384f6e95d31e71e7a0c768130e15382ac102cbe0bb639"),
+        (real, 9, {}, "07801feafb2d17df13b2cdf319ce3d8ad3b5fa070ac8358eeba3359ebe94c828"),
+    ]
+    for M, seed, options, digest in cases:
+        assert _entries_digest(random_similarity(M, seed, **options)) == digest
+    # spelled out: a real integer Jordan matrix stays real
+    conjugate = random_similarity(build_jordan(JordanSpec.of({gq(1): [1, 2]})), 3)
+    assert conjugate == SquareMatrix.from_rows([[1, 0, 1], [0, 1, -1], [0, 0, 1]], EXACT)

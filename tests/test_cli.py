@@ -182,6 +182,8 @@ def test_run_sweep_parallel_matches_serial():
 # command-line behavior
 
 
+SPEC_0_1 = json.dumps({"n": 2, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [1]},
+                                     {"eigenvalue": ["1/1", "0/1"], "sizes": [1]}]})
 SPEC_0_11 = json.dumps({"n": 2, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [1, 1]}]})
 
 
@@ -368,6 +370,52 @@ def test_ord_entry_lists_failing_reports(monkeypatch):
     record = run_sweep(SweepConfig(n_max=2, pool=(gq(0),), modes=("ord",))).records[-1]
     assert record["modes"]["ord"]["failures"] == entry["failures"]
     assert not record["ok"]
+
+
+def test_theorem_entry_lists_conjugated_rank_on_failure(monkeypatch):
+    import symrank.cli as cli
+    import symrank.jacobian as jacobian
+    from symrank.matpoly import SquareMatrix
+
+    spec = JordanSpec.from_json(json.loads(SPEC_0_1))
+    report, entry = cli._check_theorem(spec, 5)
+    assert entry == {"min_poly_degree": 2, "rank": 2, "theorem_holds": True,
+                     "conjugation_checked": True, "ok": True}
+    assert report.conjugated_rank == 2
+    assert "conjugated_rank" not in report.to_json()
+
+    # a "conjugate" that is the zero matrix has rank 1, not 2
+    monkeypatch.setattr(jacobian, "random_similarity", lambda B, seed: SquareMatrix.zeros(B.n))
+    report, entry = cli._check_theorem(spec, 5)
+    assert entry == {"min_poly_degree": 2, "rank": 2, "theorem_holds": True,
+                     "conjugation_checked": False, "ok": False, "conjugated_rank": 1}
+    assert "conjugated_rank" not in report.to_json()
+    record = run_sweep(SweepConfig(n_max=2, pool=(gq(0), gq(1)), modes=("theorem",))).records
+    failing = [r for r in record if not r["ok"]]
+    assert failing and all("conjugated_rank" in r["modes"]["theorem"] for r in failing)
+
+
+def test_vandermonde_entry_lists_squared_moduli_on_failure(monkeypatch):
+    import dataclasses
+
+    import symrank.cli as cli
+
+    spec = JordanSpec.from_json(json.loads(SPEC_0_1))
+    _, entry = cli._check_vandermonde(spec)
+    assert set(entry) == {"clusters", "closed_form_abs", "ok"} and entry["ok"]
+    original = cli.confluent_vandermonde_det
+
+    def off_by_half(clusters):
+        result = original(clusters)
+        return dataclasses.replace(result, det_abs_squared=result.det_abs_squared / 2,
+                                   matches=False)
+
+    monkeypatch.setattr(cli, "confluent_vandermonde_det", off_by_half)
+    _, entry = cli._check_vandermonde(spec)
+    assert entry == {"clusters": [["0", 1], ["1", 1]], "closed_form_abs": 1.0, "ok": False,
+                     "det_abs_squared": "1/2", "closed_abs_squared": "1/1"}
+    record = run_sweep(SweepConfig(n_max=2, pool=(gq(0), gq(1)), modes=("vandermonde",)))
+    assert record.records[-1]["modes"]["vandermonde"]["det_abs_squared"] == "1/2"
 
 
 def test_cli_sweep_jsonl_deterministic(tmp_path):

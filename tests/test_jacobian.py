@@ -33,6 +33,7 @@ from symrank.scalars import (
     FLOAT,
     GQ_ONE,
     GQ_ZERO,
+    GaussianInteger,
     approx_eq,
     field_zero,
     gq,
@@ -299,18 +300,19 @@ def reference_eliminate(rows) -> tuple:
     """The former ``jacobian._eliminate``: (rank, determinant) of exact rows,
     each row scaled by its own denominator, by one ``_bareiss`` pass; the
     determinant is the last pivot, signed, divided by the row scales."""
-    work, scale = [], 1
+    work_re, work_im, scale = [], [], 1
     for row in rows:
-        d, (scaled,) = to_gaussian_integers([row])
-        work.append(scaled)
+        d, (row_re,), (row_im,) = to_gaussian_integers([row])
+        work_re.append(row_re)
+        work_im.append(row_im)
         scale *= d
-    if not work:
+    if not work_re:
         return 0, GQ_ONE
-    nrows, ncols = len(work), len(work[0])
-    rank, pivot, sign = _bareiss(work)
+    nrows, ncols = len(work_re), len(work_re[0])
+    rank, pivot, sign = _bareiss(work_re, work_im)
     if rank < nrows or rank < ncols:
         return rank, GQ_ZERO
-    ((det,),) = to_gaussian_rationals(scale, [[pivot * sign]])
+    ((det,),) = to_gaussian_rationals(scale, [[pivot.re * sign]], [[pivot.im * sign]])
     return rank, det
 
 
@@ -458,8 +460,9 @@ def test_scaled_jacobian_unscales_to_jacobian_exact(n):
     specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
     mats = _oracle_matrices(n, rng) + [build_jordan(rng.choice(specs))]
     for B in mats:
-        d, rows = _scaled_jacobian(B)
-        unscaled = tuple(to_gaussian_rationals(d ** k, [row])[0] for k, row in enumerate(rows))
+        d, rows_re, rows_im = _scaled_jacobian(B)
+        unscaled = tuple(to_gaussian_rationals(d ** k, [row_re], [row_im])[0]
+                         for k, (row_re, row_im) in enumerate(zip(rows_re, rows_im)))
         assert unscaled == jacobian_exact(B).rows
     # the rational Jordan matrix is really scaled: D = lcm(2, 3)
     assert _scaled_jacobian(mats[0])[0] == 6
@@ -469,7 +472,7 @@ def test_bareiss_rank_of_scaled_jacobian_matches_rank_exact():
     rng = random.Random(810)
     for n in range(1, 6):
         for B in _oracle_matrices(n, rng):
-            assert _bareiss(_scaled_jacobian(B)[1])[0] == rank_exact(jacobian_exact(B))
+            assert _bareiss(*_scaled_jacobian(B)[1:])[0] == rank_exact(jacobian_exact(B))
 
 
 def test_directional_derivative_matches_per_adjugate_route():
@@ -526,3 +529,108 @@ def test_verify_theorem_ranks_the_conjugated_matrix(monkeypatch):
     report = verify_theorem(JordanSpec.of({0: [3]}))
     assert report.rank == report.min_poly_degree == 3
     assert report.theorem_holds and not report.conjugation_checked
+
+
+def gauss_jordan_rank_det(rows):
+    """Independent oracle for Bareiss: plain Gauss-Jordan over Gaussian
+    rationals with row swaps; (rank, determinant), the determinant only for
+    square rows (0 when singular), None otherwise."""
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    rank, det = 0, GQ_ONE
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if work[i][c]), None)
+        if pivot is None:
+            det = GQ_ZERO
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            det = -det
+        pv = work[rank][c]
+        det = det * pv
+        work[rank] = [x / pv for x in work[rank]]
+        for i in range(nrows):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    if nrows != ncols:
+        return rank, None
+    return rank, det if rank == nrows else GQ_ZERO
+
+
+def _bareiss_cases(rng):
+    big = 2 ** 64
+
+    def entry(kind):
+        if kind == "real":
+            return gq(rng.randint(-big, big))
+        return gq(rng.randint(-big, big), rng.randint(-big, big))
+
+    cases = [[], [[]], [[gq(0)]], [[gq(0, 3)]]]
+    for n in range(1, 7):
+        for kind in ("real", "complex"):
+            dense = [[entry(kind) for _ in range(n)] for _ in range(n)]
+            cases.append(dense)
+            # zero leading column and zero first row: column and row swaps
+            swaps = [[gq(0)] + row[1:] for row in dense]
+            swaps[0] = [gq(0)] * n
+            cases.append(swaps)
+            if n > 1:
+                # rank deficient: the last row is a combination of two others
+                deficient = [row[:] for row in dense]
+                deficient[-1] = [a * gq(3, -1) - b * gq(2) for a, b in zip(dense[0], dense[1 % n])]
+                cases.append(deficient)
+            sparse = [[entry(kind) if rng.random() < 0.3 else gq(0) for _ in range(n)]
+                      for _ in range(n)]
+            cases.append(sparse)
+    for nrows, ncols in ((2, 5), (5, 2), (3, 4), (4, 3)):
+        cases.append([[entry("complex") if rng.random() < 0.7 else gq(0) for _ in range(ncols)]
+                      for _ in range(nrows)])
+    return cases
+
+
+def test_bareiss_split_rows_match_gauss_jordan():
+    rng = random.Random(1300)
+    seen_swaps = seen_deficient = 0
+    for rows in _bareiss_cases(rng):
+        _, re, im = to_gaussian_integers(rows)
+        rank, pivot, sign = _bareiss(re, im)
+        expected_rank, det = gauss_jordan_rank_det(rows)
+        assert rank == expected_rank
+        if det is not None and rows and rows[0]:
+            if rank == len(rows):
+                assert gq(pivot.re * sign, pivot.im * sign) == det
+            else:
+                assert det == GQ_ZERO
+                seen_deficient += 1
+        seen_swaps += sign == -1
+    assert seen_swaps and seen_deficient
+    assert _bareiss([], []) == (0, GaussianInteger(1), 1)
+    # a permutation matrix: pivot 1, and the sign is the permutation's
+    assert _bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0] * 3 for _ in range(3)]) == (
+        3, GaussianInteger(1), 1)
+    assert _bareiss([[0, 1], [1, 0]], [[0, 0], [0, 0]]) == (2, GaussianInteger(1), -1)
+
+
+@pytest.mark.parametrize("first_pivot", [(2, 0), (1, 1)], ids=["real", "complex"])
+def test_bareiss_refuses_an_inexact_division(monkeypatch, first_pivot):
+    """A numerator off by one is not divisible by a first pivot of norm 2:
+    the checked division raises ArithmeticError instead of flooring."""
+    original = jacobian.exact_quotients
+
+    def off_by_one(re, im, divisor_re, divisor_im=0):
+        if (divisor_re, divisor_im) == first_pivot:
+            re = [re[0] + 1] + re[1:]
+        return original(re, im, divisor_re, divisor_im)
+
+    def rows():
+        re = [[first_pivot[0], 1, 0], [1, 3, 1], [0, 1, 4]]
+        im = [[first_pivot[1], 0, 0], [0, 0, 0], [0, 0, 0]]
+        return re, im
+
+    assert _bareiss(*rows())[0] == 3
+    monkeypatch.setattr(jacobian, "exact_quotients", off_by_one)
+    with pytest.raises(ArithmeticError):
+        _bareiss(*rows())

@@ -33,9 +33,12 @@ from symrank.scalars import (
     GQ_I,
     GQ_ONE,
     GQ_ZERO,
+    GaussianInteger,
     NumericFailure,
     gq,
     random_gaussian_rational,
+    to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 
@@ -461,3 +464,60 @@ def test_float_overflow_raises_alike_with_and_without_adjugate(rows):
     for fn in (reference_char_and_adjugate_float, char_and_adjugate, char_poly, symmetrize):
         with pytest.raises(NumericFailure):
             fn(M)
+
+
+def _split_oracle_cases(rng, n):
+    """Gaussian-rational matrices for the split-row kernel: dense complex with
+    denominators > 1 and parts of at least 2^64, real, purely imaginary, and
+    sparse with a zero row."""
+    big = 2 ** 64
+
+    def part(den_max):
+        value = rng.choice([-1, 1]) * rng.randint(big, 4 * big)
+        return Fraction(value, rng.randint(2, den_max))
+
+    dense = [[gq(part(9), part(7)) for _ in range(n)] for _ in range(n)]
+    real = [[gq(part(5)) for _ in range(n)] for _ in range(n)]
+    imaginary = [[gq(0, rng.randint(-big, big)) for _ in range(n)] for _ in range(n)]
+    sparse = [[gq(rng.randint(-3, 3), rng.randint(-1, 1)) if rng.random() < 0.4 else gq(0)
+               for _ in range(n)] for _ in range(n)]
+    sparse[rng.randrange(n)] = [gq(0)] * n
+    return [dense, real, imaginary, sparse]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_charpoly_split_rows_match_generic_loop(n):
+    rng = random.Random(1200 + n)
+    for rows in _split_oracle_cases(rng, n):
+        d, re, im = to_gaussian_integers(rows)
+        coeffs, adj = charpoly_in_ring((re, im), GaussianInteger(0), GaussianInteger(1))
+        # the generic loop over Gaussian rationals, on D*M itself ...
+        ref_coeffs, ref_adj = charpoly_in_ring(to_gaussian_rationals(1, re, im), GQ_ZERO, GQ_ONE)
+        assert [gq(c.re, c.im) for c in coeffs] == ref_coeffs
+        assert [to_gaussian_rationals(1, m_re, m_im) for m_re, m_im in adj] == [
+            tuple(map(tuple, m)) for m in ref_adj]
+        # ... and on M, unscaled: c_j(M) = c_j(DM) / D^(n-j), N_k(M) = N_k(DM) / D^(k-1)
+        m_coeffs, m_adj = charpoly_in_ring(rows, GQ_ZERO, GQ_ONE)
+        assert [gq(Fraction(c.re, d ** (n - j)), Fraction(c.im, d ** (n - j)))
+                for j, c in enumerate(coeffs)] == m_coeffs
+        for k, ((m_re, m_im), ref) in enumerate(zip(adj, m_adj), 1):
+            assert to_gaussian_rationals(d ** (k - 1), m_re, m_im) == tuple(map(tuple, ref))
+
+
+def test_charpoly_split_refuses_an_inexact_division(monkeypatch):
+    """A trace off by one is not divisible by k = 2: the checked / k raises
+    ArithmeticError instead of flooring."""
+    import symrank.matpoly as matpoly
+
+    original = matpoly.exact_quotients
+
+    def off_by_one(re, im, divisor_re, divisor_im=0):
+        if divisor_re == 2:
+            re = [re[0] + 1] + re[1:]
+        return original(re, im, divisor_re, divisor_im)
+
+    rows = ([[1, 2], [3, 4]], [[0, 1], [0, 0]])
+    charpoly_in_ring(rows, GaussianInteger(0), GaussianInteger(1))
+    monkeypatch.setattr(matpoly, "exact_quotients", off_by_one)
+    with pytest.raises(ArithmeticError):
+        charpoly_in_ring(rows, GaussianInteger(0), GaussianInteger(1))

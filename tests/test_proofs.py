@@ -542,6 +542,34 @@ def test_base_checked_once_per_curve_and_spec(monkeypatch):
     assert len(calls) == 2
 
 
+def test_lambda_powers_kept_per_curve_and_lambda(monkeypatch):
+    calls = []
+    original = proofs.clear_denominator
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(proofs, "clear_denominator", counting)
+    rng = random.Random(62)
+    half, i = gq("1/2"), gq(0, 1)
+    spec = JordanSpec.of({half: [1, 2], i: [1]})
+    M = SquareMatrix.from_rows(
+        [[random_gaussian_rational(rng, 4) for _ in range(4)] for _ in range(4)], EXACT)
+    curve = linear_curve(build_jordan(spec), M)
+    queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
+    reports = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
+    assert calls == [half, i]
+    # the memo holds a^j and e^(n-p) D^p: for 1/2, a = 1 and e = 2
+    _, d, _, _, per_lam = proofs._last_query
+    _, a_powers, scales = per_lam[half]
+    assert a_powers == [(1, 0)] * 5
+    assert scales == [2 ** (4 - p) * d ** p for p in range(5)]
+    assert per_lam[i][1] == [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    expected = reference_curve_char_coeffs(curve)
+    assert reports == [reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
+
+
 def test_order_of_vanishing_rejects_mismatched_base():
     spec = JordanSpec.of({0: [1, 1]})
     wrong = SquareMatrix.identity(2)
