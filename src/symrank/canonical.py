@@ -404,8 +404,6 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
     rng = random.Random(seed)
     count = shear_count if shear_count is not None else 2 * n
     d, work_re, work_im = to_gaussian_integers(M.entries)
-    # integer shears keep a real matrix real
-    parts = (work_re,) if not any(any(row) for row in work_im) else (work_re, work_im)
     for _ in range(count):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
@@ -413,7 +411,7 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
             j += 1
         c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
         # (I + c E_ij) M (I - c E_ij): row i += c row j, then column j -= c column i
-        for work in parts:
+        for work in (work_re, work_im):
             work[i] = [a + b * c for a, b in zip(work[i], work[j])]
             for row in work:
                 row[j] -= row[i] * c

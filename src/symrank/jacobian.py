@@ -252,7 +252,6 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
     if not nrows:
         return 0, GaussianInteger(1), 1
     ncols = len(rows_re[0])
-    real = not any(any(row) for row in rows_im)
     rank = 0
     sign = 1
     q_re, q_im = 1, 0
@@ -285,22 +284,11 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
         for i in range(rank + 1, nrows):
             row_re, row_im = rows_re[i], rows_im[i]
             m_re, m_im = row_re[rank], row_im[rank]
-            x_re = row_re[rank + 1:]
-            if real:
-                num_re = [p_re * x - m_re * z for x, z in zip(x_re, z_re)]
-                if rank:
-                    num_re = exact_quotients(num_re, [], q_re)[0]
-                row_re[rank + 1:] = num_re
-                continue
-            x_im = row_im[rank + 1:]
-            if m_re or m_im:
-                num_re = [p_re * xr - p_im * xi - m_re * zr + m_im * zi
-                          for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
-                num_im = [p_re * xi + p_im * xr - m_re * zi - m_im * zr
-                          for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
-            else:
-                num_re = [p_re * xr - p_im * xi for xr, xi in zip(x_re, x_im)]
-                num_im = [p_re * xi + p_im * xr for xr, xi in zip(x_re, x_im)]
+            x_re, x_im = row_re[rank + 1:], row_im[rank + 1:]
+            num_re = [p_re * xr - p_im * xi - m_re * zr + m_im * zi
+                      for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
+            num_im = [p_re * xi + p_im * xr - m_re * zi - m_im * zr
+                      for xr, xi, zr, zi in zip(x_re, x_im, z_re, z_im)]
             if rank:
                 num_re, num_im = exact_quotients(num_re, num_im, q_re, q_im)
             row_re[rank + 1:] = num_re

@@ -522,11 +522,8 @@ def charpoly_in_ring(entries, zero, one):
 def _charpoly_split(a_re: list, a_im: list):
     """:func:`charpoly_in_ring` over Z[i] on split rows: (coeffs, adj) with
     coeffs[j] = c_j a GaussianInteger and adj[k - 1] = N_k = (re, im) int row
-    lists.  A real A (every imaginary part zero) keeps every N_k real and
-    skips the imaginary half; its N_k share one zero ``im`` list of rows, so
-    callers must not write the returned rows."""
+    lists."""
     n = len(a_re)
-    real = not any(any(row) for row in a_im)
     # A stays fixed and is often sparse: per row, (column, re, im) of its
     # nonzero entries
     support = [[(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
@@ -534,8 +531,7 @@ def _charpoly_split(a_re: list, a_im: list):
     coeffs = [None] * (n + 1)
     coeffs[n] = GaussianInteger(1)
     m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    zeros = [[0] * n for _ in range(n)]
-    m_im = zeros if real else [row[:] for row in zeros]
+    m_im = [[0] * n for _ in range(n)]
     adj = []
     for k in range(1, n + 1):
         adj.append((m_re, m_im))
@@ -548,26 +544,14 @@ def _charpoly_split(a_re: list, a_im: list):
                     tr_re += x * u - y * v
                     tr_im += x * v + y * u
         else:
-            am_re, am_im = [], zeros if real else []
+            am_re, am_im = [], []
             for row in support:
                 out_re = [0] * n
-                if real:
-                    for j, x, _ in row:
-                        out_re = [s + x * u for s, u in zip(out_re, m_re[j])]
-                    am_re.append(out_re)
-                    continue
                 out_im = [0] * n
                 for j, x, y in row:
                     u_row, v_row = m_re[j], m_im[j]
-                    if not y:
-                        out_re = [s + x * u for s, u in zip(out_re, u_row)]
-                        out_im = [s + x * v for s, v in zip(out_im, v_row)]
-                    elif not x:
-                        out_re = [s - y * v for s, v in zip(out_re, v_row)]
-                        out_im = [s + y * u for s, u in zip(out_im, u_row)]
-                    else:
-                        out_re = [s + x * u - y * v for s, u, v in zip(out_re, u_row, v_row)]
-                        out_im = [s + x * v + y * u for s, u, v in zip(out_im, u_row, v_row)]
+                    out_re = [s + x * u - y * v for s, u, v in zip(out_re, u_row, v_row)]
+                    out_im = [s + x * v + y * u for s, u, v in zip(out_im, u_row, v_row)]
                 am_re.append(out_re)
                 am_im.append(out_im)
             tr_re = sum(am_re[i][i] for i in range(n))
@@ -577,8 +561,7 @@ def _charpoly_split(a_re: list, a_im: list):
         if k < n:
             for i in range(n):
                 am_re[i][i] -= q_re
-                if not real:
-                    am_im[i][i] -= q_im
+                am_im[i][i] -= q_im
             m_re, m_im = am_re, am_im
     return coeffs, adj
 

@@ -403,11 +403,10 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
 
 
 def clear_denominator(x: GaussianRational) -> tuple[int, GaussianInteger]:
-    """(e, a) with x = a / e, e the lcm of the denominators of x's parts."""
-    re, im = x.re, x.im
-    e = math.lcm(re.denominator, im.denominator)
-    return e, GaussianInteger(re.numerator * (e // re.denominator),
-                              im.numerator * (e // im.denominator))
+    """(e, a) with x = a / e, e the lcm of the denominators of x's parts:
+    :func:`to_gaussian_integers` of the 1x1 matrix [[x]]."""
+    e, ((re,),), ((im,),) = to_gaussian_integers(((x,),))
+    return e, GaussianInteger(re, im)
 
 
 _FRACTION_ZERO = Fraction(0)
