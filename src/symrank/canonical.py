@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .matpoly import Polynomial, SquareMatrix, check_size
 from .scalars import (
     EXACT,
@@ -335,6 +333,8 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
                 return Polynomial(tuple(-c for c in combo) + (one,), EXACT)
             vecs.append(target)
         raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
+    import numpy as np
+
     a = M.to_numpy()
     power = np.eye(n, dtype=complex)
     vecs = [power.ravel()]

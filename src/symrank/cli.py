@@ -28,7 +28,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .canonical import (
@@ -320,6 +319,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     items = [(config, i, spec) for i, spec in enumerate(specs)]
     workers = min(config.parallelism, os.cpu_count() or 1, len(items))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_sweep_worker, items, chunksize=16))
     else:

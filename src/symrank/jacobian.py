@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
 from .matpoly import SquareMatrix, _scaled_char_and_adjugate, char_and_adjugate, symmetrize
 from .scalars import (
@@ -50,6 +48,8 @@ class JacobianMatrix:
         return i * self.n + j
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         if self.field == FLOAT:
             return np.array(self.rows, dtype=complex)
         return np.array([[to_complex(x) for x in row] for row in self.rows], dtype=complex)
@@ -309,6 +309,8 @@ class RankProfile:
 
 
 def numeric_rank_profile(A, tol: float | None = None) -> RankProfile:
+    import numpy as np
+
     if isinstance(A, (JacobianMatrix, SquareMatrix)):
         arr = A.to_numpy()
     else:

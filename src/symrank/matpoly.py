@@ -21,7 +21,9 @@ back as base-2^w digits (Kronecker substitution,
 reads vanishing orders.  A float
 matrix runs the recursion in numpy, and ``char_poly`` and ``symmetrize``
 leave its adjugate unread: the finite-difference oracle calls them 2n^2 times
-per Jacobian.
+per Jacobian.  numpy is imported inside the functions that compute in floats,
+so it is loaded on first float use and the exact paths need only the standard
+library.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -31,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .scalars import (
     EXACT,
@@ -180,6 +180,8 @@ class SquareMatrix:
         ))
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         if self.field == FLOAT:
             return np.array(self.entries, dtype=complex)
         return np.array([[to_complex(x) for x in r] for r in self.entries], dtype=complex)
@@ -572,6 +574,8 @@ def _charpoly_float(a: np.ndarray):
 
     Raises NumericFailure iff a coefficient or some N_k is not finite.
     """
+    import numpy as np
+
     n = a.shape[0]
     # the coefficients and N_1..N_n share one buffer, so one test covers both
     buf = np.empty(n + 1 + n ** 3, dtype=complex)
@@ -724,6 +728,8 @@ def spectral_radius_bound(M: SquareMatrix, iterations: int = 8) -> float:
         raise ValueError("spectral radius bound needs a float matrix")
     if iterations < 0:
         raise ValueError("iteration count must be non-negative")
+    import numpy as np
+
     a = M.to_numpy()
     with np.errstate(all="ignore"):
         for _ in range(iterations):

@@ -1,5 +1,6 @@
 """Enumeration, sweep harness, and the command-line interface."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -669,7 +670,7 @@ def test_run_sweep_caps_worker_count(monkeypatch, cpus, pool_size, expected):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     pool = DEFAULT_POOL[:pool_size]
     report = run_sweep(SweepConfig(n_max=1, pool=pool, modes=("vandermonde",),
@@ -760,6 +761,56 @@ def test_python_dash_m_symrank_matches_main(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
     assert main(["pi", "-"]) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+STDLIB_ONLY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from symrank.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"runs": runs, "pool_loaded": "concurrent.futures.process" in sys.modules}))
+"""
+
+
+def test_exact_commands_run_without_numpy(tmp_path, capsys):
+    """The exact subcommands and an exact serial sweep need only the standard
+    library: a fresh interpreter in which numpy cannot be imported gives the
+    same output, and the sweep the golden bytes, without loading the process
+    pool either.  `pi` is the one exact subcommand that still loads numpy, for
+    its float spectral bound, so it is not run here."""
+    import hashlib
+
+    import symrank
+
+    spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [2]},
+                                          {"eigenvalue": ["1/2", "1/3"], "sizes": [1]}]})
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"n": 2, "field": "exact", "entries": [
+        [["1/2", "0/1"], ["1/1", "-1/3"]], [["0/1", "2/1"], ["-3/4", "0/1"]]]}))
+    argvs = [[command, "--spec", spec] for command in ("gen", "verify", "nullspace",
+                                                        "tangent", "ord")]
+    argvs += [[command, str(matrix)] for command in ("jacobian", "rank", "minpoly")]
+    report = tmp_path / "sweep.jsonl"
+    sweep = ["sweep", "--n-max", "3", "--modes", "theorem,nullspace,tangent,vandermonde",
+             "--seed", "0", "--jobs", "1", "--out", str(report)]
+    src = str(Path(symrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY_CHILD, json.dumps(argvs + [sweep])],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout)
+    assert child["pool_loaded"] is False
+    assert [code for code, _ in child["runs"]] == [0] * (len(argvs) + 1)
+    for argv, (_, out) in zip(argvs, child["runs"]):
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out, argv
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "843e3a269e5d0f73389e6ad04693101ad4750d600334bea90c78f531952ee957")
 
 
 FLOAT_2X2 = {"n": 2, "field": "float",
