@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .matpoly import Polynomial, SquareMatrix, check_size
+from .matpoly import Polynomial, SquareMatrix, char_and_adjugate, check_size
 from .scalars import (
     EXACT,
     FLOAT,
@@ -85,10 +85,6 @@ class JordanSpec:
         total = sum(sum(g.sizes) for g in groups)
         return cls(n if n is not None else total, groups)
 
-    @property
-    def spectrum(self) -> tuple:
-        return tuple(blk.eigenvalue for blk in self.blocks)
-
     def sizes_for(self, lam) -> tuple:
         for blk in self.blocks:
             if blk.eigenvalue == lam:
@@ -97,10 +93,6 @@ class JordanSpec:
 
     def multiplicity(self, lam) -> int:
         return sum(self.sizes_for(lam))
-
-    def describe(self) -> str:
-        groups = "; ".join(f"{blk.eigenvalue}:{list(blk.sizes)}" for blk in self.blocks)
-        return f"n={self.n} [{groups}]"
 
     def to_json(self) -> dict:
         return {
@@ -278,61 +270,34 @@ def min_poly_degree(spec: JordanSpec) -> int:
     return sum(blk.sizes[-1] for blk in spec.blocks)
 
 
-def _flatten(M: SquareMatrix) -> list:
-    return [x for row in M.entries for x in row]
-
-
-def _solve_in_span(columns: list, rhs: list, zero, one):
-    """Exact coefficients x with sum_j x_j columns[j] = rhs, or None."""
-    rows = len(rhs)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    x = [zero] * ncols
-    for ri, ci in pivots:
-        x[ci] = aug[ri][ncols]
-    return x
-
-
 def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
-    """Minimal polynomial as the first linear dependence among I, M, M^2, ...
+    """Minimal polynomial of M.
 
-    Exact matrices give the exact monic minimal polynomial.  Float matrices
-    give a degree estimate: the dependence test uses a singular-value
-    tolerance and the coefficients come from least squares.
+    Exact matrices give the exact monic minimal polynomial
+    det(tI - M) / d, where d is the monic gcd of the (n-1)-minors of tI - M,
+    the entries of adj(tI - M): the last invariant factor is the
+    characteristic polynomial over the one before it.  Float matrices give a
+    degree estimate from the first linear dependence among I, M, M^2, ...:
+    the dependence test uses a singular-value tolerance and the coefficients
+    come from least squares.
     """
-    n, field = M.n, M.field
-    if field == EXACT:
-        zero, one = field_zero(EXACT), field_one(EXACT)
-        power = SquareMatrix.identity(n, EXACT)
-        vecs = [_flatten(power)]
-        for k in range(1, n + 1):
-            power = M @ power
-            target = _flatten(power)
-            combo = _solve_in_span(vecs, target, zero, one)
-            if combo is not None:
-                return Polynomial(tuple(-c for c in combo) + (one,), EXACT)
-            vecs.append(target)
-        raise AssertionError("Cayley-Hamilton guarantees dependence by degree n")
+    n = M.n
+    if M.field == EXACT:
+        char, adj = char_and_adjugate(M)
+        d = Polynomial.zero(EXACT)
+        for i in range(n):
+            for j in range(n):
+                entry = adj.entry_poly(i, j)
+                # Euclid with each remainder made monic, which keeps the
+                # Fractions small: 10.6 -> 1.2 s on a dense n = 12 matrix
+                # with 8-bit parts (BENCH_minpoly.json)
+                while entry:
+                    entry = entry / entry.leading
+                    d, entry = entry, d.divmod_exact(entry)[1]
+                if d.degree == 0:
+                    return char
+        quotient, _ = char.divmod_exact(d)
+        return quotient
     import numpy as np
 
     a = M.to_numpy()

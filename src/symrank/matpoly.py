@@ -58,18 +58,22 @@ SymPoint = tuple
 #: ``MatrixPolynomial``, ``JordanSpec`` and ``FrobeniusSpec.from_json``)
 #: accept, checked before any work superlinear in the input; also the largest
 #: ``sweep --n-max``.  It bounds the work of one matrix: at n = 12 the
-#: slowest subcommand, ``minpoly`` on a dense exact matrix, takes about 5.5 s
-#: (2 cores, Python 3.11.7), and the exact kernels grow faster than n^4.  A
-#: sweep's spec count still grows with --n-max (2,051 structures up to n = 6,
-#: 11,806 up to n = 8).
+#: slowest subcommand, ``ord`` along a dense curve of degree
+#: MAX_CURVE_DEGREE, takes about 2.7 s, and on a dense matrix ``minpoly``,
+#: ``rank`` and ``jacobian`` take about 0.2 s (entries of magnitude-4
+#: rationals, whole processes, 2 cores, Python 3.11.7; BENCH_minpoly.json).
+#: The exact kernels grow faster than n^4, and with the entries' bit length,
+#: which no limit bounds.  A sweep's spec count still grows with --n-max
+#: (2,051 structures up to n = 6, 11,806 up to n = 8).
 MAX_N = 12
 
 #: Largest curve degree that ``MatrixPolynomial.from_json`` accepts, checked
 #: before any matrix is decoded.  The expansion of det(tI - D*Phi) grows
 #: faster than the degree squared, and at this bound a dense n = MAX_N curve
 #: with magnitude-4 rational entries (``symrank ord --curve``) takes about
-#: 3.4 s, less than ``minpoly`` at MAX_N on the same host (about 3.9 s; 2
-#: cores, Python 3.11.7).  Degree 13 took up to 3.9 s and degree 16 about 5 s.
+#: 2.7 s, the slowest subcommand at MAX_N (BENCH_minpoly.json; 2 cores,
+#: Python 3.11.7).  When the bound was set, degree 12 took about 3.4 s,
+#: degree 13 up to 3.9 s and degree 16 about 5 s on the same host.
 MAX_CURVE_DEGREE = 12
 
 
@@ -224,11 +228,7 @@ def _dot_seq(u, w):
 class Polynomial:
     """Polynomial in one variable, coefficients in ascending degree.
 
-    The zero polynomial has an empty coefficient tuple (degree -1).  Instances
-    double as exact ring elements: matrices of Polynomials can be fed through
-    the generic characteristic-polynomial recursion.  Over Gaussian-rational
-    coefficients that is the tests' reference for the curve expansion in
-    ``proofs``, which itself runs over Z[i] by Kronecker substitution.
+    The zero polynomial has an empty coefficient tuple (degree -1).
     """
 
     coefficients: tuple
@@ -251,10 +251,6 @@ class Polynomial:
     @classmethod
     def one(cls, field: str = EXACT) -> "Polynomial":
         return cls((field_one(field),), field)
-
-    @classmethod
-    def variable(cls, field: str = EXACT) -> "Polynomial":
-        return cls((field_zero(field), field_one(field)), field)
 
     @property
     def degree(self) -> int:
@@ -342,7 +338,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        # scalar (or integer) division only; used by the exact char-poly recursion
+        # scalar (or integer) division only, as in making a polynomial monic
         return Polynomial(tuple(c / other for c in self.coefficients), self.field)
 
     def __pow__(self, exponent: int) -> "Polynomial":
@@ -380,12 +376,6 @@ class Polynomial:
     def divides(self, other: "Polynomial") -> bool:
         _, rem = other.divmod_exact(self)
         return rem.is_zero
-
-    def lowest_nonzero_degree(self) -> int | None:
-        for k, c in enumerate(self.coefficients):
-            if c:
-                return k
-        return None
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -471,60 +461,17 @@ class MatrixPolynomial:
         return cls(tuple(SquareMatrix.from_json(c) for c in coeffs))
 
 
-def charpoly_in_ring(entries, zero, one):
-    """Faddeev-LeVerrier over any commutative ring with exact division by 1..n.
+def charpoly_in_ring(a_re: list, a_im: list):
+    """Faddeev-LeVerrier over Z[i] on split rows: (coeffs, adj).
 
-    Returns (coeffs, adj_matrices): coeffs is the ascending coefficient list
-    c_0..c_n of det(tI - A), and adj_matrices is [N_1, ..., N_n] with
-    adj(tI - A) = sum_k N_k t^(n-k).  Entry types must support +, -, *, unary
-    minus, and true division by a Python int.
-
-    Over Z[i], marked by a :class:`GaussianInteger` ``zero``, ``entries`` are
-    split rows, the pair (re, im) of int row lists that
-    :func:`symrank.scalars.to_gaussian_integers` returns, and the same
-    recursion runs on those ints (:func:`_charpoly_split`): each c_j is a
-    GaussianInteger and each N_k a split pair.  Every ``/ k`` there is checked
-    and raises ArithmeticError if it leaves a remainder.  The generic loop
-    below is the reference the tests hold that path to.
+    A is given as split rows, the pair (re, im) of int row lists that
+    :func:`symrank.scalars.to_gaussian_integers` returns.  coeffs is the
+    ascending coefficient list c_0..c_n of det(tI - A), each c_j a
+    GaussianInteger, and adj is [N_1, ..., N_n], each N_k a split pair, with
+    adj(tI - A) = sum_k N_k t^(n-k).  The recursion only divides by k = 1..n;
+    every ``/ k`` is checked and raises ArithmeticError if it leaves a
+    remainder.
     """
-    if type(zero) is GaussianInteger:
-        return _charpoly_split(*entries)
-    n = len(entries)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    mk = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    adj = []
-    # the left factor stays fixed and is often sparse; index its support once
-    support = [[(j, a) for j, a in enumerate(row) if a] for row in entries]
-    for k in range(1, n + 1):
-        adj.append([row[:] for row in mk])
-        am = []
-        for i in range(n):
-            row = [zero] * n
-            for idx, a in support[i]:
-                mrow = mk[idx]
-                for j in range(n):
-                    b = mrow[j]
-                    if b:
-                        row[j] = row[j] + a * b
-            am.append(row)
-        tr = am[0][0]
-        for i in range(1, n):
-            tr = tr + am[i][i]
-        ck = -(tr / k)
-        coeffs[n - k] = ck
-        if k < n:
-            mk = am
-            if ck:
-                for i in range(n):
-                    mk[i][i] = mk[i][i] + ck
-    return coeffs, adj
-
-
-def _charpoly_split(a_re: list, a_im: list):
-    """:func:`charpoly_in_ring` over Z[i] on split rows: (coeffs, adj) with
-    coeffs[j] = c_j a GaussianInteger and adj[k - 1] = N_k = (re, im) int row
-    lists."""
     n = len(a_re)
     # A stays fixed and is often sparse: per row, (column, re, im) of its
     # nonzero entries
@@ -605,7 +552,7 @@ def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, list, list]:
     adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1).
     """
     d, re, im = to_gaussian_integers(M.entries)
-    coeffs, adj = charpoly_in_ring((re, im), GaussianInteger(0), GaussianInteger(1))
+    coeffs, adj = charpoly_in_ring(re, im)
     return d, coeffs, adj
 
 

@@ -523,8 +523,7 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
             out.append(row)
         return out
 
-    coeffs, _ = charpoly_in_ring((at_x(scaled_re), at_x(scaled_im)),
-                                 GaussianInteger(0), GaussianInteger(1))
+    coeffs, _ = charpoly_in_ring(at_x(scaled_re), at_x(scaled_im))
     # deg c_p <= (n - p) * deg Phi
     return d, tuple(
         GaussianIntegerPolynomial(_balanced_digits(c.re, w, (n - p) * (terms - 1) + 1),

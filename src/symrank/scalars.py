@@ -141,12 +141,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / denom,
         )
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self) -> "GaussianRational":
         # a zero imaginary part is its own negative; real entries are common
         return GaussianRational(-self.re, -self.im if self.im else self.im)

@@ -212,6 +212,46 @@ def test_min_poly_krylov_float_mode():
     assert min_poly_krylov(SquareMatrix.zeros(3).to_float()).degree == 1
 
 
+RATIONAL_POOL = (gq(0), gq("1/2"), gq("1/3", "2/5"), gq(-2, 1))
+
+
+def exact_min_poly_cases(n):
+    """(M, expected minimal polynomial or None) of size n: random conjugates of
+    derogatory Jordan matrices, where the adjugate gcd has positive degree, and
+    Frobenius matrices, each expecting the last invariant factor; dense
+    Gaussian-rational matrices with denominators > 1, and the 1x1 case."""
+    rng = random.Random(900 + n)
+    specs = list(enumerate_jordan_specs(n, RATIONAL_POOL))
+    derogatory = [spec for spec in specs if min_poly_degree(spec) < n]
+    cases = []
+    for spec in rng.sample(derogatory, min(4, len(derogatory))):
+        expected = jordan_to_frobenius(spec).minimal_polynomial
+        cases.append((random_similarity(build_jordan(spec), rng.randrange(1000)), expected))
+    for spec in rng.sample(specs, 3):
+        frobenius = jordan_to_frobenius(spec)
+        cases.append((build_frobenius(frobenius), frobenius.minimal_polynomial))
+    for _ in range(2):
+        rows = [[gq(f"{rng.randint(-9, 9)}/{rng.randint(2, 9)}", f"{rng.randint(-9, 9)}/{rng.randint(2, 9)}")
+                 for _ in range(n)] for _ in range(n)]
+        cases.append((SquareMatrix.from_rows(rows, EXACT), None))
+    if n == 1:
+        cases.append((SquareMatrix.from_rows([[gq("3/4", -2)]], EXACT), Polynomial.make([gq("-3/4", 2), 1])))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_min_poly_matches_oracles(n):
+    # the adjugate-gcd route against brute-force degree and evaluation
+    for M, expected in exact_min_poly_cases(n):
+        p = min_poly_krylov(M)
+        assert p.is_monic
+        assert p.divides(char_poly(M))
+        assert eval_poly_at_matrix(p, M).is_zero()
+        assert p.degree == min_poly_oracle(M)
+        if expected is not None:
+            assert p == expected
+
+
 def test_jordan_combinatorics_hand_enumerated():
     # single block of size 2
     c = jordan_combinatorics(JordanSpec.of({0: [2]}), gq(0))

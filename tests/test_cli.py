@@ -544,6 +544,37 @@ def test_cli_sweep_golden_digest_rational_pool(tmp_path, jobs):
         "8217be9e5a9914595999da44fd89e02066fa78e334c6e8df58fc95b044173dd5")
 
 
+def test_cli_minpoly_golden_digest(tmp_path, capsys):
+    # seeded exact matrices n = 1..6: Jordan, conjugated and Frobenius forms
+    # over a pool with denominators, and dense Gaussian-rational matrices
+    import hashlib
+    import random
+
+    from symrank.canonical import (build_frobenius, build_jordan, jordan_to_frobenius,
+                                   random_similarity)
+    from symrank.matpoly import SquareMatrix
+    from symrank.scalars import random_gaussian_rational
+
+    rng = random.Random(11)
+    pool = (gq(0), gq("1/2"), gq("1/3", "2/5"))
+    matrices = []
+    for n in range(1, 7):
+        for spec in rng.sample(list(enumerate_jordan_specs(n, pool)), 3):
+            J = build_jordan(spec)
+            matrices += [J, random_similarity(J, rng.randrange(1000)),
+                         build_frobenius(jordan_to_frobenius(spec))]
+        matrices.append(SquareMatrix.from_rows(
+            [[random_gaussian_rational(rng, 5) for _ in range(n)] for _ in range(n)]))
+    path = tmp_path / "matrix.json"
+    digest = hashlib.sha256()
+    for M in matrices:
+        path.write_text(json.dumps(M.to_json()))
+        assert main(["minpoly", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "b20137290c0431ccc63266eb4045754e6164ea48675275e920348ab944375431")
+
+
 def test_failure_record_repro_strings_for_every_mode():
     from symrank.cli import _failure_record
 

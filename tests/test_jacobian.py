@@ -25,7 +25,6 @@ from symrank.matpoly import (
     Polynomial,
     SquareMatrix,
     char_and_adjugate,
-    charpoly_in_ring,
     symmetrize,
 )
 from symrank.scalars import (
@@ -42,7 +41,7 @@ from symrank.scalars import (
     to_gaussian_rationals,
 )
 from tests.test_canonical import gauss_rank
-from tests.test_matpoly import float_cases, laplace_det
+from tests.test_matpoly import float_cases, laplace_det, reference_charpoly
 
 
 def directional_oracle(B, M):
@@ -57,7 +56,7 @@ def directional_oracle(B, M):
         [Polynomial((B.entries[i][j], M.entries[i][j]), EXACT) for j in range(n)]
         for i in range(n)
     ]
-    coeffs, _ = charpoly_in_ring(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
+    coeffs, _ = reference_charpoly(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
     out = []
     for k in range(1, n + 1):
         # sigma_k = (-1)^k * coefficient of t^(n-k); take its eps-linear part

@@ -21,7 +21,6 @@ from symrank.matpoly import (
     MatrixPolynomial,
     Polynomial,
     SquareMatrix,
-    charpoly_in_ring,
     dot,
     falling_factorial,
     monomial_vector,
@@ -46,7 +45,7 @@ from symrank.proofs import (
 )
 from symrank.scalars import EXACT, gq, random_gaussian_rational
 from tests.test_jacobian import reference_eliminate
-from tests.test_matpoly import laplace_det
+from tests.test_matpoly import laplace_det, reference_charpoly
 
 
 def test_nullspace_two_scalar_blocks():
@@ -368,7 +367,7 @@ def reference_curve_char_coeffs(curve: MatrixPolynomial) -> list:
     with Gaussian-rational coefficients; c_0..c_n of det(tI - Phi)."""
     n = curve.n
     entries = [[curve.entry_poly(i, j) for j in range(n)] for i in range(n)]
-    coeffs, _ = charpoly_in_ring(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
+    coeffs, _ = reference_charpoly(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
     return coeffs
 
 
@@ -378,7 +377,7 @@ def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
     value = Polynomial.zero(EXACT)
     for p in range(k, spec.n + 1):
         value = value + coeffs[p] * (falling_factorial(p, k) * lam ** (p - k))
-    observed = value.lowest_nonzero_degree()
+    observed = next((q for q, c in enumerate(value.coefficients) if c), None)
     required = comb.orders[comb.multiplicity - k - 1]
     return VanishingReport(lam, k, observed, required, observed is None or observed >= required)
 
