@@ -22,7 +22,6 @@ from .matpoly import Polynomial, SquareMatrix, char_and_adjugate, check_size
 from .scalars import (
     EXACT,
     FLOAT,
-    GaussianIntegerPolynomial,
     GaussianRational,
     NumericFailure,
     clear_denominator,
@@ -328,25 +327,26 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     The k-th factor from the top multiplies, over all eigenvalues, the linear
     factor raised to the (k+1)-th largest block size present there; the last
     factor is the minimal polynomial.  With lam = a/e over Gaussian integers,
-    (e t - a)^s = e^s (t - lam)^s, so each factor is expanded over Z[i][t]
-    and divided by the product of the e^s once at the end.
+    (e t - a)^s = e^s (t - lam)^s, so each factor is expanded over Z[i][t],
+    as the split pair of its ascending int coefficient lists, and divided by
+    the product of the e^s once at the end.
     """
     depth = max(len(blk.sizes) for blk in spec.blocks)
-    linears = []
-    for blk in spec.blocks:
-        e, a = clear_denominator(blk.eigenvalue)
-        linears.append((GaussianIntegerPolynomial([-a.re, e], [-a.im, 0]), e,
-                        sorted(blk.sizes, reverse=True)))
+    linears = [(*clear_denominator(blk.eigenvalue), sorted(blk.sizes, reverse=True))
+               for blk in spec.blocks]
     factors = []
     for level in range(depth):
-        poly = GaussianIntegerPolynomial([1], [0])
-        scale = 1
-        for linear, e, sizes_desc in linears:
+        re, im, scale = [1], [0], 1
+        for e, a_re, a_im, sizes_desc in linears:
             if level < len(sizes_desc):
                 for _ in range(sizes_desc[level]):
-                    poly = poly * linear
+                    # times (e t - a); e > 0 keeps the top coefficient nonzero
+                    re, im = ([e * s - a_re * x + a_im * y
+                               for s, x, y in zip([0] + re, re + [0], im + [0])],
+                              [e * s - a_re * y - a_im * x
+                               for s, x, y in zip([0] + im, re + [0], im + [0])])
                 scale *= e ** sizes_desc[level]
-        (coeffs,) = to_gaussian_rationals(scale, [poly.re], [poly.im])
+        (coeffs,) = to_gaussian_rationals(scale, [re], [im])
         factors.append(Polynomial(coeffs, EXACT))
     return FrobeniusSpec(tuple(reversed(factors)))
 
@@ -358,8 +358,8 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
     Q is a product of elementary shears I + c E_ij with |c| <= magnitude.
     Each shear is applied to the split rows of D*M (D the common denominator)
     in draw order as a row operation plus a column operation, so the result
-    stays in the exact field and Q itself is never formed; see
-    :class:`symrank.scalars.GaussianInteger` for why D*M stays integral.
+    stays in the exact field and Q itself is never formed; see the
+    :mod:`symrank.scalars` docstring for why D*M stays integral.
     """
     if M.field != EXACT:
         raise ValueError("random similarity requires an exact matrix")

@@ -370,12 +370,23 @@ def _any_spec(obj):
     return JordanSpec.from_json(obj)
 
 
+def _in_field(matrix: SquareMatrix, field: str | None) -> SquareMatrix:
+    """matrix, converted to floats for --field float; an exact entry past the
+    float range is a CliInputError."""
+    if field != FLOAT:
+        return matrix
+    try:
+        return matrix.to_float()
+    except OverflowError:
+        raise CliInputError("--field float: an entry is outside the float range") from None
+
+
 def _matrix(args) -> SquareMatrix:
     """The matrix argument, promoted to --field float if asked."""
     matrix = _read(SquareMatrix.from_json, args.matrix)
     if args.field == EXACT and matrix.field == FLOAT:
         raise CliInputError("cannot promote a float matrix to the exact field")
-    return matrix.to_float() if args.field == FLOAT else matrix
+    return _in_field(matrix, args.field)
 
 
 def _tolerance(text: str) -> float:
@@ -410,7 +421,7 @@ def _emit(args, obj) -> None:
 def _cmd_gen(args) -> int:
     spec = _read(_any_spec, args.spec_file, args.spec)
     matrix = build_frobenius(spec) if isinstance(spec, FrobeniusSpec) else build_jordan(spec)
-    _emit(args, (matrix.to_float() if args.field == FLOAT else matrix).to_json())
+    _emit(args, _in_field(matrix, args.field).to_json())
     return 0
 
 

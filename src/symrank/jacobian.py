@@ -22,7 +22,6 @@ from .matpoly import SquareMatrix, _scaled_char_and_adjugate, char_and_adjugate,
 from .scalars import (
     EXACT,
     FLOAT,
-    GaussianInteger,
     NumericFailure,
     exact_quotients,
     field_zero,
@@ -167,8 +166,8 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
 def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
     """(D, re, im) over Z[i] for an exact B, D the common denominator of its
     entries and (re, im) split rows: row k is D^(k-1) times row k of
-    :func:`jacobian_exact`, read straight from the adjugate of D*B (see
-    :class:`symrank.scalars.GaussianInteger` for why the scaling is sound)."""
+    :func:`jacobian_exact`, read straight from the adjugate of D*B (see the
+    :mod:`symrank.scalars` docstring for why the scaling is sound)."""
     d, _, adj = _scaled_char_and_adjugate(B)
     rows_re, rows_im = [], []
     for k, (m_re, m_im) in enumerate(adj, 1):
@@ -213,8 +212,8 @@ def rank_exact(A) -> int:
     """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
 
     Each row is scaled by the lcm of its denominators and eliminated over
-    Gaussian integers (see :class:`symrank.scalars.GaussianInteger` for why
-    that is exact).  Entries must be int, Fraction or GaussianRational; a
+    Gaussian integers (see the :mod:`symrank.scalars` docstring for why that
+    is exact).  Entries must be int, Fraction or GaussianRational; a
     float matrix, or a float entry in a plain list of rows, raises ValueError.
     """
     if isinstance(A, JacobianMatrix):
@@ -240,17 +239,17 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
     real and imaginary parts, and are overwritten.
 
     Pivots are the first nonzero entry in a row-major scan of the remaining
-    block.  For square independent rows the last pivot, a GaussianInteger,
+    block.  For square independent rows the last pivot, an int pair (re, im),
     times ``sign`` (the parity of the row and column swaps) is their
-    determinant.  Without a pivot the last pivot is 1, the determinant of
-    the empty matrix.  Each step replaces x by (p x - m z) / q, p the pivot, m
-    the row's entry in the pivot column, z the pivot row's entry and q the
-    previous pivot; every division is checked, and one that leaves a
+    determinant.  Without a pivot the last pivot is (1, 0), the determinant
+    of the empty matrix.  Each step replaces x by (p x - m z) / q, p the
+    pivot, m the row's entry in the pivot column, z the pivot row's entry and
+    q the previous pivot; every division is checked, and one that leaves a
     remainder raises ArithmeticError.
     """
     nrows = len(rows_re)
     if not nrows:
-        return 0, GaussianInteger(1), 1
+        return 0, (1, 0), 1
     ncols = len(rows_re[0])
     rank = 0
     sign = 1
@@ -295,7 +294,7 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
             row_im[rank + 1:] = num_im
         q_re, q_im = p_re, p_im
         rank += 1
-    return rank, GaussianInteger(q_re, q_im), sign
+    return rank, (q_re, q_im), sign
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ i.e. to the elementary symmetric functions of the eigenvalues.  The
 characteristic polynomial is computed by the Faddeev-LeVerrier recursion,
 which only ever divides by the integers 1..n.  An exact matrix is scaled by
 its common denominator D and run over Gaussian integers, where each of those
-divisions is exact (see :class:`symrank.scalars.GaussianInteger`), then
+divisions is exact (see the :mod:`symrank.scalars` docstring), then
 scaled back.  Over Z[i] the recursion runs on split rows, the int rows of
 the real and imaginary parts, with every product written out on those ints
 and every ``/ k`` checked.  The recursion simultaneously produces the
@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 from .scalars import (
     EXACT,
     FLOAT,
-    GaussianInteger,
     GaussianRational,
     NumericFailure,
     coerce_scalar,
@@ -466,8 +465,8 @@ def charpoly_in_ring(a_re: list, a_im: list):
 
     A is given as split rows, the pair (re, im) of int row lists that
     :func:`symrank.scalars.to_gaussian_integers` returns.  coeffs is the
-    ascending coefficient list c_0..c_n of det(tI - A), each c_j a
-    GaussianInteger, and adj is [N_1, ..., N_n], each N_k a split pair, with
+    split pair (re, im) of the ascending int lists c_0..c_n of det(tI - A),
+    and adj is [N_1, ..., N_n], each N_k a split pair, with
     adj(tI - A) = sum_k N_k t^(n-k).  The recursion only divides by k = 1..n;
     every ``/ k`` is checked and raises ArithmeticError if it leaves a
     remainder.
@@ -477,8 +476,8 @@ def charpoly_in_ring(a_re: list, a_im: list):
     # nonzero entries
     support = [[(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
                for row_re, row_im in zip(a_re, a_im)]
-    coeffs = [None] * (n + 1)
-    coeffs[n] = GaussianInteger(1)
+    c_re = [0] * n + [1]
+    c_im = [0] * (n + 1)
     m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     m_im = [[0] * n for _ in range(n)]
     adj = []
@@ -506,13 +505,14 @@ def charpoly_in_ring(a_re: list, a_im: list):
             tr_re = sum(am_re[i][i] for i in range(n))
             tr_im = sum(am_im[i][i] for i in range(n))
         (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], k)
-        coeffs[n - k] = GaussianInteger(-q_re, -q_im)
+        c_re[n - k] = -q_re
+        c_im[n - k] = -q_im
         if k < n:
             for i in range(n):
                 am_re[i][i] -= q_re
                 am_im[i][i] -= q_im
             m_re, m_im = am_re, am_im
-    return coeffs, adj
+    return (c_re, c_im), adj
 
 
 def _charpoly_float(a: np.ndarray):
@@ -542,11 +542,10 @@ def _charpoly_float(a: np.ndarray):
     return coeffs, adj
 
 
-def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, list, list]:
+def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, tuple, list]:
     """(D, coeffs, adj) of the exact matrix D*M, D the common denominator of
     M's entries: the Faddeev-LeVerrier recursion of :func:`charpoly_in_ring`
-    over Gaussian integers, coeffs as GaussianInteger and each N_k as split
-    rows.
+    over Gaussian integers, coeffs and each N_k as split pairs.
 
     det(tI - DM) = D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and
     adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1).
@@ -563,9 +562,9 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
         coeffs, adj = _charpoly_float(M.to_numpy())
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
-    d, coeffs, adj = _scaled_char_and_adjugate(M)
-    (unscaled,) = to_gaussian_rationals(d ** n, [[c.re * d ** j for j, c in enumerate(coeffs)]],
-                                        [[c.im * d ** j for j, c in enumerate(coeffs)]])
+    d, (c_re, c_im), adj = _scaled_char_and_adjugate(M)
+    (unscaled,) = to_gaussian_rationals(d ** n, [[x * d ** j for j, x in enumerate(c_re)]],
+                                        [[y * d ** j for j, y in enumerate(c_im)]])
     poly = Polynomial(unscaled, field)
     mats = tuple(
         SquareMatrix(n, field, to_gaussian_rationals(d ** (k - 1), re, im))

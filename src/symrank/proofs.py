@@ -45,8 +45,6 @@ from .matpoly import (
 from .scalars import (
     EXACT,
     GQ_ZERO,
-    GaussianInteger,
-    GaussianIntegerPolynomial,
     GaussianRational,
     clear_denominator,
     coerce_scalar,
@@ -132,8 +130,8 @@ def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
     """True iff every certificate vector kills every column of the derivative.
 
     The products are taken over Z[i], against the row-scaled derivative of
-    ``jacobian._scaled_jacobian`` and each vector rescaled to match (see
-    :class:`symrank.scalars.GaussianInteger`).
+    ``jacobian._scaled_jacobian`` and each vector rescaled to match (see the
+    :mod:`symrank.scalars` docstring).
     """
     if B.field != EXACT:
         raise ValueError("annihilation check requires an exact matrix")
@@ -309,31 +307,32 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     n = sum(m for _, m in groups)
     # column d of lam = a/e is monomial_vector(n, d, lam) scaled by
     # e^(n-1-d): entry j is the Gaussian integer
-    # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1)
-    columns, scale = [], 1
+    # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1), built as split columns
+    cols_re, cols_im, scale = [], [], 1
     for lam, mult in groups:
-        e, a = clear_denominator(lam)
-        powers = [GaussianInteger(1)]
+        e, a_re, a_im = clear_denominator(lam)
+        powers = [(1, 0)]
         for _ in range(n - 1):
-            powers.append(powers[-1] * a)
+            x, y = powers[-1]
+            powers.append((x * a_re - y * a_im, x * a_im + y * a_re))
         for d in range(mult):
-            column = []
-            for j in range(1, n + 1):
+            col_re, col_im = [0] * n, [0] * n
+            for j in range(1, n - d + 1):
                 p = n - j
-                if p < d:
-                    column.append(GaussianInteger(0))
-                    continue
-                term = powers[p - d] * (falling_factorial(p, d) * e ** (j - 1))
-                column.append(-term if j % 2 == 1 else term)
-            columns.append(column)
+                s = falling_factorial(p, d) * e ** (j - 1)
+                if j % 2:
+                    s = -s
+                x, y = powers[p - d]
+                col_re[j - 1], col_im[j - 1] = x * s, y * s
+            cols_re.append(col_re)
+            cols_im.append(col_im)
             scale *= e ** (n - 1 - d)
-    rows = list(zip(*columns))
-    rank, pivot, sign = _bareiss([[z.re for z in row] for row in rows],
-                                 [[z.im for z in row] for row in rows])
+    rank, (p_re, p_im), sign = _bareiss([list(row) for row in zip(*cols_re)],
+                                        [list(row) for row in zip(*cols_im)])
     if rank < n:
         det = GQ_ZERO
     else:
-        ((det,),) = to_gaussian_rationals(scale, [[pivot.re * sign]], [[pivot.im * sign]])
+        ((det,),) = to_gaussian_rationals(scale, [[p_re * sign]], [[p_im * sign]])
     det_abs2 = (det * det.conjugate()).re
     factorial_part = 1
     for _, mult in groups:
@@ -498,8 +497,10 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
     matrix, and the real and imaginary parts of each c_p(X) are split into
     balanced base-X digits.  w is chosen from the input so that
     2^(w-1) > (nL)^n, L the largest l1 norm of an entry of D*Phi; that makes
-    the digits the zeta-coefficients (the bound argument in
-    :class:`symrank.scalars.GaussianInteger`).
+    the digits the zeta-coefficients (the bound argument in the
+    :mod:`symrank.scalars` docstring).  Each c_p is the split pair of its
+    ascending int digit lists, trimmed so that its top coefficient is nonzero;
+    zero is the pair of empty lists.
     """
     n, terms = curve.n, len(curve.coefficients)
     d, scaled_re, scaled_im = to_gaussian_integers(
@@ -523,12 +524,17 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
             out.append(row)
         return out
 
-    coeffs, _ = charpoly_in_ring(at_x(scaled_re), at_x(scaled_im))
-    # deg c_p <= (n - p) * deg Phi
-    return d, tuple(
-        GaussianIntegerPolynomial(_balanced_digits(c.re, w, (n - p) * (terms - 1) + 1),
-                                  _balanced_digits(c.im, w, (n - p) * (terms - 1) + 1))
-        for p, c in enumerate(coeffs))
+    (c_re, c_im), _ = charpoly_in_ring(at_x(scaled_re), at_x(scaled_im))
+    coeffs = []
+    for p, (x, y) in enumerate(zip(c_re, c_im)):
+        # deg c_p <= (n - p) * deg Phi
+        count = (n - p) * (terms - 1) + 1
+        re, im = _balanced_digits(x, w, count), _balanced_digits(y, w, count)
+        while re and not re[-1] and not im[-1]:
+            re.pop()
+            im.pop()
+        coeffs.append((re, im))
+    return d, tuple(coeffs)
 
 
 #: (curve, D, coefficients, spec, lam -> (combinatorics, a^j, scales)) of the
@@ -573,11 +579,11 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     shared = per_lam.get(lam)
     if shared is None:
         comb = jordan_combinatorics(spec, lam)
-        e, a = clear_denominator(lam)
+        e, a_re, a_im = clear_denominator(lam)
         a_powers = [(1, 0)]
         for _ in range(n):
             x, y = a_powers[-1]
-            a_powers.append((x * a.re - y * a.im, x * a.im + y * a.re))
+            a_powers.append((x * a_re - y * a_im, x * a_im + y * a_re))
         scales = [e ** (n - p) * d ** p for p in range(n + 1)]
         shared = per_lam[lam] = (comb, a_powers, scales)
     comb, a_powers, scales = shared
@@ -585,11 +591,11 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
         raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
     terms = []
     for p in range(k, n + 1):
-        c = coeffs[p]
-        if c:
+        re, im = coeffs[p]
+        if re:
             x, y = a_powers[p - k]
             s = falling_factorial(p, k) * scales[p]
-            terms.append((c.re, c.im, x * s, y * s))
+            terms.append((re, im, x * s, y * s))
     observed = None
     for q in range(max((len(re) for re, *_ in terms), default=0)):
         total_re = total_im = 0

@@ -8,9 +8,61 @@ The exact kernels clear denominators and compute over Z[i] internally (curves
 too, by Kronecker substitution) on split rows: a Gaussian-integer matrix held
 as two lists of int rows, one of real and one of imaginary parts, which
 :func:`to_gaussian_integers` produces and :func:`to_gaussian_rationals`
-reads back.  Their inputs and outputs stay Gaussian rationals.
-:class:`GaussianInteger` is the scalar type where only a few values are
-touched.
+reads back.  Their inputs and outputs stay Gaussian rationals.  A single
+Gaussian integer (an eigenvalue, a pivot) is the int pair (re, im), and a
+vector or polynomial over Z[i] the pair of its int lists; each kernel writes
+the product (a + bi)(c + di) out on those ints.
+
+Each division a kernel makes is exact in Z[i]:
+
+* the coefficients of det(tI - A) and of adj(tI - A) are integer
+  polynomials in A's entries, so every ``/ k`` in Faddeev-LeVerrier
+  (``matpoly.charpoly_in_ring``) on a Gaussian-integer A is exact;
+* scaling a row by a nonzero integer leaves the rank unchanged, and every
+  Bareiss division is exact in any integral domain, Z[i] among them; the
+  pivot order (first nonzero in a row-major scan) does not change;
+* the similarity shears have integer multipliers, so D*M stays a
+  Gaussian-integer matrix.
+
+Three scalings carry the certificate checks into Z[i] without changing
+their verdicts:
+
+* row scaling: N_k(D*B) = D^(k-1) N_k(B) for the adjugate coefficients,
+  so row k of the derivative read from the adjugate of D*B is D^(k-1)
+  times row k of pi'(B) (``jacobian._scaled_jacobian``).  Each row is
+  scaled by a nonzero integer, so the rank is that of pi'(B);
+* covector rescale: for a covector v and L the common denominator of the
+  w_k = v_k D^(n-k), sum_k (L w_k)(D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k,
+  so v annihilates a column of J = pi'(B) iff the Gaussian integers L w
+  annihilate that column of the scaled rows (``verify_annihilation``);
+* determinant column scale: scaling column c by s_c multiplies the
+  determinant by the product of the s_c.  With lam = a/e, the confluent
+  Vandermonde column of order d scaled by e^(n-1-d) has entries
+  +-ff(p, d) a^(p-d) e^(n-1-p) in Z[i] (p <= n - 1), so the determinant
+  is the scaled one divided by the product of those scales
+  (``confluent_vandermonde_det``).  Likewise (e t - a)^s = e^s (t - lam)^s
+  expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
+
+A fourth argument, a bound, carries curves into Z[i] by Kronecker
+substitution (``proofs._curve_char_coeffs``).  A curve
+Phi(zeta) = sum_q zeta^q M_q scaled by the common denominator D of all its
+M_q has entries in Z[i][zeta].  Evaluation at zeta = X is a ring
+homomorphism Z[i][zeta] -> Z[i], so Faddeev-LeVerrier on D*Phi(X) gives
+c_p(X) for each coefficient c_p of det(tI - D*Phi), and every ``/ k``
+stays exact by the first argument.  To read c_p back from c_p(X), let
+|z|_1 = |Re z| + |Im z|, which is submultiplicative on Z[i], and let L be
+the largest entry l1 norm sum_q |z_q|_1 over the zeta^q coefficients of
+an entry.  The l1 norm of a product of polynomials is at most the product
+of their l1 norms.  Each zeta-coefficient of c_p is a signed sum of the
+C(n, s) s! products of s = n - p entries in the principal s-minors, each
+of l1 norm at most L^s, so its real and imaginary parts are at most
+n^s L^s <= (nL)^n (for L >= 1).  With X = 2^w and 2^(w-1) > (nL)^n, those
+parts are therefore the unique balanced base-X digits, each in
+[-X/2, X/2), of the real and imaginary parts of c_p(X).
+
+A nonzero remainder therefore means a bug: :func:`exact_quotients`, the
+one division of the kernels, raises ``ArithmeticError`` instead of
+rounding, and so does a digit split that leaves a remainder.
 
 All values are immutable and safe to share between threads.
 """
@@ -186,103 +238,6 @@ GQ_ONE = gq(1)
 GQ_I = gq(0, 1)
 
 
-class GaussianInteger:
-    """Element of Z[i]: the ring the exact kernels actually compute in.
-
-    Every exact matrix the kernels see is a Gaussian-integer matrix up to one
-    common denominator, so :func:`to_gaussian_integers` clears it into split
-    rows (two lists of int rows, real and imaginary parts), the kernels work
-    on those ints with the product (a + bi)(c + di) written out, and
-    :func:`to_gaussian_rationals` divides the result back in.  This class is
-    the scalar type where only a few values are touched: eigenvalues,
-    covectors, pivots and characteristic-polynomial coefficients.  Each
-    division a kernel makes is exact in Z[i]:
-
-    * the coefficients of det(tI - A) and of adj(tI - A) are integer
-      polynomials in A's entries, so every ``/ k`` in Faddeev-LeVerrier
-      (``matpoly.charpoly_in_ring``) on a Gaussian-integer A is exact;
-    * scaling a row by a nonzero integer leaves the rank unchanged, and every
-      Bareiss division is exact in any integral domain, Z[i] among them; the
-      pivot order (first nonzero in a row-major scan) does not change;
-    * the similarity shears have integer multipliers, so D*M stays a
-      Gaussian-integer matrix.
-
-    Three scalings carry the certificate checks into Z[i] without changing
-    their verdicts:
-
-    * row scaling: N_k(D*B) = D^(k-1) N_k(B) for the adjugate coefficients,
-      so row k of the derivative read from the adjugate of D*B is D^(k-1)
-      times row k of pi'(B) (``jacobian._scaled_jacobian``).  Each row is
-      scaled by a nonzero integer, so the rank is that of pi'(B);
-    * covector rescale: for a covector v and L the common denominator of the
-      w_k = v_k D^(n-k), sum_k (L w_k)(D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k,
-      so v annihilates a column of J = pi'(B) iff the Gaussian integers L w
-      annihilate that column of the scaled rows (``verify_annihilation``);
-    * determinant column scale: scaling column c by s_c multiplies the
-      determinant by the product of the s_c.  With lam = a/e, the confluent
-      Vandermonde column of order d scaled by e^(n-1-d) has entries
-      +-ff(p, d) a^(p-d) e^(n-1-p) in Z[i] (p <= n - 1), so the determinant
-      is the scaled one divided by the product of those scales
-      (``confluent_vandermonde_det``).  Likewise (e t - a)^s = e^s (t - lam)^s
-      expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
-
-    A fourth argument, a bound, carries curves into Z[i] by Kronecker
-    substitution (``proofs._curve_char_coeffs``).  A curve
-    Phi(zeta) = sum_q zeta^q M_q scaled by the common denominator D of all its
-    M_q has entries in Z[i][zeta].  Evaluation at zeta = X is a ring
-    homomorphism Z[i][zeta] -> Z[i], so Faddeev-LeVerrier on D*Phi(X) gives
-    c_p(X) for each coefficient c_p of det(tI - D*Phi), and every ``/ k``
-    stays exact by the first argument.  To read c_p back from c_p(X), let
-    |z|_1 = |Re z| + |Im z|, which is submultiplicative on Z[i], and let L be
-    the largest entry l1 norm sum_q |z_q|_1 over the zeta^q coefficients of
-    an entry.  The l1 norm of a product of polynomials is at most the product
-    of their l1 norms.  Each zeta-coefficient of c_p is a signed sum of the
-    C(n, s) s! products of s = n - p entries in the principal s-minors, each
-    of l1 norm at most L^s, so its real and imaginary parts are at most
-    n^s L^s <= (nL)^n (for L >= 1).  With X = 2^w and 2^(w-1) > (nL)^n, those
-    parts are therefore the unique balanced base-X digits, each in
-    [-X/2, X/2), of the real and imaginary parts of c_p(X).
-
-    A nonzero remainder therefore means a bug: :func:`exact_quotients`, the
-    one division of the kernels, raises ``ArithmeticError`` instead of
-    rounding, and so does a digit split that leaves a remainder.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int = 0, im: int = 0):
-        self.re = re
-        self.im = im
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __eq__(self, other):
-        if type(other) is not GaussianInteger:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInteger":
-        return GaussianInteger(-self.re, -self.im)
-
-    def __mul__(self, other) -> "GaussianInteger":
-        if type(other) is int:
-            return GaussianInteger(self.re * other, self.im * other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianInteger(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"GaussianInteger({self.re}, {self.im})"
-
-
 def exact_quotients(re: list, im: list, divisor_re: int, divisor_im: int = 0) -> tuple:
     """(re + i*im) / (divisor_re + i*divisor_im) entrywise over Z[i], as new
     (re, im) int lists; raises ArithmeticError if a quotient is not in Z[i]
@@ -300,67 +255,8 @@ def exact_quotients(re: list, im: list, divisor_re: int, divisor_im: int = 0) ->
     q_im = [y // norm for y in im]
     if [q * norm for q in q_re] != re or [q * norm for q in q_im] != im:
         raise ArithmeticError(
-            f"division by GaussianInteger({divisor_re}, {divisor_im}) is not exact in Z[i]")
+            f"division by {divisor_re}{divisor_im:+}i is not exact in Z[i]")
     return q_re, q_im
-
-
-class GaussianIntegerPolynomial:
-    """Element of Z[i][zeta] (or Z[i][t]): a polynomial with Gaussian-integer
-    coefficients.
-
-    Its uses: ``proofs._curve_char_coeffs`` returns the coefficients of a
-    curve's characteristic polynomial as these, read off by Kronecker
-    substitution (see :class:`GaussianInteger`), and
-    ``proofs.order_of_vanishing`` sums the t-derivative value from their
-    ``re`` and ``im`` lists; ``canonical.jordan_to_frobenius`` multiplies out
-    the invariant factors over Z[i][t].
-
-    ``re`` and ``im`` are equally long ascending int lists of the real and
-    imaginary parts of the coefficients, trimmed so that the top coefficient
-    is nonzero; zero is the pair of empty lists.  The constructor trims and
-    keeps the lists it is given, and no operation writes them after that.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: list, im: list):
-        while re and not re[-1] and not im[-1]:
-            re.pop()
-            im.pop()
-        self.re = re
-        self.im = im
-
-    def __bool__(self) -> bool:
-        return bool(self.re)
-
-    def __mul__(self, other: "GaussianIntegerPolynomial") -> "GaussianIntegerPolynomial":
-        ar, ai, br, bi = self.re, self.im, other.re, other.im
-        if not ar or not br:
-            return GaussianIntegerPolynomial([], [])
-        if len(ar) > len(br):
-            ar, ai, br, bi = br, bi, ar, ai
-        # Z[i] has no zero divisors, so the top coefficient stays nonzero;
-        # real or imaginary coefficients of the shorter factor skip two products
-        size = len(ar) + len(br) - 1
-        re = [0] * size
-        im = [0] * size
-        for i, (a, b) in enumerate(zip(ar, ai)):
-            if a and b:
-                for j, (c, d) in enumerate(zip(br, bi)):
-                    re[i + j] += a * c - b * d
-                    im[i + j] += a * d + b * c
-            elif a:
-                for j, (c, d) in enumerate(zip(br, bi)):
-                    re[i + j] += a * c
-                    im[i + j] += a * d
-            elif b:
-                for j, (c, d) in enumerate(zip(br, bi)):
-                    re[i + j] -= b * d
-                    im[i + j] += b * c
-        return GaussianIntegerPolynomial(re, im)
-
-    def __repr__(self) -> str:
-        return f"GaussianIntegerPolynomial({self.re}, {self.im})"
 
 
 def to_gaussian_integers(rows) -> tuple[int, list, list]:
@@ -396,11 +292,11 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
             [[x * (d // den) for x, den in row] for row in im_rows])
 
 
-def clear_denominator(x: GaussianRational) -> tuple[int, GaussianInteger]:
-    """(e, a) with x = a / e, e the lcm of the denominators of x's parts:
-    :func:`to_gaussian_integers` of the 1x1 matrix [[x]]."""
+def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
+    """(e, re, im) with x = (re + i*im) / e, e the lcm of the denominators of
+    x's parts: :func:`to_gaussian_integers` of the 1x1 matrix [[x]]."""
     e, ((re,),), ((im,),) = to_gaussian_integers(((x,),))
-    return e, GaussianInteger(re, im)
+    return e, re, im
 
 
 _FRACTION_ZERO = Fraction(0)

@@ -10,13 +10,7 @@ import time
 
 import pytest
 
-from symrank.canonical import (
-    JordanSpec,
-    build_jordan,
-    jordan_to_frobenius,
-    min_poly_degree,
-    random_similarity,
-)
+from symrank.canonical import build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, SweepConfig, enumerate_jordan_specs, run_sweep
 from symrank.jacobian import jacobian_exact, jacobian_fd, rank_exact, directional_derivative
 from symrank.matpoly import SquareMatrix, symmetrize, sym_poly_eval

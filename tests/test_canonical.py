@@ -310,8 +310,14 @@ def reference_jordan_to_frobenius(spec):
     return FrobeniusSpec(tuple(reversed(factors)))
 
 
-@pytest.mark.parametrize("pool", [DEFAULT_POOL, (gq(0), gq("1/2"), gq("1/3", "2/5"))],
-                         ids=["default", "rational"])
+@pytest.mark.parametrize("pool", [
+    DEFAULT_POOL,
+    (gq(0), gq("1/2"), gq("1/3", "2/5")),
+    # complex, parts of at least 2^64, denominators > 1
+    (gq(f"{3 * 2 ** 64 + 1}/3", f"{-5 * 2 ** 65 - 3}/5"),
+     gq(f"{-(2 ** 70) - 1}/6", f"{2 ** 66 + 1}/4"),
+     gq(f"{11 * 2 ** 64 + 7}/11", f"{13 * 2 ** 64 + 1}/13")),
+], ids=["default", "rational", "big"])
 def test_jordan_to_frobenius_matches_polynomial_powers(pool):
     for n in range(1, 6):
         for spec in enumerate_jordan_specs(n, pool):
@@ -403,8 +409,8 @@ def _entries_digest(M):
 
 
 def test_random_similarity_matches_recorded_matrices():
-    """Conjugates recorded from the GaussianInteger-list kernel, which the
-    split-row shears must reproduce exactly (sha256 of the compact JSON
+    """Conjugates recorded from an earlier kernel that held each Z[i] entry as
+    one object, which the split-row shears must reproduce exactly (sha256 of the compact JSON
     entries)."""
     mixed = JordanSpec.of({gq("1/2", "-2/3"): [2], gq(0, 1): [1], gq(2): [1]})
     six = JordanSpec.of({gq(-1): [1], gq(0, 1): [2], gq("1/3"): [1], gq(2): [2]})

@@ -14,7 +14,6 @@ from symrank.cli import (
     DEFAULT_POOL,
     MODES,
     SweepConfig,
-    SweepReport,
     compositions,
     enumerate_jordan_specs,
     integer_partitions,
@@ -510,6 +509,26 @@ def test_cli_field_float_promotes_exact_matrix(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["field"] == "float"
     assert out["values"] == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("entry", [[f"{10 ** 400}/1", "0/1"], ["1/2", f"-{10 ** 401}/3"]],
+                         ids=["re", "im"])
+@pytest.mark.parametrize("command", ["gen", "pi", "rank", "jacobian", "minpoly"])
+def test_cli_field_float_out_of_range_exits_2(tmp_path, capsys, command, entry):
+    # an exact entry past the float range cannot be converted for --field float
+    if command == "gen":
+        argv = ["gen", "--spec", json.dumps({"n": 1, "blocks": [{"eigenvalue": entry,
+                                                                  "sizes": [1]}]})]
+    else:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"n": 1, "field": "exact", "entries": [[entry]]}))
+        argv = [command, str(path)]
+    assert main(argv + ["--field", "float"]) == 2
+    captured = capsys.readouterr()
+    assert "--field float" in captured.err and "float range" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    # the exact field takes the same input
+    assert main(argv) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symrank.canonical import JordanSpec, build_jordan, random_similarity
+from symrank.canonical import build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import (
     MatrixPolynomial,
@@ -529,16 +529,16 @@ def test_charpoly_split_rows_match_generic_loop(n):
     rng = random.Random(1200 + n)
     for rows in _split_oracle_cases(rng, n):
         d, re, im = to_gaussian_integers(rows)
-        coeffs, adj = charpoly_in_ring(re, im)
+        (c_re, c_im), adj = charpoly_in_ring(re, im)
         # the generic loop over Gaussian rationals, on D*M itself ...
         ref_coeffs, ref_adj = reference_charpoly(to_gaussian_rationals(1, re, im), GQ_ZERO, GQ_ONE)
-        assert [gq(c.re, c.im) for c in coeffs] == ref_coeffs
+        assert [gq(x, y) for x, y in zip(c_re, c_im)] == ref_coeffs
         assert [to_gaussian_rationals(1, m_re, m_im) for m_re, m_im in adj] == [
             tuple(map(tuple, m)) for m in ref_adj]
         # ... and on M, unscaled: c_j(M) = c_j(DM) / D^(n-j), N_k(M) = N_k(DM) / D^(k-1)
         m_coeffs, m_adj = reference_charpoly(rows, GQ_ZERO, GQ_ONE)
-        assert [gq(Fraction(c.re, d ** (n - j)), Fraction(c.im, d ** (n - j)))
-                for j, c in enumerate(coeffs)] == m_coeffs
+        assert [gq(Fraction(x, d ** (n - j)), Fraction(y, d ** (n - j)))
+                for j, (x, y) in enumerate(zip(c_re, c_im))] == m_coeffs
         for k, ((m_re, m_im), ref) in enumerate(zip(adj, m_adj), 1):
             assert to_gaussian_rationals(d ** (k - 1), m_re, m_im) == tuple(map(tuple, ref))
 

@@ -383,11 +383,15 @@ def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
 
 
 def _unscaled(d: int, coeffs) -> list:
-    """c_p(Phi) = D^p c_p(D*Phi) / D^n as Gaussian-rational polynomials."""
+    """c_p(Phi) = D^p c_p(D*Phi) / D^n as Gaussian-rational polynomials, from
+    split digit pairs that must be equally long and trimmed."""
     n = len(coeffs) - 1
-    return [Polynomial(tuple(gq(Fraction(re * d ** p, d ** n), Fraction(im * d ** p, d ** n))
-                             for re, im in zip(c.re, c.im)))
-            for p, c in enumerate(coeffs)]
+    for re, im in coeffs:
+        assert len(re) == len(im)
+        assert not re or re[-1] or im[-1]
+    return [Polynomial(tuple(gq(Fraction(x * d ** p, d ** n), Fraction(y * d ** p, d ** n))
+                             for x, y in zip(re, im)))
+            for p, (re, im) in enumerate(coeffs)]
 
 
 def _oracle_curves(spec, rng):
