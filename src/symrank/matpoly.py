@@ -39,6 +39,7 @@ from .scalars import (
     FLOAT,
     GaussianRational,
     NumericFailure,
+    balanced_splitter,
     coerce_scalar,
     exact_quotients,
     field_one,
@@ -467,51 +468,76 @@ def charpoly_in_ring(a_re: list, a_im: list):
     :func:`symrank.scalars.to_gaussian_integers` returns.  coeffs is the
     split pair (re, im) of the ascending int lists c_0..c_n of det(tI - A),
     and adj is [N_1, ..., N_n], each N_k a split pair, with
-    adj(tI - A) = sum_k N_k t^(n-k).  The recursion only divides by k = 1..n;
-    every ``/ k`` is checked and raises ArithmeticError if it leaves a
-    remainder.
+    adj(tI - A) = sum_k N_k t^(n-k).  Step 1 reads A N_1 = A.  Unless A is
+    sparse, steps k = 2..n-1 pack each row of N_k into one int per part, with
+    digit width w, 2^(w-1) > 2 (nL)^k for L the largest |Re| + |Im| in A;
+    form row i of A N_k as sum_j a_ij P_j on the packed rows; and split it
+    into balanced digits, its entries (the packing argument in
+    :mod:`symrank.scalars`).  Step n forms only the trace of A N_n.  Every
+    ``/ k`` is checked and raises ArithmeticError if it leaves a remainder.
     """
     n = len(a_re)
     # A stays fixed and is often sparse: per row, (column, re, im) of its
     # nonzero entries
     support = [[(j, x, y) for j, (x, y) in enumerate(zip(row_re, row_im)) if x or y]
                for row_re, row_im in zip(a_re, a_im)]
-    c_re = [0] * n + [1]
-    c_im = [0] * (n + 1)
+    nl = n * max([abs(x) + abs(y) for row in support for _, x, y in row], default=1)
+    c_re, c_im = [0] * n + [1], [0] * (n + 1)
     m_re = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     m_im = [[0] * n for _ in range(n)]
-    adj = []
-    for k in range(1, n + 1):
-        adj.append((m_re, m_im))
-        if k == n:
-            # only the trace of A N_n is needed, for c_0
-            tr_re = tr_im = 0
-            for i, row in enumerate(support):
-                for j, x, y in row:
-                    u, v = m_re[j][i], m_im[j][i]
-                    tr_re += x * u - y * v
-                    tr_im += x * v + y * u
-        else:
+    adj = [(m_re, m_im)]
+    am_re, am_im = [row[:] for row in a_re], [row[:] for row in a_im]  # A N_1 = A
+    # packing costs O(n^2) a step: a sparse A (Jordan: < 2n entries) is not packed
+    packed = sum(map(len, support)) > 3 * n
+    power = 1  # (nL)^k
+    for k in range(1, n):
+        power *= nl
+        if k > 1 and not packed:
             am_re, am_im = [], []
             for row in support:
-                out_re = [0] * n
-                out_im = [0] * n
+                out_re, out_im = [0] * n, [0] * n
                 for j, x, y in row:
                     u_row, v_row = m_re[j], m_im[j]
                     out_re = [s + x * u - y * v for s, u, v in zip(out_re, u_row, v_row)]
                     out_im = [s + x * v + y * u for s, u, v in zip(out_im, u_row, v_row)]
                 am_re.append(out_re)
                 am_im.append(out_im)
-            tr_re = sum(am_re[i][i] for i in range(n))
-            tr_im = sum(am_im[i][i] for i in range(n))
+        elif k > 1:
+            w = (2 * power).bit_length() + 1
+            split = balanced_splitter(w, n)
+            p_re, p_im = [], []
+            for row_re, row_im in zip(m_re, m_im):
+                u = v = 0
+                for x, y in zip(reversed(row_re), reversed(row_im)):
+                    u, v = (u << w) + x, (v << w) + y
+                p_re.append(u)
+                p_im.append(v)
+            am_re, am_im = [], []
+            for row in support:
+                s_re = s_im = 0
+                for j, x, y in row:
+                    u, v = p_re[j], p_im[j]
+                    s_re += x * u - y * v
+                    s_im += x * v + y * u
+                am_re.append(split(s_re))
+                am_im.append(split(s_im))
+        tr_re = sum(am_re[i][i] for i in range(n))
+        tr_im = sum(am_im[i][i] for i in range(n))
         (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], k)
-        c_re[n - k] = -q_re
-        c_im[n - k] = -q_im
-        if k < n:
-            for i in range(n):
-                am_re[i][i] -= q_re
-                am_im[i][i] -= q_im
-            m_re, m_im = am_re, am_im
+        c_re[n - k], c_im[n - k] = -q_re, -q_im
+        for i in range(n):
+            am_re[i][i] -= q_re
+            am_im[i][i] -= q_im
+        m_re, m_im = am_re, am_im
+        adj.append((m_re, m_im))
+    tr_re = tr_im = 0
+    for i, row in enumerate(support):
+        for j, x, y in row:
+            u, v = m_re[j][i], m_im[j][i]
+            tr_re += x * u - y * v
+            tr_im += x * v + y * u
+    (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], n)
+    c_re[0], c_im[0] = -q_re, -q_im
     return (c_re, c_im), adj
 
 

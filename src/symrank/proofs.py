@@ -46,6 +46,7 @@ from .scalars import (
     EXACT,
     GQ_ZERO,
     GaussianRational,
+    balanced_splitter,
     clear_denominator,
     coerce_scalar,
     field_one,
@@ -472,21 +473,6 @@ def linear_curve(B: SquareMatrix, M: SquareMatrix) -> MatrixPolynomial:
     return MatrixPolynomial((B, M))
 
 
-def _balanced_digits(value: int, w: int, count: int) -> list:
-    """The digits r_0..r_(count-1), each in [-2^(w-1), 2^(w-1)), of
-    value = sum_q r_q 2^(q*w); raises ArithmeticError if count digits do not
-    exhaust value."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    digits = []
-    for _ in range(count):
-        digit = ((value + half) & mask) - half
-        digits.append(digit)
-        value = (value - digit) >> w
-    if value:
-        raise ArithmeticError(f"{count} base-2^{w} digits leave {value}")
-    return digits
-
-
 def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
     """(D, c): D the common denominator of the curve's coefficient matrices,
     c_0..c_n the coefficients of det(tI - D*Phi) over Z[i][zeta], so that
@@ -506,30 +492,27 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
     d, scaled_re, scaled_im = to_gaussian_integers(
         [row for c in curve.coefficients for row in c.entries])
     # row q*n + i of the split rows is row i of D*M_q, the zeta^q coefficient
-    # matrix
-    l1 = max(sum(abs(scaled_re[q * n + i][j]) + abs(scaled_im[q * n + i][j])
-                 for q in range(terms))
-             for i in range(n) for j in range(n))
+    # matrix; norms[i][j] sums the l1 norms of entry (i, j) over q
+    norms = [[0] * n for _ in range(n)]
+    for r, (row_re, row_im) in enumerate(zip(scaled_re, scaled_im)):
+        norms[r % n] = [s + abs(x) + abs(y) for s, x, y in zip(norms[r % n], row_re, row_im)]
+    l1 = max(map(max, norms))
     w = ((n * max(l1, 1)) ** n).bit_length() + 1
 
     def at_x(scaled):
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                value = 0
-                for q in range(terms - 1, -1, -1):
-                    value = (value << w) + scaled[q * n + i][j]
-                row.append(value)
-            out.append(row)
+        # Horner in X over the blocks of n rows, top zeta-power first
+        out = scaled[(terms - 1) * n:]
+        for q in range(terms - 2, -1, -1):
+            out = [[(u << w) + x for u, x in zip(top, row)]
+                   for top, row in zip(out, scaled[q * n:(q + 1) * n])]
         return out
 
     (c_re, c_im), _ = charpoly_in_ring(at_x(scaled_re), at_x(scaled_im))
     coeffs = []
     for p, (x, y) in enumerate(zip(c_re, c_im)):
         # deg c_p <= (n - p) * deg Phi
-        count = (n - p) * (terms - 1) + 1
-        re, im = _balanced_digits(x, w, count), _balanced_digits(y, w, count)
+        split = balanced_splitter(w, (n - p) * (terms - 1) + 1)
+        re, im = split(x), split(y)
         while re and not re[-1] and not im[-1]:
             re.pop()
             im.pop()

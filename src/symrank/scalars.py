@@ -60,9 +60,23 @@ n^s L^s <= (nL)^n (for L >= 1).  With X = 2^w and 2^(w-1) > (nL)^n, those
 parts are therefore the unique balanced base-X digits, each in
 [-X/2, X/2), of the real and imaginary parts of c_p(X).
 
+A fifth argument, a bound of the same kind, packs the rows of each N_k
+into one int per part (``matpoly.charpoly_in_ring``).  With L the largest
+|z|_1 of an entry of A (at least 1), c_(n-j) is a signed sum of the
+n!/(n-j)! <= n^j products of j entries in the principal j-minors, so
+|c_(n-j)|_1 <= (nL)^j; and |(A^m)_ab|_1 <= n^(m-1) L^m = (nL)^m / n for
+m >= 1.  From N_k = sum_(j<k) c_(n-j) A^(k-1-j), every entry of N_k is at
+most (nL)^(k-1) (1 + (k-1)/n) < 2 (nL)^(k-1), and every entry of A N_k at
+most nL times that, 2 (nL)^k.  Row i of A N_k is sum_j a_ij P_j with P_j
+= sum_c N_k[j][c] X^c the packed row j of N_k, one identity of integers
+per part; with X = 2^w and 2^(w-1) > 2 (nL)^k, the balanced base-X digits
+of each part are the parts of the row's entries.  Every ``/ k`` stays
+checked by :func:`exact_quotients`.
+
 A nonzero remainder therefore means a bug: :func:`exact_quotients`, the
 one division of the kernels, raises ``ArithmeticError`` instead of
-rounding, and so does a digit split that leaves a remainder.
+rounding, and so does a digit split (:func:`balanced_splitter`) that
+leaves a remainder.
 
 All values are immutable and safe to share between threads.
 """
@@ -257,6 +271,23 @@ def exact_quotients(re: list, im: list, divisor_re: int, divisor_im: int = 0) ->
         raise ArithmeticError(
             f"division by {divisor_re}{divisor_im:+}i is not exact in Z[i]")
     return q_re, q_im
+
+
+def balanced_splitter(w: int, count: int):
+    """value -> [r_0, ..., r_(count-1)], each r_q in [-2^(w-1), 2^(w-1)), with
+    value = sum_q r_q 2^(q*w); ArithmeticError if count digits cannot hold
+    value.  Half a digit added at every position makes them plain digits."""
+    half, mask, top = 1 << (w - 1), (1 << w) - 1, count * w
+    shifts = range(0, top, w)
+    offset = sum(half << s for s in shifts)
+
+    def split(value: int) -> list:
+        value += offset
+        if value < 0 or value >> top:
+            raise ArithmeticError(f"{count} base-2^{w} digits do not hold {value - offset}")
+        return [((value >> s) & mask) - half for s in shifts]
+
+    return split
 
 
 def to_gaussian_integers(rows) -> tuple[int, list, list]:

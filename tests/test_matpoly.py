@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symrank.canonical import build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
@@ -560,3 +561,117 @@ def test_charpoly_split_refuses_an_inexact_division(monkeypatch):
     monkeypatch.setattr(matpoly, "exact_quotients", off_by_one)
     with pytest.raises(ArithmeticError):
         charpoly_in_ring(*rows)
+
+
+class _Zi:
+    """A Gaussian integer for ``reference_charpoly``: +, *, unary minus, and
+    a division by an int that fails the test if it leaves a remainder."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        return _Zi(self.re + other.re, self.im + other.im)
+
+    def __mul__(self, other):
+        return _Zi(self.re * other.re - self.im * other.im,
+                   self.re * other.im + self.im * other.re)
+
+    def __neg__(self):
+        return _Zi(-self.re, -self.im)
+
+    def __truediv__(self, k):
+        (q_re, r_re), (q_im, r_im) = divmod(self.re, k), divmod(self.im, k)
+        assert not r_re and not r_im
+        return _Zi(q_re, q_im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _assert_kernel_matches_reference(re, im):
+    """charpoly_in_ring on split rows against the generic loop over _Zi."""
+    (c_re, c_im), adj = charpoly_in_ring(re, im)
+    rows = [[_Zi(x, y) for x, y in zip(row_re, row_im)] for row_re, row_im in zip(re, im)]
+    ref_coeffs, ref_adj = reference_charpoly(rows, _Zi(0), _Zi(1))
+    assert c_re == [z.re for z in ref_coeffs]
+    assert c_im == [z.im for z in ref_coeffs]
+    assert adj == [([[z.re for z in row] for row in m], [[z.im for z in row] for row in m])
+                   for m in ref_adj]
+
+
+@st.composite
+def _split_matrices(draw):
+    """Dense, sparse, real or purely imaginary split rows, n = 1..12, parts
+    up to 2^80 in absolute value."""
+    n = draw(st.sampled_from(range(1, 13)))
+    bits = draw(st.sampled_from([1, 4, 16, 40, 64, 80]))
+    part = st.integers(-(2 ** bits), 2 ** bits)
+    entry = draw(st.sampled_from([
+        st.tuples(part, part),
+        st.one_of(st.just((0, 0)), st.tuples(part, part)),
+        st.tuples(part, st.just(0)),
+        st.tuples(st.just(0), part),
+    ]))
+    cells = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    re = [[x for x, _ in cells[i * n:(i + 1) * n]] for i in range(n)]
+    im = [[y for _, y in cells[i * n:(i + 1) * n]] for i in range(n)]
+    return re, im
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_split_matrices())
+def test_charpoly_in_ring_matches_reference_property(rows):
+    _assert_kernel_matches_reference(*rows)
+
+
+def _growth_cases(n):
+    """Named split rows whose entries of A N_k grow with large parts: every
+    packed step must pick a digit width that holds them."""
+    big, coeff = 2 ** 40, 2 ** 30
+    zeros = [[0] * n for _ in range(n)]
+    jordan = [[big if i == j else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    # companion matrix of t^n + sum_j c_j t^j, c_j = +-2^30
+    companion = [[1 if i == j + 1 else 0 for j in range(n - 1)] + [(-1) ** i * coeff]
+                 for i in range(n)]
+    return {
+        "all L": ([[big] * n for _ in range(n)], zeros),
+        "all L(1+i)": ([[big] * n for _ in range(n)], [[big] * n for _ in range(n)]),
+        "nilpotent upper": ([[big if j > i else 0 for j in range(n)] for i in range(n)], zeros),
+        "jordan 2^40": (jordan, zeros),
+        "companion 2^30": (companion, zeros),
+    }
+
+
+def _dense_conjugate(rows):
+    """S A S^-1 for S = LUL, L the lower triangle of ones and U = L^T, with
+    L^-1 = I - (ones on the subdiagonal): the same characteristic
+    polynomial, with a Jordan or companion A made dense enough for the
+    packed steps."""
+    n = len(rows)
+    lo = [[1 if i >= j else 0 for j in range(n)] for i in range(n)]
+    lo_inv = [[1 if i == j else -1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    def transpose(a):
+        return [list(col) for col in zip(*a)]
+
+    for s, s_inv in ((lo, lo_inv), (transpose(lo), transpose(lo_inv)), (lo, lo_inv)):
+        rows = mul(mul(s, rows), s_inv)
+    return rows
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("case", ["all L", "all L(1+i)", "nilpotent upper", "jordan 2^40",
+                                  "companion 2^30"])
+def test_charpoly_in_ring_growth_cases_match_reference(case, n, conjugated):
+    re, im = _growth_cases(n)[case]
+    if conjugated:
+        re, im = _dense_conjugate(re), _dense_conjugate(im)
+    _assert_kernel_matches_reference(re, im)

@@ -43,7 +43,7 @@ from symrank.proofs import (
     tangent_ok,
     verify_annihilation,
 )
-from symrank.scalars import EXACT, gq, random_gaussian_rational
+from symrank.scalars import EXACT, balanced_splitter, gq, random_gaussian_rational
 from tests.test_jacobian import reference_eliminate
 from tests.test_matpoly import laplace_det, reference_charpoly
 
@@ -438,9 +438,13 @@ def test_balanced_digits_round_trip_and_refuse_a_remainder():
         w, count = rng.randint(2, 70), rng.randint(1, 6)
         digits = [rng.randrange(-2 ** (w - 1), 2 ** (w - 1)) for _ in range(count)]
         value = sum(digit << (q * w) for q, digit in enumerate(digits))
-        assert proofs._balanced_digits(value, w, count) == digits
-    with pytest.raises(ArithmeticError):
-        proofs._balanced_digits(1 << 8, 4, 2)
+        assert balanced_splitter(w, count)(value) == digits
+    # two base-16 digits hold exactly -136..119
+    split = balanced_splitter(4, 2)
+    assert split(119) == [7, 7] and split(-136) == [-8, -8]
+    for value in (120, -137, 1 << 8):
+        with pytest.raises(ArithmeticError):
+            split(value)
 
 
 def _kronecker_stress_curves(spec, rng):
