@@ -182,30 +182,30 @@ def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
 
 
 def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
-    """Central-difference oracle (pi(B + h E) - pi(B - h E)) / 2h per column."""
+    """Central-difference oracle (pi(B + h E) - pi(B - h E)) / 2h per column.
+
+    The 2n^2 matrices B +- h E_ij, bit for bit ``B +- basis(i, j).scale(h)``,
+    go through one :func:`symmetrize` call as a stack; the differences are
+    taken in Python complex arithmetic."""
+    import numpy as np
+
     if B.field != FLOAT:
         raise ValueError("finite differences require a float matrix")
     if not h > 0:
         raise ValueError("step h must be positive")
     n = B.n
-    step = complex(h)
+    base = B.to_numpy()
     # B + h*E_ij adds 0j to every other entry, which turns a -0.0 part into
     # 0.0; subtracting 0j changes nothing
-    plus_rows = tuple(tuple(x + 0j for x in row) for row in B.entries)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            plus = symmetrize(_replace_entry(plus_rows, i, j, plus_rows[i][j] + step))
-            minus = symmetrize(_replace_entry(B.entries, i, j, B.entries[i][j] - step))
-            cols.append(tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus)))
-    rows = tuple(tuple(col[k] for col in cols) for k in range(n))
-    return JacobianMatrix(n, FLOAT, rows)
-
-
-def _replace_entry(rows: tuple, i: int, j: int, value) -> SquareMatrix:
-    row = list(rows[i])
-    row[j] = value
-    return SquareMatrix(len(rows), FLOAT, rows[:i] + (tuple(row),) + rows[i + 1:])
+    stack = np.stack([base + 0j, base] * (n * n))
+    direction = np.arange(n * n)
+    entries = stack.reshape(n * n, 2, n * n)
+    entries[direction, 0, direction] += complex(h)
+    entries[direction, 1, direction] -= complex(h)
+    points = symmetrize(stack).tolist()
+    cols = [tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
+            for plus, minus in zip(points[0::2], points[1::2])]
+    return JacobianMatrix(n, FLOAT, tuple(zip(*cols)))
 
 
 def rank_exact(A) -> int:

@@ -19,11 +19,11 @@ runs over Gaussian integers on D*Phi(2^w), and the zeta-coefficients are read
 back as base-2^w digits (Kronecker substitution,
 ``proofs._curve_char_coeffs``), which is how ``proofs.order_of_vanishing``
 reads vanishing orders.  A float
-matrix runs the recursion in numpy, and ``char_poly`` and ``symmetrize``
-leave its adjugate unread: the finite-difference oracle calls them 2n^2 times
-per Jacobian.  numpy is imported inside the functions that compute in floats,
-so it is loaded on first float use and the exact paths need only the standard
-library.
+matrix, or a stack of them, runs the recursion in numpy; only
+``char_and_adjugate`` keeps the adjugate, and the finite-difference oracle
+symmetrizes its 2n^2 matrices as one stack.  numpy is imported inside the
+functions that compute in floats, so it is loaded on first float use and the
+exact paths need only the standard library.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -541,29 +541,35 @@ def charpoly_in_ring(a_re: list, a_im: list):
     return (c_re, c_im), adj
 
 
-def _charpoly_float(a: np.ndarray):
+def _charpoly_float(a: np.ndarray, keep_adjugate: bool = False):
     """The Faddeev-LeVerrier recursion of :func:`charpoly_in_ring` in complex
-    floats: (coeffs, adj), coeffs[j] = c_j and adj[k - 1] = N_k.
+    floats, on one matrix or a stack of shape (..., n, n): (coeffs, adj),
+    coeffs[..., j] = c_j of each matrix.
 
-    Raises NumericFailure iff a coefficient or some N_k is not finite.
+    With ``keep_adjugate``, adj[k - 1] = N_k, of a's shape; otherwise adj is
+    None and only the current N_k is held.  Raises NumericFailure iff some
+    matrix has a coefficient or an N_k that is not finite.
     """
     import numpy as np
 
-    n = a.shape[0]
-    # the coefficients and N_1..N_n share one buffer, so one test covers both
-    buf = np.empty(n + 1 + n ** 3, dtype=complex)
-    coeffs, adj = buf[:n + 1], buf[n + 1:].reshape(n, n, n)
-    coeffs[n] = 1.0
+    n = a.shape[-1]
+    coeffs = np.empty(a.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
     eye = np.eye(n, dtype=complex)
-    adj[0] = eye
+    mk, adj = eye, None
+    if keep_adjugate:
+        adj = np.empty((n,) + a.shape, dtype=complex)
+        adj[0] = eye
     with np.errstate(all="ignore"):
         for k in range(1, n + 1):
-            am = a @ adj[k - 1]
-            ck = -am.trace() / k
-            coeffs[n - k] = ck
+            am = a @ mk
+            ck = -np.trace(am, axis1=-2, axis2=-1) / k
+            coeffs[..., n - k] = ck
             if k < n:
-                np.add(am, ck * eye, out=adj[k])
-    if not np.isfinite(buf).all():
+                mk = np.add(am, ck[..., None, None] * eye, out=None if adj is None else adj[k])
+                if adj is None and not np.isfinite(mk).all():
+                    raise NumericFailure("characteristic polynomial overflowed")
+    if not np.isfinite(coeffs).all() or (adj is not None and not np.isfinite(adj).all()):
         raise NumericFailure("characteristic polynomial overflowed")
     return coeffs, adj
 
@@ -585,7 +591,7 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     """Characteristic polynomial of M together with adj(tI - M)."""
     n, field = M.n, M.field
     if field == FLOAT:
-        coeffs, adj = _charpoly_float(M.to_numpy())
+        coeffs, adj = _charpoly_float(M.to_numpy(), keep_adjugate=True)
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
     d, (c_re, c_im), adj = _scaled_char_and_adjugate(M)
@@ -615,14 +621,34 @@ def adjugate_poly(M: SquareMatrix) -> MatrixPolynomial:
     return char_and_adjugate(M)[1]
 
 
-def symmetrize(M: SquareMatrix) -> SymPoint:
-    """(sigma_1(M), ..., sigma_n(M)): the symmetrization map applied to M."""
-    p = char_poly(M)
-    n = M.n
-    return tuple(
-        p.coefficient(n - j) if j % 2 == 0 else -p.coefficient(n - j)
-        for j in range(1, n + 1)
-    )
+def symmetrize(M: SquareMatrix | np.ndarray) -> SymPoint | np.ndarray:
+    """(sigma_1(M), ..., sigma_n(M)): the symmetrization map applied to M.
+
+    M is a SquareMatrix, or a complex128 ndarray stack of shape (k, n, n),
+    1 <= n <= MAX_N, whose k matrices run through one float recursion; the
+    stack gives the (k, n) array of their points, bit for bit the points of
+    its matrices taken one at a time.
+    """
+    if isinstance(M, SquareMatrix):
+        p = char_poly(M)
+        n = M.n
+        return tuple(
+            p.coefficient(n - j) if j % 2 == 0 else -p.coefficient(n - j)
+            for j in range(1, n + 1)
+        )
+    import numpy as np
+
+    if not (isinstance(M, np.ndarray) and M.dtype == np.complex128 and M.ndim == 3
+            and M.shape[1] == M.shape[2] and 1 <= M.shape[2] <= MAX_N):
+        raise ValueError("expected a SquareMatrix or a complex128 stack of shape (k, n, n), "
+                         f"1 <= n <= MAX_N = {MAX_N}; got {type(M).__name__} "
+                         f"{getattr(M, 'dtype', '')} {getattr(M, 'shape', '')}")
+    n = M.shape[2]
+    coeffs, _ = _charpoly_float(M)
+    # sigma_j = (-1)^j c_(n-j); np.negative flips signs exactly, zeros included
+    points = coeffs[:, n - 1::-1]
+    np.negative(points[:, 0::2], out=points[:, 0::2])
+    return points
 
 
 def falling_factorial(p: int, k: int) -> int:

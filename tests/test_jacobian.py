@@ -32,6 +32,7 @@ from symrank.scalars import (
     FLOAT,
     GQ_ONE,
     GQ_ZERO,
+    NumericFailure,
     approx_eq,
     field_zero,
     gq,
@@ -40,7 +41,7 @@ from symrank.scalars import (
     to_gaussian_rationals,
 )
 from tests.test_canonical import gauss_rank
-from tests.test_matpoly import float_cases, laplace_det, reference_charpoly
+from tests.test_matpoly import OVERFLOW_ROWS, float_cases, laplace_det, reference_charpoly
 
 
 def directional_oracle(B, M):
@@ -213,24 +214,38 @@ def basis_step_fd(B, h, symmetrize=symmetrize):
 
 
 def test_jacobian_fd_bit_identical_to_basis_steps(monkeypatch):
-    # the perturbed matrices themselves match, signed zeros included, so the
+    # the stacked perturbed matrices are the matrices B +- basis(i, j).scale(h),
+    # in the same order and entry by entry, signed zeros included, so the
     # oracle stays the literal central difference of pi
     import symrank.jacobian as jacobian_module
 
-    def recorder(seen):
-        def record(M):
-            seen.append(repr(M))
-            return symmetrize(M)
-        return record
-
     for B in float_cases():
         for h in (1e-5, 0.25):
-            old, new = [], []
-            expected = basis_step_fd(B, h, recorder(old))
-            monkeypatch.setattr(jacobian_module, "symmetrize", recorder(new))
+            recorded, stacks = [], []
+
+            def record_matrix(M):
+                recorded.append(M.entries)
+                return symmetrize(M)
+
+            def record_stack(a):
+                stacks.append(a.copy())
+                return symmetrize(a)
+
+            expected = basis_step_fd(B, h, record_matrix)
+            monkeypatch.setattr(jacobian_module, "symmetrize", record_stack)
             assert repr(jacobian_fd(B, h)) == repr(expected)
             monkeypatch.undo()
-            assert new == old
+            (stack,) = stacks
+            assert stack.shape == (len(recorded), B.n, B.n)
+            for a, entries in zip(stack.tolist(), recorded):
+                for row, expected_row in zip(a, entries):
+                    assert [repr(x) for x in row] == [repr(x) for x in expected_row]
+
+
+@pytest.mark.parametrize("rows", OVERFLOW_ROWS)
+def test_jacobian_fd_overflow_raises(rows):
+    with pytest.raises(NumericFailure):
+        jacobian_fd(SquareMatrix.from_rows(rows, FLOAT), 1e-5)
 
 
 def test_jacobian_fd_rejects_bad_input():

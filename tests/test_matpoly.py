@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from symrank.canonical import build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import (
+    MAX_N,
     MatrixPolynomial,
     Polynomial,
     SquareMatrix,
@@ -494,16 +495,71 @@ def test_float_char_poly_and_adjugate_bit_identical_to_reference():
         assert repr(symmetrize(M)) == repr(sigma)
 
 
-@pytest.mark.parametrize("rows", [
+#: Float matrices whose recursion overflows.
+OVERFLOW_ROWS = [
     [[1e200, 0.0], [0.0, 1e200]],
     # N_3 overflows first (1e200 * 1e200 off the diagonal); c_3 follows as nan
     [[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]],
-])
+]
+
+
+@pytest.mark.parametrize("rows", OVERFLOW_ROWS)
 def test_float_overflow_raises_alike_with_and_without_adjugate(rows):
     M = SquareMatrix.from_rows(rows, FLOAT)
     for fn in (reference_char_and_adjugate_float, char_and_adjugate, char_poly, symmetrize):
         with pytest.raises(NumericFailure):
             fn(M)
+    # one overflowing matrix among finite ones fails the whole stack
+    n = M.n
+    stack = np.stack([np.eye(n, dtype=complex), M.to_numpy(), np.ones((n, n), dtype=complex)])
+    symmetrize(stack[::2])
+    with pytest.raises(NumericFailure):
+        symmetrize(stack)
+
+
+def random_signed_zero_stack(rng, k, n):
+    """k random complex n-by-n matrices whose parts are often +0.0 or -0.0."""
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+
+    def part():
+        return rng.choice(parts) if rng.random() < 0.6 else rng.uniform(-2, 2)
+
+    return np.array([[[complex(part(), part()) for _ in range(n)] for _ in range(n)]
+                     for _ in range(k)], dtype=complex)
+
+
+def test_stacked_symmetrize_bit_identical_to_one_at_a_time():
+    rng = random.Random(78)
+    stacks = []
+    by_size = {}
+    for M in float_cases():
+        by_size.setdefault(M.n, []).append(M.to_numpy())
+    stacks.extend(np.stack(arrays) for arrays in by_size.values())
+    for n in range(1, 9):
+        for k in (1, 2, 2 * n * n):
+            stacks.append(random_signed_zero_stack(rng, k, n))
+    for stack in stacks:
+        n = stack.shape[-1]
+        points = symmetrize(stack)
+        assert points.shape == (len(stack), n)
+        for a, point in zip(stack, points.tolist()):
+            M = SquareMatrix(n, FLOAT, tuple(map(tuple, a.tolist())))
+            assert repr(tuple(point)) == repr(symmetrize(M))
+
+
+@pytest.mark.parametrize("stack", [
+    np.zeros((2, 3, 3)),                                 # real
+    np.zeros((2, 3, 3), dtype=np.complex64),             # not complex128
+    np.zeros((3, 3), dtype=complex),                     # one matrix, not a stack
+    np.zeros((1, 2, 3, 3), dtype=complex),
+    np.zeros((2, 3, 4), dtype=complex),
+    np.zeros((2, 0, 0), dtype=complex),
+    np.zeros((1, MAX_N + 1, MAX_N + 1), dtype=complex),
+    [[[1j]]],                                            # not an ndarray
+])
+def test_symmetrize_rejects_bad_stacks(stack):
+    with pytest.raises(ValueError):
+        symmetrize(stack)
 
 
 def _split_oracle_cases(rng, n):
