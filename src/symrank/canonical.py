@@ -187,7 +187,6 @@ class JordanCombinatorics:
     multiplicity: int
     block_starts: tuple
     block_count: int
-    last_start: int
     largest_block: int
     orders: tuple
 
@@ -210,7 +209,6 @@ def jordan_combinatorics(spec: JordanSpec, lam) -> JordanCombinatorics:
         multiplicity=m,
         block_starts=f0,
         block_count=len(sizes),
-        last_start=b_s,
         largest_block=m + 1 - b_s,
         orders=d,
     )
@@ -300,25 +298,27 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     import numpy as np
 
     a = M.to_numpy()
+    # column k is vec(M^k); I, M, ..., M^k are tested on the first k + 1
+    krylov = np.empty((n * n, n + 1), dtype=complex)
     power = np.eye(n, dtype=complex)
-    vecs = [power.ravel()]
+    krylov[:, 0] = power.ravel()
     for k in range(1, n + 1):
         with np.errstate(all="ignore"):
             power = a @ power
         if not np.isfinite(power).all():
             raise NumericFailure(f"matrix power M^{k} overflowed")
-        target = power.ravel()
-        stack = np.column_stack(vecs + [target])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        threshold = tol if tol is not None else max(stack.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+        krylov[:, k] = power.ravel()
         # I, M, ..., M^n are dependent (Cayley-Hamilton) whatever the
-        # tolerance; at n = 1 the stack even has fewer rows than columns
+        # tolerance, so step n takes no SVD; at n = 1 the stack would even
+        # have fewer rows than columns
+        if k < n:
+            stack = krylov[:, :k + 1]
+            sv = np.linalg.svd(stack, compute_uv=False)
+            threshold = tol if tol is not None else max(stack.shape) * np.finfo(float).eps * sv[0]
         if k == n or sv[-1] <= threshold:
-            basis = np.column_stack(vecs)
-            combo, *_ = np.linalg.lstsq(basis, target, rcond=None)
+            combo, *_ = np.linalg.lstsq(krylov[:, :k], krylov[:, k], rcond=None)
             coeffs = [complex(-c) for c in combo] + [complex(1.0)]
             return Polynomial(tuple(coeffs), FLOAT)
-        vecs.append(target)
 
 
 def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:

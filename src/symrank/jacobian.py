@@ -9,16 +9,18 @@ every coefficient sigma_k.  Stacking the differentials over the n^2
 elementary directions gives an n-by-n^2 matrix whose column (i, j) sits at
 index i*n + j (0-based row-major vectorization); its rank is computed
 fraction-free over Gaussian integers in the exact field and via SVD
-thresholding in the float field.
+thresholding in the float field.  One reader, :func:`_trace_form_rows`,
+turns an adjugate into those rows: the Gaussian-rational or float adjugate
+of B for :func:`jacobian_exact`, and the real and imaginary parts of the
+Gaussian-integer adjugate of D*B for :func:`_scaled_jacobian`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
-from .matpoly import SquareMatrix, _scaled_char_and_adjugate, char_and_adjugate, symmetrize
+from .matpoly import SquareMatrix, char_and_adjugate, charpoly_in_ring, symmetrize
 from .scalars import (
     EXACT,
     FLOAT,
@@ -134,51 +136,40 @@ def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
     return tuple(out)
 
 
-def _adjugate_gradients(adj, k: int) -> tuple:
-    """Entry [i][j] is entry (j, i) of the t^(n-k) coefficient of adj(tI - B):
-    by the trace form, (-1)^(k+1) d sigma_k along E_ij.  adj(tI - B) has
-    degree n - 1 (its leading coefficient is I), so every k in 1..n has a
-    stored coefficient."""
-    return tuple(zip(*adj.coefficients[adj.n - k].entries))
+def _trace_form_rows(adj) -> list:
+    """Rows of the derivative at B read off adj(tI - B) = sum_k N_k t^(n-k)
+    by the trace form: adj gives N_1, ..., N_n as lists of rows, and row k
+    holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  A
+    negated exact zero equals itself; a float 0j becomes -0j."""
+    rows = []
+    for k, m in enumerate(adj, 1):
+        row = [x for col in zip(*m) for x in col]
+        rows.append(row if k % 2 else [-x for x in row])
+    return rows
 
 
 def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
     """Matrix of the symmetrization derivative at B over all n^2 directions.
 
     Column (i, j) equals directional_derivative(B, E_ij); the trace form
-    reduces that to reading entry (j, i) of the adjugate polynomial, so the
-    adjugate is computed once and reused for every column.
+    reduces that to reading entry (j, i) of the adjugate polynomial
+    (:func:`_trace_form_rows`), so the adjugate is computed once and reused
+    for every column.
     """
-    n = B.n
     _, adj = char_and_adjugate(B)
-    # an exact zero is its own negative, so it is kept; a float 0j negates to
-    # -0j, which `symrank jacobian` prints as -0.0
-    floats = B.field == FLOAT
-    rows = []
-    for k in range(1, n + 1):
-        row = tuple(itertools.chain.from_iterable(_adjugate_gradients(adj, k)))
-        if k % 2 == 0:
-            row = tuple(-tau if tau or floats else tau for tau in row)
-        rows.append(row)
-    return JacobianMatrix(n, B.field, tuple(rows))
+    rows = _trace_form_rows(m.entries for m in reversed(adj.coefficients))
+    return JacobianMatrix(B.n, B.field, tuple(map(tuple, rows)))
 
 
 def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
     """(D, re, im) over Z[i] for an exact B, D the common denominator of its
     entries and (re, im) split rows: row k is D^(k-1) times row k of
-    :func:`jacobian_exact`, read straight from the adjugate of D*B (see the
-    :mod:`symrank.scalars` docstring for why the scaling is sound)."""
-    d, _, adj = _scaled_char_and_adjugate(B)
-    rows_re, rows_im = [], []
-    for k, (m_re, m_im) in enumerate(adj, 1):
-        row_re = [x for col in zip(*m_re) for x in col]
-        row_im = [x for col in zip(*m_im) for x in col]
-        if k % 2 == 0:
-            row_re = [-x for x in row_re]
-            row_im = [-x for x in row_im]
-        rows_re.append(row_re)
-        rows_im.append(row_im)
-    return d, rows_re, rows_im
+    :func:`jacobian_exact`, read by :func:`_trace_form_rows` from the real and
+    the imaginary parts of the adjugate of D*B (see the :mod:`symrank.scalars`
+    docstring for why the scaling is sound)."""
+    d, re, im = to_gaussian_integers(B.entries)
+    _, adj = charpoly_in_ring(re, im)
+    return d, _trace_form_rows(m for m, _ in adj), _trace_form_rows(m for _, m in adj)
 
 
 def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:

@@ -129,9 +129,6 @@ class SquareMatrix:
             tuple(o if (a, b) == (i, j) else z for b in range(n)) for a in range(n)
         ))
 
-    def at(self, i: int, j: int):
-        return self.entries[i][j]
-
     def _check_compatible(self, other: "SquareMatrix") -> None:
         if not isinstance(other, SquareMatrix):
             raise TypeError("expected a SquareMatrix")
@@ -574,27 +571,22 @@ def _charpoly_float(a: np.ndarray, keep_adjugate: bool = False):
     return coeffs, adj
 
 
-def _scaled_char_and_adjugate(M: SquareMatrix) -> tuple[int, tuple, list]:
-    """(D, coeffs, adj) of the exact matrix D*M, D the common denominator of
-    M's entries: the Faddeev-LeVerrier recursion of :func:`charpoly_in_ring`
-    over Gaussian integers, coeffs and each N_k as split pairs.
-
-    det(tI - DM) = D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and
-    adj(tI - DM) = sum_k N_k(DM) t^(n-k) with N_k(M) = N_k(DM) / D^(k-1).
-    """
-    d, re, im = to_gaussian_integers(M.entries)
-    coeffs, adj = charpoly_in_ring(re, im)
-    return d, coeffs, adj
-
-
 def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
-    """Characteristic polynomial of M together with adj(tI - M)."""
+    """Characteristic polynomial of M together with adj(tI - M).
+
+    An exact M runs :func:`charpoly_in_ring` once on D*M, D the common
+    denominator of its entries, and is scaled back: det(tI - DM) =
+    D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and N_k(M) =
+    N_k(DM) / D^(k-1).  ``jacobian._trace_form_rows`` reads the derivative
+    of the symmetrization map off this adjugate, and off the scaled one.
+    """
     n, field = M.n, M.field
     if field == FLOAT:
         coeffs, adj = _charpoly_float(M.to_numpy(), keep_adjugate=True)
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
-    d, (c_re, c_im), adj = _scaled_char_and_adjugate(M)
+    d, re, im = to_gaussian_integers(M.entries)
+    (c_re, c_im), adj = charpoly_in_ring(re, im)
     (unscaled,) = to_gaussian_rationals(d ** n, [[x * d ** j for j, x in enumerate(c_re)]],
                                         [[y * d ** j for j, y in enumerate(c_im)]])
     poly = Polynomial(unscaled, field)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from symrank.canonical import (
@@ -21,7 +22,7 @@ from symrank.canonical import (
 )
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
-from symrank.scalars import EXACT, FLOAT, gq, random_gaussian_rational
+from symrank.scalars import EXACT, FLOAT, NumericFailure, gq, random_gaussian_rational
 
 
 def gauss_rank(rows):
@@ -210,6 +211,73 @@ def test_min_poly_krylov_float_mode():
     for got, want in zip(p.coefficients, (-8, 12, -6, 1)):
         assert abs(got - want) < 1e-8
     assert min_poly_krylov(SquareMatrix.zeros(3).to_float()).degree == 1
+
+
+def reference_min_poly_float(M, tol=None):
+    """The former float route of min_poly_krylov: a fresh column stack of
+    I, M, ..., M^k and its SVD at every k = 1..n, the last one included."""
+    n = M.n
+    a = M.to_numpy()
+    power = np.eye(n, dtype=complex)
+    vecs = [power.ravel()]
+    for k in range(1, n + 1):
+        with np.errstate(all="ignore"):
+            power = a @ power
+        if not np.isfinite(power).all():
+            raise NumericFailure(f"matrix power M^{k} overflowed")
+        target = power.ravel()
+        stack = np.column_stack(vecs + [target])
+        sv = np.linalg.svd(stack, compute_uv=False)
+        threshold = tol if tol is not None else max(stack.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+        if k == n or sv[-1] <= threshold:
+            basis = np.column_stack(vecs)
+            combo, *_ = np.linalg.lstsq(basis, target, rcond=None)
+            coeffs = [complex(-c) for c in combo] + [complex(1.0)]
+            return Polynomial(tuple(coeffs), FLOAT)
+        vecs.append(target)
+
+
+def float_min_poly_cases():
+    """Random complex matrices n = 1..8, float Jordan matrices with n <= 6
+    and their conjugates, one matrix whose powers overflow, one whose entries
+    are tiny, and a near-scalar one whose smallest singular value at k = 1
+    lies between (k + 1) = 2 and n^2 = 4 times eps * sigma_max, so that the
+    default threshold's factor decides it."""
+    rng = random.Random(860)
+    cases = []
+    for n in range(1, 9):
+        for _ in range(3):
+            cases.append(SquareMatrix.from_rows(
+                [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+                 for _ in range(n)], FLOAT))
+    for n in range(1, 7):
+        specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
+        for spec in specs if n <= 2 else rng.sample(specs, 8):
+            J = build_jordan(spec)
+            cases.append(J.to_float())
+            cases.append(random_similarity(J, rng.randrange(1000)).to_float())
+    cases.append(SquareMatrix.from_rows([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]],
+                                        FLOAT))
+    cases.append(SquareMatrix.from_rows([[1e-300, 2e-300j], [-3e-300, 0.5e-300]], FLOAT))
+    cases.append(SquareMatrix.from_rows([[1.0, 0.0], [0.0, 1.0 + 2.5e-15]], FLOAT))
+    return cases
+
+
+def test_float_min_poly_repr_identical_to_reference():
+    # one Krylov matrix filled in place gives the bits of the per-step stacks
+    def outcome(fn, M, tol):
+        try:
+            return repr(fn(M, tol))
+        except NumericFailure as exc:
+            return f"NumericFailure: {exc}"
+
+    overflowed = 0
+    for M in float_min_poly_cases():
+        for tol in (None, 0.0, 1e-8, 1e-3):
+            want = outcome(reference_min_poly_float, M, tol)
+            assert outcome(min_poly_krylov, M, tol) == want
+            overflowed += want.startswith("NumericFailure")
+    assert overflowed
 
 
 RATIONAL_POOL = (gq(0), gq("1/2"), gq("1/3", "2/5"), gq(-2, 1))

@@ -1,5 +1,6 @@
 """Exact derivative assembly, finite-difference oracles, and rank."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from symrank.canonical import JordanSpec, build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.jacobian import (
     JacobianMatrix,
-    _adjugate_gradients,
     _bareiss,
     _scaled_jacobian,
     directional_derivative,
@@ -446,7 +446,7 @@ def reference_directional_derivative(B, M):
     zero = field_zero(M.field)
     out = []
     for k in range(1, n + 1):
-        grads = _adjugate_gradients(adj, k)
+        grads = tuple(zip(*adj.coefficients[n - k].entries))
         tau = zero
         for j in range(n):
             for i in range(n):
@@ -457,6 +457,39 @@ def reference_directional_derivative(B, M):
                         tau = tau + x * y
         out.append(tau if k % 2 == 1 else -tau)
     return tuple(out)
+
+
+def reference_jacobian_exact(B):
+    """The former reader: the transposed t^(n-k) coefficient of the adjugate,
+    chained into row k, and every nonzero entry of an even row negated (a
+    float zero too)."""
+    n = B.n
+    _, adj = char_and_adjugate(B)
+    floats = B.field == FLOAT
+    rows = []
+    for k in range(1, n + 1):
+        row = tuple(itertools.chain.from_iterable(zip(*adj.coefficients[n - k].entries)))
+        if k % 2 == 0:
+            row = tuple(-tau if tau or floats else tau for tau in row)
+        rows.append(row)
+    return JacobianMatrix(n, B.field, tuple(rows))
+
+
+def test_jacobian_exact_matches_former_reader():
+    # negating an exact zero too leaves an equal zero that prints alike
+    rng = random.Random(840)
+    exact = []
+    for n in range(1, 7):
+        specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
+        for spec in specs if n <= 2 else rng.sample(specs, 6):
+            exact.append(build_jordan(spec))
+        exact.extend(_oracle_matrices(n, rng))
+    cases = exact + [B.to_float() for B in exact] + float_cases()
+    for B in cases:
+        got, want = jacobian_exact(B), reference_jacobian_exact(B)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert got.to_json() == want.to_json()
 
 
 def _oracle_matrices(n, rng):
