@@ -14,6 +14,7 @@ derived vanishing orders) feed the certificate generators in
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -227,7 +228,7 @@ def build_jordan(spec: JordanSpec) -> SquareMatrix:
                 if i + 1 < size:
                     rows[offset + i][offset + i + 1] = one
             offset += size
-    return SquareMatrix.from_rows(rows, EXACT)
+    return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
 
 
 def build_companion(p: Polynomial) -> SquareMatrix:
@@ -244,22 +245,25 @@ def build_companion(p: Polynomial) -> SquareMatrix:
         rows[i][i + 1] = one
     for j in range(m):
         rows[m - 1][j] = -p.coefficients[j]
-    return SquareMatrix.from_rows(rows, field)
+    if field != EXACT:
+        return SquareMatrix.from_rows(rows, field)
+    return SquareMatrix(m, EXACT, tuple(map(tuple, rows)))
 
 
 def build_frobenius(spec: FrobeniusSpec) -> SquareMatrix:
     """Block diagonal of companion matrices of the invariant factors."""
     n = spec.n
-    zero = field_zero(EXACT)
+    zero, one = field_zero(EXACT), field_one(EXACT)
     rows = [[zero] * n for _ in range(n)]
     offset = 0
     for p in spec.invariant_factors:
-        block = build_companion(p)
-        for i in range(block.n):
-            for j in range(block.n):
-                rows[offset + i][offset + j] = block.entries[i][j]
-        offset += block.n
-    return SquareMatrix.from_rows(rows, EXACT)
+        # p's companion block: superdiagonal ones, last row minus p's coefficients
+        m = p.degree
+        for i in range(offset, offset + m - 1):
+            rows[i][i + 1] = one
+        rows[offset + m - 1][offset:offset + m] = [-c if c else zero for c in p.coefficients[:m]]
+        offset += m
+    return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
 
 
 def min_poly_degree(spec: JordanSpec) -> int:
@@ -276,7 +280,10 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     characteristic polynomial over the one before it.  Float matrices give a
     degree estimate from the first linear dependence among I, M, M^2, ...:
     the dependence test uses a singular-value tolerance and the coefficients
-    come from least squares.
+    come from least squares.  The float test runs on M / 2^e, its largest
+    part scaled into [1/2, 1), so the degree does not depend on M's scale;
+    ``tol`` applies to that matrix.  Coefficient k of degree d is scaled back
+    by 2^(e(d - k)), exactly, and NumericFailure is raised if that overflows.
     """
     n = M.n
     if M.field == EXACT:
@@ -298,6 +305,12 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     import numpy as np
 
     a = M.to_numpy()
+    # the real and imaginary parts side by side; scaling them by a power of
+    # two is exact away from underflow
+    parts = a.view(float)
+    e = math.frexp(np.abs(parts).max())[1]
+    if e:
+        a = np.ldexp(parts, -e).view(complex)
     # column k is vec(M^k); I, M, ..., M^k are tested on the first k + 1
     krylov = np.empty((n * n, n + 1), dtype=complex)
     power = np.eye(n, dtype=complex)
@@ -318,6 +331,12 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
         if k == n or sv[-1] <= threshold:
             combo, *_ = np.linalg.lstsq(krylov[:, :k], krylov[:, k], rcond=None)
             coeffs = [complex(-c) for c in combo] + [complex(1.0)]
+            if e:
+                try:
+                    coeffs = [complex(math.ldexp(c.real, e * (k - j)), math.ldexp(c.imag, e * (k - j)))
+                              for j, c in enumerate(coeffs)]
+                except OverflowError:
+                    raise NumericFailure(f"minimal polynomial coefficient overflowed at scale 2^{e}") from None
             return Polynomial(tuple(coeffs), FLOAT)
 
 
@@ -330,6 +349,10 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     (e t - a)^s = e^s (t - lam)^s, so each factor is expanded over Z[i][t],
     as the split pair of its ascending int coefficient lists, and divided by
     the product of the e^s once at the end.
+
+    The spec skips ``FrobeniusSpec.__post_init__``: sizes descend by level,
+    so each factor divides the next, and each is monic (the e^s divide out)
+    of degree >= 1.
     """
     depth = max(len(blk.sizes) for blk in spec.blocks)
     linears = [(*clear_denominator(blk.eigenvalue), sorted(blk.sizes, reverse=True))
@@ -348,7 +371,9 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
                 scale *= e ** sizes_desc[level]
         (coeffs,) = to_gaussian_rationals(scale, [re], [im])
         factors.append(Polynomial(coeffs, EXACT))
-    return FrobeniusSpec(tuple(reversed(factors)))
+    spec = object.__new__(FrobeniusSpec)
+    object.__setattr__(spec, "invariant_factors", tuple(reversed(factors)))
+    return spec
 
 
 def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None,

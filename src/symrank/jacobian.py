@@ -24,6 +24,7 @@ from .matpoly import SquareMatrix, char_and_adjugate, charpoly_in_ring, symmetri
 from .scalars import (
     EXACT,
     FLOAT,
+    GQ_ZERO,
     NumericFailure,
     exact_quotients,
     field_zero,
@@ -125,26 +126,28 @@ def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
                for j in range(n) for i in range(n) if M.entries[i][j]]
     out = []
     for k, row in enumerate(jac.rows, 1):
-        # the sum runs over the unsigned trace-form entries and is signed at
-        # the end, so a float sum that cancels to zero keeps its sign
+        # a float sum runs over the unsigned trace-form entries and is signed
+        # at the end, so a sum that cancels to zero keeps its sign
+        unsign = k % 2 == 0 and M.field == FLOAT
         tau = zero
         for c, y in support:
             x = row[c]
             if x:
-                tau = tau + (x if k % 2 == 1 else -x) * y
-        out.append(tau if k % 2 == 1 else -tau)
+                tau = tau + (-x if unsign else x) * y
+        out.append(-tau if unsign else tau)
     return tuple(out)
 
 
 def _trace_form_rows(adj) -> list:
     """Rows of the derivative at B read off adj(tI - B) = sum_k N_k t^(n-k)
     by the trace form: adj gives N_1, ..., N_n as lists of rows, and row k
-    holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  A
-    negated exact zero equals itself; a float 0j becomes -0j."""
+    holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  An
+    exact zero (the shared ``GQ_ZERO``) is returned as itself, not negated;
+    a float 0j becomes -0j."""
     rows = []
     for k, m in enumerate(adj, 1):
         row = [x for col in zip(*m) for x in col]
-        rows.append(row if k % 2 else [-x for x in row])
+        rows.append(row if k % 2 else [x if x is GQ_ZERO else -x for x in row])
     return rows
 
 

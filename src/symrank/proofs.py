@@ -368,7 +368,7 @@ def tangent_direction(fspec: FrobeniusSpec, index: int) -> SquareMatrix:
     zero = field_zero(EXACT)
     rows = [[zero] * n for _ in range(n)]
     rows[n - 1][n - m + index - 1] = -field_one(EXACT)
-    return SquareMatrix.from_rows(rows, EXACT)
+    return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
 
 
 def tangent_construction(fspec: FrobeniusSpec) -> TangentCertificate:

@@ -11,7 +11,9 @@ as two lists of int rows, one of real and one of imaginary parts, which
 reads back.  Their inputs and outputs stay Gaussian rationals.  A single
 Gaussian integer (an eigenvalue, a pivot) is the int pair (re, im), and a
 vector or polynomial over Z[i] the pair of its int lists; each kernel writes
-the product (a + bi)(c + di) out on those ints.
+the product (a + bi)(c + di) out on those ints.  Every exact zero that
+:func:`to_gaussian_rationals` and :func:`field_zero` hand out is the one
+shared :data:`GQ_ZERO`, which the kernels read by identity, for free.
 
 Each division a kernel makes is exact in Z[i]:
 
@@ -300,6 +302,10 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
     for row in rows:
         re_row, im_row = [], []
         for x in row:
+            if x is GQ_ZERO:
+                re_row.append((0, 1))
+                im_row.append((0, 1))
+                continue
             if type(x) is GaussianRational:
                 re, re_den = x.re.as_integer_ratio()
                 im, im_den = x.im.as_integer_ratio()
@@ -325,9 +331,11 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
 
 def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
     """(e, re, im) with x = (re + i*im) / e, e the lcm of the denominators of
-    x's parts: :func:`to_gaussian_integers` of the 1x1 matrix [[x]]."""
-    e, ((re,),), ((im,),) = to_gaussian_integers(((x,),))
-    return e, re, im
+    x's parts."""
+    re, re_den = x.re.as_integer_ratio()
+    im, im_den = x.im.as_integer_ratio()
+    e = math.lcm(re_den, im_den)
+    return e, re * (e // re_den), im * (e // im_den)
 
 
 _FRACTION_ZERO = Fraction(0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from symrank.canonical import (
 )
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
+from symrank.proofs import tangent_direction
 from symrank.scalars import EXACT, FLOAT, NumericFailure, gq, random_gaussian_rational
 
 
@@ -165,6 +167,13 @@ def test_frobenius_json_round_trip():
     assert FrobeniusSpec.from_json(spec.to_json()) == spec
 
 
+def test_frobenius_from_json_rejects_a_non_dividing_chain():
+    # t - 1 does not divide t^2; only jordan_to_frobenius skips the check
+    chain = [Polynomial.make([-1, 1]).to_json(), Polynomial.make([0, 0, 1]).to_json()]
+    with pytest.raises(ValueError, match="divisibility"):
+        FrobeniusSpec.from_json({"invariant_factors": chain})
+
+
 def test_min_poly_degree_examples():
     assert min_poly_degree(JordanSpec.of({0: [1, 1]})) == 1
     assert min_poly_degree(JordanSpec.of({1: [1], 2: [1], 3: [1]})) == 3
@@ -237,11 +246,31 @@ def reference_min_poly_float(M, tol=None):
         vecs.append(target)
 
 
+def scaled_reference_min_poly_float(M, tol=None):
+    """reference_min_poly_float on M / 2^e, e the frexp exponent of M's
+    largest part, with coefficient k of degree d scaled back by 2^(e(d - k))."""
+    a = M.to_numpy()
+    e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+    scaled = SquareMatrix(M.n, FLOAT, tuple(
+        tuple(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in row)
+        for row in M.entries))
+    p = reference_min_poly_float(scaled, tol)
+    if not e:
+        return p
+    d = p.degree
+    try:
+        return Polynomial(tuple(complex(math.ldexp(c.real, e * (d - k)), math.ldexp(c.imag, e * (d - k)))
+                                for k, c in enumerate(p.coefficients)), FLOAT)
+    except OverflowError:
+        raise NumericFailure(f"minimal polynomial coefficient overflowed at scale 2^{e}") from None
+
+
 def float_min_poly_cases():
     """Random complex matrices n = 1..8, float Jordan matrices with n <= 6
-    and their conjugates, one matrix whose powers overflow, one whose entries
-    are tiny, and a near-scalar one whose smallest singular value at k = 1
-    lies between (k + 1) = 2 and n^2 = 4 times eps * sigma_max, so that the
+    and their conjugates, one matrix whose powers overflow unscaled, one
+    whose minimal polynomial's coefficients overflow, one whose entries are
+    tiny, and a near-scalar one whose smallest singular value at k = 1 lies
+    between (k + 1) = 2 and n^2 = 4 times eps * sigma_max, so that the
     default threshold's factor decides it."""
     rng = random.Random(860)
     cases = []
@@ -258,13 +287,15 @@ def float_min_poly_cases():
             cases.append(random_similarity(J, rng.randrange(1000)).to_float())
     cases.append(SquareMatrix.from_rows([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, 0.0]],
                                         FLOAT))
+    cases.append(SquareMatrix.from_rows([[1e200, 0.0], [0.0, -1e200j]], FLOAT))
     cases.append(SquareMatrix.from_rows([[1e-300, 2e-300j], [-3e-300, 0.5e-300]], FLOAT))
     cases.append(SquareMatrix.from_rows([[1.0, 0.0], [0.0, 1.0 + 2.5e-15]], FLOAT))
     return cases
 
 
 def test_float_min_poly_repr_identical_to_reference():
-    # one Krylov matrix filled in place gives the bits of the per-step stacks
+    # one Krylov matrix filled in place gives the bits of the per-step stacks,
+    # both run on the same scaled matrix
     def outcome(fn, M, tol):
         try:
             return repr(fn(M, tol))
@@ -274,7 +305,7 @@ def test_float_min_poly_repr_identical_to_reference():
     overflowed = 0
     for M in float_min_poly_cases():
         for tol in (None, 0.0, 1e-8, 1e-3):
-            want = outcome(reference_min_poly_float, M, tol)
+            want = outcome(scaled_reference_min_poly_float, M, tol)
             assert outcome(min_poly_krylov, M, tol) == want
             overflowed += want.startswith("NumericFailure")
     assert overflowed
@@ -504,3 +535,68 @@ def test_random_similarity_matches_recorded_matrices():
     # spelled out: a real integer Jordan matrix stays real
     conjugate = random_similarity(build_jordan(JordanSpec.of({gq(1): [1, 2]})), 3)
     assert conjugate == SquareMatrix.from_rows([[1, 0, 1], [0, 1, -1], [0, 0, 1]], EXACT)
+
+
+def reference_build_frobenius(spec):
+    """The former route: one checked companion SquareMatrix per factor,
+    copied into the block diagonal, and the whole matrix through from_rows."""
+    n = spec.n
+    rows = [[gq(0)] * n for _ in range(n)]
+    offset = 0
+    for p in spec.invariant_factors:
+        block = build_companion(p)
+        for i in range(block.n):
+            rows[offset + i][offset:offset + block.n] = block.entries[i]
+        offset += block.n
+    return SquareMatrix.from_rows(rows, EXACT)
+
+
+@pytest.mark.parametrize("pool, n_max", [(DEFAULT_POOL, 6), (RATIONAL_POOL, 4)],
+                         ids=["default", "rational"])
+def test_trusted_constructions_match_their_checked_twins(pool, n_max):
+    # the builders hand their rows to SquareMatrix directly and
+    # jordan_to_frobenius skips FrobeniusSpec's checks; from_rows and the
+    # validated constructor must give the same objects, to the repr
+    for n in range(1, n_max + 1):
+        for spec in enumerate_jordan_specs(n, pool):
+            J = build_jordan(spec)
+            assert repr(J) == repr(SquareMatrix.from_rows(J.entries, EXACT))
+            fspec = jordan_to_frobenius(spec)
+            assert repr(fspec) == repr(FrobeniusSpec(fspec.invariant_factors))
+            B = build_frobenius(fspec)
+            assert repr(B) == repr(SquareMatrix.from_rows(B.entries, EXACT))
+            assert repr(B) == repr(reference_build_frobenius(fspec))
+            for i in range(1, fspec.min_degree + 1):
+                H = tangent_direction(fspec, i)
+                assert repr(H) == repr(SquareMatrix.from_rows(H.entries, EXACT))
+
+
+def test_build_companion_matches_from_rows():
+    for p in (Polynomial.make([gq("1/3", "2/5"), 0, gq(-2, 1), 1]), Polynomial.make([0, 0, 1])):
+        C = build_companion(p)
+        assert repr(C) == repr(SquareMatrix.from_rows(C.entries, EXACT))
+    # a float polynomial still goes through the checked route
+    C = build_companion(Polynomial.make([2.0, 0.0, 1.0], FLOAT))
+    assert C.field == FLOAT and C.entries[1] == (complex(-2.0), -0j)
+
+
+@pytest.mark.parametrize("value", [1e16, 1e-200])
+def test_float_min_poly_of_a_nilpotent_at_any_scale(value):
+    # unscaled, the identity column looked dependent on M beside M's size at
+    # 1e16, and M looked zero beside I at 1e-200: both gave t
+    M = SquareMatrix.from_rows([[0.0, value], [0.0, 0.0]], FLOAT)
+    p = min_poly_krylov(M)
+    assert p.degree == 2 and p.coefficients[:2] == (0j, 0j)
+
+
+def test_float_min_poly_degree_is_scale_invariant():
+    def degree(M):
+        try:
+            return min_poly_krylov(M).degree
+        except NumericFailure:
+            return None
+
+    for M in float_min_poly_cases():
+        want = degree(M)
+        for power in (50, -50):
+            assert degree(M.scale(2.0 ** power)) == want

@@ -260,6 +260,14 @@ def test_cli_minpoly_float_one_by_one(value, monkeypatch, capsys):
     assert out["coefficients"] == [[-value, -0.0], [1.0, 0.0]]
 
 
+@pytest.mark.parametrize("value", [1e16, 1e-200])
+def test_cli_minpoly_float_nilpotent_at_any_scale(value, monkeypatch, capsys):
+    matrix = {"n": 2, "field": "float", "entries": [[[0, 0], [value, 0]], [[0, 0], [0, 0]]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(matrix)))
+    assert main(["minpoly", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 2
+
+
 def test_cli_minpoly(tmp_path, capsys):
     spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["2/1", "0/1"], "sizes": [3]}]})
     matrix_path = tmp_path / "matrix.json"
@@ -927,8 +935,9 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_cli_minpoly_float_power_overflow_is_a_numeric_failure(tmp_path, capsys):
-    # M^2 overflows; with a zero tolerance M alone is independent of I, so
-    # the overflowed power reached the SVD, which raised LinAlgError
+    # unscaled, M^2 overflowed, and with a zero tolerance the overflowed
+    # power reached the SVD, which raised LinAlgError; scaled, the t
+    # coefficient 2^(2e) times that of M / 2^e overflows instead
     entries = [[[0.0, 0.0]] * 3 for _ in range(3)]
     entries[2][2] = [1e200, 0.0]
     path = tmp_path / "big.json"

@@ -539,6 +539,34 @@ def test_directional_derivative_matches_per_adjugate_route():
                     reference_directional_derivative(B, M))
 
 
+def test_trace_form_rows_keeps_the_exact_zero_and_signs_the_float_one():
+    exact = jacobian._trace_form_rows([((gq(1), GQ_ZERO), (gq(0, 2), gq(3)))] * 2)
+    assert exact[0] == [gq(1), gq(0, 2), GQ_ZERO, gq(3)]
+    assert exact[1] == [gq(-1), gq(0, -2), GQ_ZERO, gq(-3)]
+    assert exact[1][2] is GQ_ZERO
+    floats = jacobian._trace_form_rows([((1 + 0j, 0j), (2j, 0j))] * 2)
+    assert repr(floats[0]) == repr([1 + 0j, 2j, 0j, 0j])
+    assert repr(floats[1]) == repr([-(1 + 0j), -2j, -0j, -0j])
+
+
+def test_exact_directional_derivative_repr_matches_signed_reference_on_frobenius():
+    # the exact sum takes the signed trace-form entries as they are; the
+    # reference sums the unsigned adjugate entries and signs the sum
+    from symrank.canonical import build_frobenius, jordan_to_frobenius
+    from symrank.proofs import tangent_direction
+
+    pools = [(DEFAULT_POOL, 5), ((gq(0), gq("1/2"), gq("1/3", "2/5"), gq(-2, 1)), 4)]
+    for pool, n_max in pools:
+        for n in range(1, n_max + 1):
+            for spec in enumerate_jordan_specs(n, pool):
+                fspec = jordan_to_frobenius(spec)
+                B = build_frobenius(fspec)
+                for i in range(1, fspec.min_degree + 1):
+                    M = tangent_direction(fspec, i)
+                    assert repr(directional_derivative(B, M)) == repr(
+                        reference_directional_derivative(B, M))
+
+
 def test_directional_derivative_reuses_the_last_matrix(monkeypatch):
     calls = []
     original = jacobian.char_and_adjugate

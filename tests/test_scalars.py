@@ -8,6 +8,7 @@ import pytest
 from symrank.scalars import (
     EXACT,
     FLOAT,
+    GQ_ZERO,
     GaussianRational,
     approx_eq,
     clear_denominator,
@@ -242,6 +243,21 @@ def test_gaussian_integer_conversions():
 def test_clear_denominator():
     assert clear_denominator(gq("1/4", "-1/6")) == (12, 3, -2)
     assert clear_denominator(gq(-3)) == (1, -3, 0)
+    # the two parts read directly, as to_gaussian_integers reads [[x]]
+    rng = random.Random(13)
+    for x in [GQ_ZERO, gq(0, "-5/4")] + [random_gaussian_rational(rng) for _ in range(50)]:
+        e, re, im = clear_denominator(x)
+        assert to_gaussian_integers([[x]]) == (e, [[re]], [[im]])
+
+
+def test_to_gaussian_integers_reads_the_shared_zero_like_any_zero():
+    fresh = GaussianRational(Fraction(0), Fraction(0))
+    assert fresh is not GQ_ZERO and fresh == GQ_ZERO
+    rows = [[GQ_ZERO, gq("1/6", "-1/4")], [gq(0, 3), GQ_ZERO], [GQ_ZERO, GQ_ZERO]]
+    fresh_rows = [[fresh if x is GQ_ZERO else x for x in row] for row in rows]
+    assert to_gaussian_integers(rows) == to_gaussian_integers(fresh_rows) == (
+        12, [[0, 2], [0, 0], [0, 0]], [[0, -3], [36, 0], [0, 0]])
+    assert to_gaussian_integers([[GQ_ZERO]]) == to_gaussian_integers([[fresh]]) == (1, [[0]], [[0]])
 
 
 def test_negation_keeps_values_and_a_zero_imaginary_part():
