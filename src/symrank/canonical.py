@@ -245,9 +245,7 @@ def build_companion(p: Polynomial) -> SquareMatrix:
         rows[i][i + 1] = one
     for j in range(m):
         rows[m - 1][j] = -p.coefficients[j]
-    if field != EXACT:
-        return SquareMatrix.from_rows(rows, field)
-    return SquareMatrix(m, EXACT, tuple(map(tuple, rows)))
+    return SquareMatrix.from_rows(rows, field)
 
 
 def build_frobenius(spec: FrobeniusSpec) -> SquareMatrix:
@@ -261,7 +259,7 @@ def build_frobenius(spec: FrobeniusSpec) -> SquareMatrix:
         m = p.degree
         for i in range(offset, offset + m - 1):
             rows[i][i + 1] = one
-        rows[offset + m - 1][offset:offset + m] = [-c if c else zero for c in p.coefficients[:m]]
+        rows[offset + m - 1][offset:offset + m] = [-c for c in p.coefficients[:m]]
         offset += m
     return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
 
@@ -280,10 +278,12 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     characteristic polynomial over the one before it.  Float matrices give a
     degree estimate from the first linear dependence among I, M, M^2, ...:
     the dependence test uses a singular-value tolerance and the coefficients
-    come from least squares.  The float test runs on M / 2^e, its largest
-    part scaled into [1/2, 1), so the degree does not depend on M's scale;
-    ``tol`` applies to that matrix.  Coefficient k of degree d is scaled back
-    by 2^(e(d - k)), exactly, and NumericFailure is raised if that overflows.
+    come from least squares.  The default threshold runs the test on M / 2^e,
+    its largest part scaled into [1/2, 1), so the degree does not depend on
+    M's scale; coefficient k of degree d is scaled back by 2^(e(d - k)),
+    exactly, and NumericFailure is raised if that overflows.  An explicit
+    ``tol`` is an absolute threshold on the singular values of the powers of
+    M itself, as ``numeric_rank_profile``'s is, and M is not scaled.
     """
     n = M.n
     if M.field == EXACT:
@@ -305,12 +305,14 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     import numpy as np
 
     a = M.to_numpy()
-    # the real and imaginary parts side by side; scaling them by a power of
-    # two is exact away from underflow
-    parts = a.view(float)
-    e = math.frexp(np.abs(parts).max())[1]
-    if e:
-        a = np.ldexp(parts, -e).view(complex)
+    e = 0
+    if tol is None:
+        # the real and imaginary parts side by side; scaling them by a power
+        # of two is exact away from underflow
+        parts = a.view(float)
+        e = math.frexp(np.abs(parts).max())[1]
+        if e:
+            a = np.ldexp(parts, -e).view(complex)
     # column k is vec(M^k); I, M, ..., M^k are tested on the first k + 1
     krylov = np.empty((n * n, n + 1), dtype=complex)
     power = np.eye(n, dtype=complex)

@@ -24,7 +24,6 @@ from .matpoly import SquareMatrix, char_and_adjugate, charpoly_in_ring, symmetri
 from .scalars import (
     EXACT,
     FLOAT,
-    GQ_ZERO,
     NumericFailure,
     exact_quotients,
     field_zero,
@@ -142,12 +141,12 @@ def _trace_form_rows(adj) -> list:
     """Rows of the derivative at B read off adj(tI - B) = sum_k N_k t^(n-k)
     by the trace form: adj gives N_1, ..., N_n as lists of rows, and row k
     holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  An
-    exact zero (the shared ``GQ_ZERO``) is returned as itself, not negated;
-    a float 0j becomes -0j."""
+    exact zero (the shared ``GQ_ZERO``) negates to itself and is returned as
+    itself; a float 0j becomes -0j."""
     rows = []
     for k, m in enumerate(adj, 1):
         row = [x for col in zip(*m) for x in col]
-        rows.append(row if k % 2 else [x if x is GQ_ZERO else -x for x in row])
+        rows.append(row if k % 2 else [-x for x in row])
     return rows
 
 

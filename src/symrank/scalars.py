@@ -13,7 +13,8 @@ Gaussian integer (an eigenvalue, a pivot) is the int pair (re, im), and a
 vector or polynomial over Z[i] the pair of its int lists; each kernel writes
 the product (a + bi)(c + di) out on those ints.  Every exact zero that
 :func:`to_gaussian_rationals` and :func:`field_zero` hand out is the one
-shared :data:`GQ_ZERO`, which the kernels read by identity, for free.
+shared :data:`GQ_ZERO`, which negates to itself and which the kernels read
+by identity, for free.
 
 Each division a kernel makes is exact in Z[i]:
 
@@ -210,7 +211,10 @@ class GaussianRational:
         )
 
     def __neg__(self) -> "GaussianRational":
-        # a zero imaginary part is its own negative; real entries are common
+        # the shared zero and a zero imaginary part are their own negatives;
+        # real entries are common
+        if self is GQ_ZERO:
+            return self
         return GaussianRational(-self.re, -self.im if self.im else self.im)
 
     def __pow__(self, exponent: int) -> "GaussianRational":

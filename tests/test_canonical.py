@@ -294,8 +294,8 @@ def float_min_poly_cases():
 
 
 def test_float_min_poly_repr_identical_to_reference():
-    # one Krylov matrix filled in place gives the bits of the per-step stacks,
-    # both run on the same scaled matrix
+    # one Krylov matrix filled in place gives the bits of the per-step stacks:
+    # the default threshold runs on the scaled matrix, an explicit tol on M
     def outcome(fn, M, tol):
         try:
             return repr(fn(M, tol))
@@ -305,7 +305,8 @@ def test_float_min_poly_repr_identical_to_reference():
     overflowed = 0
     for M in float_min_poly_cases():
         for tol in (None, 0.0, 1e-8, 1e-3):
-            want = outcome(scaled_reference_min_poly_float, M, tol)
+            reference = scaled_reference_min_poly_float if tol is None else reference_min_poly_float
+            want = outcome(reference, M, tol)
             assert outcome(min_poly_krylov, M, tol) == want
             overflowed += want.startswith("NumericFailure")
     assert overflowed
@@ -575,9 +576,6 @@ def test_build_companion_matches_from_rows():
     for p in (Polynomial.make([gq("1/3", "2/5"), 0, gq(-2, 1), 1]), Polynomial.make([0, 0, 1])):
         C = build_companion(p)
         assert repr(C) == repr(SquareMatrix.from_rows(C.entries, EXACT))
-    # a float polynomial still goes through the checked route
-    C = build_companion(Polynomial.make([2.0, 0.0, 1.0], FLOAT))
-    assert C.field == FLOAT and C.entries[1] == (complex(-2.0), -0j)
 
 
 @pytest.mark.parametrize("value", [1e16, 1e-200])
@@ -587,6 +585,28 @@ def test_float_min_poly_of_a_nilpotent_at_any_scale(value):
     M = SquareMatrix.from_rows([[0.0, value], [0.0, 0.0]], FLOAT)
     p = min_poly_krylov(M)
     assert p.degree == 2 and p.coefficients[:2] == (0j, 0j)
+
+
+def test_float_min_poly_degree_of_float_jordan_matrices_is_structural():
+    # float Jordan matrices and their conjugates have well-separated
+    # eigenvalues, so every tested threshold finds min_poly_degree
+    rng = random.Random(861)
+    for n in range(1, 6):
+        for spec in enumerate_jordan_specs(n, DEFAULT_POOL):
+            J = build_jordan(spec)
+            for M in (J.to_float(), random_similarity(J, rng.randrange(1000)).to_float()):
+                for tol in (None, 1e-8, 1e-3):
+                    assert min_poly_krylov(M, tol).degree == min_poly_degree(spec)
+
+
+def test_float_min_poly_explicit_tol_is_absolute():
+    # an explicit tol is compared with the singular values of I, M, ... as
+    # they are: beside I, an M of size 1e-200 lies under 1e-3, so the
+    # dependence is found at degree 1
+    M = SquareMatrix.from_rows([[0.0, 1e-200], [0.0, 0.0]], FLOAT)
+    assert min_poly_krylov(M, 1e-3).degree == 1
+    assert min_poly_krylov(M, 0.0).degree == 2
+    assert min_poly_krylov(M.scale(2.0 ** 700), 1e-3).degree == 2
 
 
 def test_float_min_poly_degree_is_scale_invariant():

@@ -935,9 +935,8 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
 
 
 def test_cli_minpoly_float_power_overflow_is_a_numeric_failure(tmp_path, capsys):
-    # unscaled, M^2 overflowed, and with a zero tolerance the overflowed
-    # power reached the SVD, which raised LinAlgError; scaled, the t
-    # coefficient 2^(2e) times that of M / 2^e overflows instead
+    # M^2 overflows; with a zero tolerance M alone is independent of I, so
+    # the overflowed power reached the SVD, which raised LinAlgError
     entries = [[[0.0, 0.0]] * 3 for _ in range(3)]
     entries[2][2] = [1e200, 0.0]
     path = tmp_path / "big.json"

@@ -266,3 +266,5 @@ def test_negation_keeps_values_and_a_zero_imaginary_part():
         assert -(-x) == x
     real = gq("3/7")
     assert (-real).im is real.im
+    # the shared zero negates to itself, so the kernels still read it by identity
+    assert -GQ_ZERO is GQ_ZERO
