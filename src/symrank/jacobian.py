@@ -25,6 +25,7 @@ from .scalars import (
     EXACT,
     FLOAT,
     NumericFailure,
+    clear_rows,
     exact_quotients,
     field_zero,
     to_complex,
@@ -204,10 +205,11 @@ def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
 def rank_exact(A) -> int:
     """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
 
-    Each row is scaled by the lcm of its denominators and eliminated over
-    Gaussian integers (see the :mod:`symrank.scalars` docstring for why that
-    is exact).  Entries must be int, Fraction or GaussianRational; a
-    float matrix, or a float entry in a plain list of rows, raises ValueError.
+    One pass (:func:`symrank.scalars.clear_rows`) scales each row by the lcm
+    of its own denominators, and the rows are eliminated over Gaussian
+    integers (see the :mod:`symrank.scalars` docstring for why that is
+    exact).  Entries must be int, Fraction or GaussianRational; a float
+    matrix, or a float entry in a plain list of rows, raises ValueError.
     """
     if isinstance(A, JacobianMatrix):
         rows = A.rows
@@ -215,12 +217,8 @@ def rank_exact(A) -> int:
         rows = A.entries
     else:
         rows = A
-    rows_re, rows_im = [], []
     try:
-        for row in rows:
-            _, (row_re,), (row_im,) = to_gaussian_integers([row])
-            rows_re.append(row_re)
-            rows_im.append(row_im)
+        rows_re, rows_im = clear_rows(rows)
     except TypeError:
         raise ValueError("exact rank requires exact entries") from None
     return _bareiss(rows_re, rows_im)[0]

@@ -48,6 +48,7 @@ from .scalars import (
     GaussianRational,
     balanced_splitter,
     clear_denominator,
+    clear_rows,
     coerce_scalar,
     field_one,
     field_zero,
@@ -145,9 +146,8 @@ def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
     if not cert.vectors:
         return True
     d, rows_re, rows_im = _scaled_jacobian(B)
-    for v in cert.vectors:
+    for w_re, w_im in zip(*clear_rows(v.vector for v in cert.vectors)):
         # row k is D^(k-1) J_k, so w_k = L v_k D^(n-k) gives w . rows = L D^(n-1) v . J
-        _, (w_re,), (w_im,) = to_gaussian_integers([v.vector])
         terms = [(a * d ** (n - k), b * d ** (n - k), rows_re[k - 1], rows_im[k - 1])
                  for k, (a, b) in enumerate(zip(w_re, w_im), 1) if a or b]
         for c in range(n * n):

@@ -11,10 +11,12 @@ as two lists of int rows, one of real and one of imaginary parts, which
 reads back.  Their inputs and outputs stay Gaussian rationals.  A single
 Gaussian integer (an eigenvalue, a pivot) is the int pair (re, im), and a
 vector or polynomial over Z[i] the pair of its int lists; each kernel writes
-the product (a + bi)(c + di) out on those ints.  Every exact zero that
-:func:`to_gaussian_rationals` and :func:`field_zero` hand out is the one
-shared :data:`GQ_ZERO`, which negates to itself and which the kernels read
-by identity, for free.
+the product (a + bi)(c + di) out on those ints.  Each Gaussian integer with
+both parts in [-32, 32] that :func:`to_gaussian_rationals` or ``-x`` hands
+out is one shared object, made on first use; its zero is :data:`GQ_ZERO`,
+which the kernels read by identity.  Sharing is safe: a GaussianRational is
+immutable, and ``==``, hash, repr and JSON work by value, so no output can
+tell a shared object from a fresh one.
 
 Each division a kernel makes is exact in Z[i]:
 
@@ -211,10 +213,11 @@ class GaussianRational:
         )
 
     def __neg__(self) -> "GaussianRational":
-        # the shared zero and a zero imaginary part are their own negatives;
-        # real entries are common
-        if self is GQ_ZERO:
-            return self
+        re, re_den = self.re.as_integer_ratio()
+        im, im_den = self.im.as_integer_ratio()
+        if re_den == im_den == 1 and abs(re) <= _SHARED_BOUND and abs(im) <= _SHARED_BOUND:
+            return _SHARED[-re, -im]
+        # a zero imaginary part is its own negative; real entries are common
         return GaussianRational(-self.re, -self.im if self.im else self.im)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
@@ -253,7 +256,23 @@ def gq(re=0, im=0) -> GaussianRational:
     return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
-GQ_ZERO = gq(0)
+_SHARED_BOUND = 32
+
+
+class _SharedIntegers(dict):
+    """(re, im) -> the shared re + i*im, made on first use, for |re|, |im| <= _SHARED_BOUND."""
+
+    def __missing__(self, key):
+        re, im = key
+        # a complex entry takes the Fraction parts of the real ones: less memory
+        value = self[key] = (GaussianRational(self[re, 0].re, self[im, 0].re) if im else
+                             GaussianRational(Fraction(re) if re else _FRACTION_ZERO, _FRACTION_ZERO))
+        return value
+
+
+_FRACTION_ZERO = Fraction(0)
+_SHARED = _SharedIntegers()
+GQ_ZERO = _SHARED[0, 0]
 GQ_ONE = gq(1)
 GQ_I = gq(0, 1)
 
@@ -333,6 +352,34 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
             [[x * (d // den) for x, den in row] for row in im_rows])
 
 
+def clear_rows(rows) -> tuple[list, list]:
+    """(re, im) split rows of ``rows``, each row times the lcm of its own
+    denominators; entries as in :func:`to_gaussian_integers`."""
+    re_rows, im_rows = [], []
+    for row in rows:
+        parts, d = [], 1
+        for x in row:
+            if x is GQ_ZERO:
+                parts.append((0, 1, 0, 1))
+                continue
+            if type(x) is GaussianRational:
+                re, re_den = x.re.as_integer_ratio()
+                im, im_den = x.im.as_integer_ratio()
+            elif isinstance(x, (int, Fraction)):
+                re, re_den = x.as_integer_ratio()
+                im, im_den = 0, 1
+            else:
+                raise TypeError(f"{x!r} is not an exact scalar")
+            if re_den != 1 or im_den != 1:
+                d = math.lcm(d, re_den, im_den)
+            parts.append((re, re_den, im, im_den))
+        if d != 1:
+            parts = [(re * (d // p), 1, im * (d // q), 1) for re, p, im, q in parts]
+        re_rows.append([re for re, _, _, _ in parts])
+        im_rows.append([im for _, _, im, _ in parts])
+    return re_rows, im_rows
+
+
 def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
     """(e, re, im) with x = (re + i*im) / e, e the lcm of the denominators of
     x's parts."""
@@ -342,17 +389,17 @@ def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
     return e, re * (e // re_den), im * (e // im_den)
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 def to_gaussian_rationals(denominator: int, re_rows, im_rows) -> tuple:
     """Split rows divided by ``denominator``, as tuples of GaussianRational:
-    the inverse of :func:`to_gaussian_integers`."""
+    the inverse of :func:`to_gaussian_integers`.  With ``denominator`` 1 a
+    small entry is the shared object (see the module docstring)."""
     zero = _FRACTION_ZERO
     if denominator == 1:
+        shared, lo, hi = _SHARED, -_SHARED_BOUND, _SHARED_BOUND
         return tuple(
-            tuple(GaussianRational(Fraction(x) if x else zero, Fraction(y) if y else zero)
-                  if x or y else GQ_ZERO for x, y in zip(re_row, im_row))
+            tuple(shared[x, y] if lo <= x <= hi and lo <= y <= hi
+                  else GaussianRational(Fraction(x) if x else zero, Fraction(y) if y else zero)
+                  for x, y in zip(re_row, im_row))
             for re_row, im_row in zip(re_rows, im_rows))
     return tuple(
         tuple(GaussianRational(Fraction(x, denominator) if x else zero,

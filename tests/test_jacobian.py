@@ -34,6 +34,7 @@ from symrank.scalars import (
     GQ_ZERO,
     NumericFailure,
     approx_eq,
+    coerce_scalar,
     field_zero,
     gq,
     random_gaussian_rational,
@@ -307,6 +308,53 @@ def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
         if nrows > 2 and trial % 2:
             rows[-1] = [a * gq("3/7", 1) + b * gq("-5/2") for a, b in zip(rows[0], rows[1])]
         assert rank_exact(rows) == gauss_rank(rows)
+
+
+def reference_rank_exact(rows) -> int:
+    """The former route: one to_gaussian_integers([row]) per row, then Bareiss."""
+    rows_re, rows_im = [], []
+    try:
+        for row in rows:
+            _, (row_re,), (row_im,) = to_gaussian_integers([row])
+            rows_re.append(row_re)
+            rows_im.append(row_im)
+    except TypeError:
+        raise ValueError("exact rank requires exact entries") from None
+    return _bareiss(rows_re, rows_im)[0]
+
+
+def test_rank_exact_matches_per_row_route_and_gauss_oracle():
+    rng = random.Random(73)
+    cases = [[], [[]], [[0, GQ_ZERO, Fraction(0)]], [[GQ_ZERO] * 3, [1, Fraction(1, 2), gq(0, 1)]]]
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = []
+        for _ in range(nrows):
+            den = rng.randint(1, 9)
+            if rng.randrange(4) == 0:
+                rows.append([GQ_ZERO] * ncols)
+                continue
+            rows.append([rng.choice([
+                rng.randint(-40, 40),
+                Fraction(rng.randint(-9, 9), den),
+                gq(Fraction(rng.randint(-40, 40), den), Fraction(rng.randint(-9, 9), rng.randint(1, 9))),
+                gq(rng.randint(-40, 40), rng.randint(-40, 40)),
+                GQ_ZERO,
+            ]) for _ in range(ncols)])
+        if nrows > 2 and trial % 3 == 0:
+            # a dependent row with its own denominators
+            rows[-1] = [coerce_scalar(a, EXACT) * gq("3/7", 1) + coerce_scalar(b, EXACT) * gq("-5/2")
+                        for a, b in zip(rows[0], rows[1])]
+        cases.append(rows)
+    for rows in cases:
+        oracle = gauss_rank([[coerce_scalar(x, EXACT) for x in row] for row in rows])
+        assert rank_exact(rows) == reference_rank_exact(rows) == oracle
+    square = SquareMatrix.from_rows([[1, 2], [2, 4]], EXACT)
+    jac = jacobian_exact(build_jordan(JordanSpec.of({0: [1, 2]})))
+    assert rank_exact(square) == reference_rank_exact(square.entries) == 1
+    assert rank_exact(jac) == reference_rank_exact(jac.rows) == 2
+    with pytest.raises(ValueError, match="exact rank requires exact entries"):
+        rank_exact([[1, Fraction(1, 2)], [gq(1), 0.5]])
 
 
 def reference_eliminate(rows) -> tuple:

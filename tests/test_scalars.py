@@ -1,10 +1,13 @@
 """Exact and float scalar field behavior."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from symrank import scalars
 from symrank.scalars import (
     EXACT,
     FLOAT,
@@ -12,6 +15,7 @@ from symrank.scalars import (
     GaussianRational,
     approx_eq,
     clear_denominator,
+    clear_rows,
     coerce_scalar,
     exact_quotients,
     format_eigenvalue,
@@ -268,3 +272,122 @@ def test_negation_keeps_values_and_a_zero_imaginary_part():
     assert (-real).im is real.im
     # the shared zero negates to itself, so the kernels still read it by identity
     assert -GQ_ZERO is GQ_ZERO
+
+
+def test_to_gaussian_rationals_equals_fresh_construction():
+    # every part pair in -40..40, inside and just outside the shared bound
+    parts = range(-40, 41)
+    re_rows = [[x] * len(parts) for x in parts]
+    im_rows = [list(parts) for _ in parts]
+    out = to_gaussian_rationals(1, re_rows, im_rows)
+    for x, row in zip(parts, out):
+        for y, value in zip(parts, row):
+            fresh = GaussianRational(Fraction(x), Fraction(y))
+            assert value == fresh and repr(value) == repr(fresh)
+    # D > 1: nothing is shared, and the values are those of fresh fractions
+    rng = random.Random(17)
+    for d in (2, 3, 12, 2 ** 40):
+        re = [[rng.randint(-70, 70) for _ in range(6)] for _ in range(3)]
+        im = [[rng.choice([0, rng.randint(-70, 70)]) for _ in range(6)] for _ in range(3)]
+        out = to_gaussian_rationals(d, re, im)
+        for re_row, im_row, row in zip(re, im, out):
+            for x, y, value in zip(re_row, im_row, row):
+                fresh = GaussianRational(Fraction(x, d), Fraction(y, d))
+                assert value == fresh and repr(value) == repr(fresh)
+
+
+def test_small_gaussian_integers_are_shared():
+    def convert(x, y):
+        return to_gaussian_rationals(1, [[x]], [[y]])[0][0]
+
+    bound = scalars._SHARED_BOUND
+    for x, y in [(1, 0), (-bound, bound), (bound, -bound), (0, -1), (7, 3)]:
+        assert convert(x, y) is convert(x, y)
+    for x, y in [(bound + 1, 0), (0, -bound - 1), (2 ** 70, 1), (-5, -(2 ** 70))]:
+        assert convert(x, y) is not convert(x, y)
+        assert convert(x, y) == convert(x, y)
+    assert convert(0, 0) is GQ_ZERO
+    assert to_gaussian_rationals(1, [[0, 5]], [[0, 0]])[0][0] is GQ_ZERO
+    parts = range(-100, 101)
+    to_gaussian_rationals(1, [[x] * len(parts) for x in parts], [list(parts) for _ in parts])
+    assert len(scalars._SHARED) <= (2 * bound + 1) ** 2
+    assert all(abs(x) <= bound and abs(y) <= bound for x, y in scalars._SHARED)
+    assert scalars._SHARED[0, 0] is GQ_ZERO
+
+
+def test_negation_equals_fresh_construction():
+    bound = scalars._SHARED_BOUND
+    shared = to_gaussian_rationals(1, [[0, 3, -bound, 5, bound, 0]],
+                                   [[0, 0, 1, -bound, bound, -7]])[0]
+    unshared = [gq(bound + 1), gq(-bound - 1), gq(0, bound + 1), gq(2 ** 70), gq(-(2 ** 70), 3),
+                gq(3, -(2 ** 70)), GaussianRational(Fraction(4), Fraction(-2))]
+    rationals = [gq("3/7"), gq("-2/5", "1/3"), gq(0, "-5/4"), gq(2 ** 70 + 1, "1/2"), gq("1/2", 0)]
+    for x in (*shared, *unshared, *rationals):
+        negated = -x
+        fresh = GaussianRational(-x.re, -x.im)
+        assert negated == gq(-x.re, -x.im) == fresh and repr(negated) == repr(fresh)
+        assert -(-x) == x
+    # the negation of a small Gaussian integer is the shared one, fresh or not
+    for x in (*shared, GaussianRational(Fraction(4), Fraction(-2)), gq(-bound, bound)):
+        assert -x is to_gaussian_rationals(1, [[-x.re.numerator]], [[-x.im.numerator]])[0][0]
+    assert -GQ_ZERO is GQ_ZERO
+
+
+def reference_clear_rows(rows) -> tuple:
+    """The former per-row route: one to_gaussian_integers([row]) per row."""
+    rows_re, rows_im = [], []
+    for row in rows:
+        _, (row_re,), (row_im,) = to_gaussian_integers([row])
+        rows_re.append(row_re)
+        rows_im.append(row_im)
+    return rows_re, rows_im
+
+
+def test_clear_rows_matches_the_per_row_route():
+    rng = random.Random(19)
+    rows = [[], [GQ_ZERO, 0, Fraction(0), gq(0)], [1, Fraction(-1, 6), gq("1/4", "-1/3"), GQ_ZERO],
+            [gq(2, -3), 5, Fraction(-4)], [gq("1/2"), gq(0, "1/3")], [2 ** 70, Fraction(1, 2 ** 70)]]
+    for _ in range(40):
+        rows.append([rng.choice([GQ_ZERO, rng.randint(-9, 9), random_gaussian_rational(rng),
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                     for _ in range(rng.randint(1, 7))])
+    assert clear_rows(rows) == reference_clear_rows(rows)
+    assert clear_rows([]) == ([], [])
+    # each row has its own scale
+    assert clear_rows([[Fraction(1, 2)], [Fraction(1, 3)]]) == ([[1], [1]], [[0], [0]])
+    with pytest.raises(TypeError):
+        clear_rows([[gq(1)], [gq(1), 0.5]])
+
+
+def test_shared_table_under_racing_threads():
+    # two threads may both make a missing entry; either object is the value
+    bound = scalars._SHARED_BOUND
+    parts = list(range(-bound - 2, bound + 3))
+    re_rows = [[x] * len(parts) for x in parts]
+    im_rows = [parts for _ in parts]
+    expected = tuple(tuple(GaussianRational(Fraction(x), Fraction(y)) for y in parts) for x in parts)
+    results = []
+
+    def work():
+        for _ in range(5):
+            results.append(to_gaussian_rationals(1, re_rows, im_rows))
+            results.append(tuple(tuple(-(-v) for v in row) for row in results[-1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scalars._SHARED.clear()
+        scalars._SHARED[0, 0] = GQ_ZERO
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 40
+    for out in results:
+        assert out == expected
+        assert out[parts.index(0)][parts.index(0)] is GQ_ZERO
+    assert len(scalars._SHARED) <= (2 * bound + 1) ** 2
