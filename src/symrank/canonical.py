@@ -386,22 +386,38 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
     Each shear is applied to the split rows of D*M (D the common denominator)
     in draw order as a row operation plus a column operation, so the result
     stays in the exact field and Q itself is never formed; see the
-    :mod:`symrank.scalars` docstring for why D*M stays integral.
+    :mod:`symrank.scalars` docstring for why D*M stays integral.  The draws
+    are those of ``random.Random(seed)``: i = randrange(n),
+    j = randrange(n - 1) and c = choice of the nonzero multipliers, made by
+    the same ``getrandbits`` calls, so every seed gives the same shears.
     """
     if M.field != EXACT:
         raise ValueError("random similarity requires an exact matrix")
     n = M.n
     if n == 1:
         return M
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(k):
+        # CPython's Random._randbelow_with_getrandbits, behind randrange(k)
+        # and choice
+        width = k.bit_length()
+        r = getrandbits(width)
+        while r >= k:
+            r = getrandbits(width)
+        return r
+
     count = shear_count if shear_count is not None else 2 * n
+    multipliers = [k for k in range(-magnitude, magnitude + 1) if k != 0]
+    if count > 0 and not multipliers:
+        raise IndexError("Cannot choose from an empty sequence")
     d, work_re, work_im = to_gaussian_integers(M.entries)
     for _ in range(count):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+        i = below(n)
+        j = below(n - 1)
         if j >= i:
             j += 1
-        c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
+        c = multipliers[below(len(multipliers))]
         # (I + c E_ij) M (I - c E_ij): row i += c row j, then column j -= c column i
         for work in (work_re, work_im):
             work[i] = [a + b * c for a, b in zip(work[i], work[j])]

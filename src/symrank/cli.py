@@ -141,18 +141,27 @@ def enumerate_jordan_specs(n: int, pool):
 
     A spec is a choice of distinct eigenvalues (pool order), a composition of
     n into their multiplicities, and an ascending block partition of each
-    multiplicity.
+    multiplicity.  The specs skip ``JordanSpec.__post_init__``, whose checks
+    cost more than the spec: the parts ascend and sum to n and the pool is
+    coerced, so only a repeated pool value can fail.  That is checked per
+    subset, before its first spec, with the ValueError the constructor raised.
     """
+    if type(n) is not int:
+        raise ValueError(f"matrix size n must be a positive integer, got {n!r}")
     pool = tuple(coerce_scalar(e, EXACT) for e in pool)
+    repeated = len(set(pool)) < len(pool)
+    partitions = {m: tuple(integer_partitions(m)) for m in range(1, n + 1)}
     for k in range(1, min(len(pool), n) + 1):
-        for subset in itertools.combinations(range(len(pool)), k):
+        for subset in itertools.combinations(pool, k):
+            if repeated and len(set(subset)) < k:
+                lam = next(lam for i, lam in enumerate(subset) if lam in subset[:i])
+                raise ValueError(f"repeated eigenvalue {lam}")
             for comp in compositions(n, k):
-                choices = [tuple(integer_partitions(m)) for m in comp]
-                for parts in itertools.product(*choices):
-                    blocks = tuple(
-                        EigenvalueBlocks(pool[subset[i]], parts[i]) for i in range(k)
-                    )
-                    yield JordanSpec(n, blocks)
+                for parts in itertools.product(*[partitions[m] for m in comp]):
+                    spec = object.__new__(JordanSpec)
+                    object.__setattr__(spec, "n", n)
+                    object.__setattr__(spec, "blocks", tuple(map(EigenvalueBlocks, subset, parts)))
+                    yield spec
 
 
 def _derived_seed(base_seed: int, index: int, stream: int) -> int:

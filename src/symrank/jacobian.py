@@ -121,14 +121,20 @@ def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
         jac = jacobian_exact(B)
         _last_jacobian = (B, jac)
     zero = field_zero(M.field)
-    # M's nonzero entries as (column of J, entry), in the trace form's order
-    support = [(i * n + j, M.entries[i][j])
-               for j in range(n) for i in range(n) if M.entries[i][j]]
+    # M's nonzero entries as (column of J, entry), in the trace form's order;
+    # the shared exact zero is skipped by identity
+    support = [(i * n + j, y) for j in range(n) for i in range(n)
+               if (y := M.entries[i][j]) is not zero and y]
     out = []
     for k, row in enumerate(jac.rows, 1):
+        if M.field == EXACT:
+            # an exact sum is the same in any order: it starts from its first term
+            terms = [x * y for c, y in support if (x := row[c]) is not zero and x]
+            out.append(sum(terms[1:], terms[0]) if terms else zero)
+            continue
         # a float sum runs over the unsigned trace-form entries and is signed
         # at the end, so a sum that cancels to zero keeps its sign
-        unsign = k % 2 == 0 and M.field == FLOAT
+        unsign = k % 2 == 0
         tau = zero
         for c, y in support:
             x = row[c]

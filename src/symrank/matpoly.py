@@ -41,7 +41,6 @@ from .scalars import (
     NumericFailure,
     balanced_splitter,
     coerce_scalar,
-    exact_quotients,
     field_one,
     field_zero,
     scalar_from_json,
@@ -518,9 +517,10 @@ def charpoly_in_ring(a_re: list, a_im: list):
                     s_im += x * v + y * u
                 am_re.append(split(s_re))
                 am_im.append(split(s_im))
-        tr_re = sum(am_re[i][i] for i in range(n))
-        tr_im = sum(am_im[i][i] for i in range(n))
-        (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], k)
+        q_re, r_re = divmod(sum(am_re[i][i] for i in range(n)), k)
+        q_im, r_im = divmod(sum(am_im[i][i] for i in range(n)), k)
+        if r_re or r_im:
+            raise ArithmeticError(f"trace division by {k} is not exact in Z[i]")
         c_re[n - k], c_im[n - k] = -q_re, -q_im
         for i in range(n):
             am_re[i][i] -= q_re
@@ -533,7 +533,10 @@ def charpoly_in_ring(a_re: list, a_im: list):
             u, v = m_re[j][i], m_im[j][i]
             tr_re += x * u - y * v
             tr_im += x * v + y * u
-    (q_re,), (q_im,) = exact_quotients([tr_re], [tr_im], n)
+    q_re, r_re = divmod(tr_re, n)
+    q_im, r_im = divmod(tr_im, n)
+    if r_re or r_im:
+        raise ArithmeticError(f"trace division by {n} is not exact in Z[i]")
     c_re[0], c_im[0] = -q_re, -q_im
     return (c_re, c_im), adj
 

@@ -297,7 +297,14 @@ class VandermondeComparison:
 
 
 def confluent_vandermonde_det(clusters) -> VandermondeComparison:
-    """Determinant of [v(l1), v'(l1), ..., v(l2), ...] vs the closed form."""
+    """Determinant of [v(l1), v'(l1), ..., v(l2), ...] vs the closed form.
+
+    The closed form |det|^2 = F^2 prod_(a<b) |lam_b - lam_a|^(2 m_a m_b), F
+    the product of j! over j < m_c for each cluster c, is one Fraction of
+    ints: with lam = a/e, |lam_b - lam_a|^2 = |a_b e_a - a_a e_b|^2 /
+    (e_a e_b)^2.  So is |det|^2 = |p|^2 / S^2, p the determinant of the
+    scaled columns and S the product of their scales.
+    """
     groups = [(coerce_scalar(lam, EXACT), int(mult)) for lam, mult in clusters]
     if any(m < 1 for _, m in groups):
         raise ValueError("multiplicities must be positive")
@@ -310,8 +317,8 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     # e^(n-1-d): entry j is the Gaussian integer
     # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1), built as split columns
     cols_re, cols_im, scale = [], [], 1
-    for lam, mult in groups:
-        e, a_re, a_im = clear_denominator(lam)
+    cleared = [(*clear_denominator(lam), mult) for lam, mult in groups]
+    for e, a_re, a_im, mult in cleared:
         powers = [(1, 0)]
         for _ in range(n - 1):
             x, y = powers[-1]
@@ -331,19 +338,18 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     rank, (p_re, p_im), sign = _bareiss([list(row) for row in zip(*cols_re)],
                                         [list(row) for row in zip(*cols_im)])
     if rank < n:
-        det = GQ_ZERO
+        det, p_re, p_im = GQ_ZERO, 0, 0
     else:
         ((det,),) = to_gaussian_rationals(scale, [[p_re * sign]], [[p_im * sign]])
-    det_abs2 = (det * det.conjugate()).re
-    factorial_part = 1
-    for _, mult in groups:
-        for j in range(mult):
-            factorial_part *= math.factorial(j)
-    closed_abs2 = Fraction(factorial_part) ** 2
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            diff = groups[b][0] - groups[a][0]
-            closed_abs2 *= diff.abs2() ** (groups[a][1] * groups[b][1])
+    det_abs2 = Fraction(p_re * p_re + p_im * p_im, scale * scale)
+    # the closed form over ints, as in the docstring
+    num, den = math.prod(math.factorial(j) for _, m in groups for j in range(m)) ** 2, 1
+    for a, (e_a, x_a, y_a, m_a) in enumerate(cleared):
+        for e_b, x_b, y_b, m_b in cleared[a + 1:]:
+            x, y = x_b * e_a - x_a * e_b, y_b * e_a - y_a * e_b
+            num *= (x * x + y * y) ** (m_a * m_b)
+            den *= (e_a * e_b) ** (2 * m_a * m_b)
+    closed_abs2 = Fraction(num, den)
     if det.im:
         sign = None
     else:

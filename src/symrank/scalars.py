@@ -76,11 +76,12 @@ most nL times that, 2 (nL)^k.  Row i of A N_k is sum_j a_ij P_j with P_j
 = sum_c N_k[j][c] X^c the packed row j of N_k, one identity of integers
 per part; with X = 2^w and 2^(w-1) > 2 (nL)^k, the balanced base-X digits
 of each part are the parts of the row's entries.  Every ``/ k`` stays
-checked by :func:`exact_quotients`.
+checked.
 
-A nonzero remainder therefore means a bug: :func:`exact_quotients`, the
-one division of the kernels, raises ``ArithmeticError`` instead of
-rounding, and so does a digit split (:func:`balanced_splitter`) that
+A nonzero remainder therefore means a bug: the divisions of the kernels,
+the checked trace division of ``matpoly.charpoly_in_ring`` (one ``divmod``
+per part) and :func:`exact_quotients`, raise ``ArithmeticError`` instead
+of rounding, and so does a digit split (:func:`balanced_splitter`) that
 leaves a remainder.
 
 All values are immutable and safe to share between threads.

@@ -24,7 +24,15 @@ from symrank.canonical import (
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
 from symrank.proofs import tangent_direction
-from symrank.scalars import EXACT, FLOAT, NumericFailure, gq, random_gaussian_rational
+from symrank.scalars import (
+    EXACT,
+    FLOAT,
+    NumericFailure,
+    gq,
+    random_gaussian_rational,
+    to_gaussian_integers,
+    to_gaussian_rationals,
+)
 
 
 def gauss_rank(rows):
@@ -501,6 +509,62 @@ def test_random_similarity_matches_dense_product():
                 seed = 100 * n + trial
                 assert (random_similarity(M, seed, shear_count=count)
                         == dense_similarity(M, seed, shear_count=count))
+
+
+def reference_random_similarity(M, seed, shear_count=None, magnitude=2):
+    """The former draw: ``randrange`` and ``choice`` on ``random.Random(seed)``,
+    the multiplier list rebuilt for every shear; the same split-row shears."""
+    if M.field != EXACT:
+        raise ValueError("random similarity requires an exact matrix")
+    n = M.n
+    if n == 1:
+        return M
+    rng = random.Random(seed)
+    count = shear_count if shear_count is not None else 2 * n
+    d, work_re, work_im = to_gaussian_integers(M.entries)
+    for _ in range(count):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
+        for work in (work_re, work_im):
+            work[i] = [a + b * c for a, b in zip(work[i], work[j])]
+            for row in work:
+                row[j] -= row[i] * c
+    return SquareMatrix(n, EXACT, to_gaussian_rationals(d, work_re, work_im))
+
+
+def test_random_similarity_draws_equal_randrange_and_choice():
+    """Every seed 0..299 at every n = 1..8, on a Jordan and a dense rational
+    matrix; the magnitude (1..3) and the shear count (None, 0, 1, 17) cycle
+    with the seed, so each of their 12 pairs meets 25 seeds at every n."""
+    rng = random.Random(31)
+    jordans = [build_jordan(JordanSpec.of({gq("1/2", "-2/3"): [n - n // 2], gq(2): [n // 2]}
+                                          if n > 1 else {gq(-1): [1]}))
+               for n in range(1, 9)]
+    denses = [SquareMatrix.from_rows([[random_gaussian_rational(rng, 5) for _ in range(n)]
+                                      for _ in range(n)], EXACT) for n in range(1, 9)]
+    for seed in range(300):
+        magnitude = 1 + seed % 3
+        count = (None, 0, 1, 17)[(seed // 3) % 4]
+        for M in jordans + denses:
+            got = random_similarity(M, seed, shear_count=count, magnitude=magnitude)
+            want = reference_random_similarity(M, seed, shear_count=count, magnitude=magnitude)
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+def test_random_similarity_without_multipliers():
+    # no nonzero multiplier within the magnitude: the former choice raised
+    # IndexError at the first shear, and no shear needs none
+    M = build_jordan(JordanSpec.of({gq(0): [1, 2]}))
+    for magnitude in (0, -1):
+        with pytest.raises(IndexError):
+            reference_random_similarity(M, 0, magnitude=magnitude)
+        with pytest.raises(IndexError):
+            random_similarity(M, 0, magnitude=magnitude)
+        assert random_similarity(M, 0, shear_count=0, magnitude=magnitude) == M
 
 
 def _entries_digest(M):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,76 @@ def test_enumerate_no_duplicates():
         key = json.dumps(spec.to_json(), sort_keys=True)
         assert key not in seen
         seen.add(key)
+
+
+def reference_enumerate_jordan_specs(n, pool):
+    """The former route: every spec through the validating constructor."""
+    import itertools
+
+    from symrank.canonical import EigenvalueBlocks
+    from symrank.scalars import EXACT, coerce_scalar
+
+    pool = tuple(coerce_scalar(e, EXACT) for e in pool)
+    for k in range(1, min(len(pool), n) + 1):
+        for subset in itertools.combinations(range(len(pool)), k):
+            for comp in compositions(n, k):
+                choices = [tuple(integer_partitions(m)) for m in comp]
+                for parts in itertools.product(*choices):
+                    yield JordanSpec(n, tuple(EigenvalueBlocks(pool[subset[i]], parts[i])
+                                              for i in range(k)))
+
+
+#: values with denominators and imaginary parts, coerced from an int and a
+#: Fraction too
+MIXED_POOL = (gq("1/2"), gq("-2/3", "1/5"), gq(0, "3/4"), 3, Fraction(7, 2))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, MIXED_POOL], ids=["default", "mixed"])
+def test_enumerated_specs_equal_validated_construction(pool):
+    for n in range(1, 7):
+        specs = list(enumerate_jordan_specs(n, pool))
+        assert specs == list(reference_enumerate_jordan_specs(n, pool))  # counts too
+        for spec in specs:
+            built = JordanSpec(spec.n, spec.blocks)
+            assert spec == built
+            assert hash(spec) == hash(built)
+            assert repr(spec) == repr(built)
+            assert spec.to_json() == built.to_json()
+    assert len(list(enumerate_jordan_specs(6, DEFAULT_POOL))) == expected_spec_count(6, 5)
+
+
+def _specs_until_error(specs):
+    out = []
+    with pytest.raises(ValueError) as info:
+        for spec in specs:
+            out.append(spec)
+    return out, str(info.value)
+
+
+@pytest.mark.parametrize("n, pool", [
+    (2, [gq(1), gq(1)]),
+    (3, [gq(0), gq(1), gq(2), Fraction(1)]),
+    (2, [gq("1/2", 1), gq(0), gq("2/4", 1), gq(0)]),
+    (1, [gq(1), gq(1)]),
+])
+def test_repeated_pool_value_raises_after_the_same_specs(n, pool):
+    if n < 2:
+        # one eigenvalue per spec: the repeat is never in one spec
+        assert list(enumerate_jordan_specs(n, pool)) == list(
+            reference_enumerate_jordan_specs(n, pool))
+        return
+    got, message = _specs_until_error(enumerate_jordan_specs(n, pool))
+    want, want_message = _specs_until_error(reference_enumerate_jordan_specs(n, pool))
+    assert got and got == want
+    assert message == want_message
+    assert message.startswith("repeated eigenvalue ")
+
+
+def test_enumerate_rejects_a_size_that_is_not_an_int():
+    # the constructor's message, which a spec of size True used to raise
+    with pytest.raises(ValueError, match="matrix size n must be a positive integer, got True"):
+        list(enumerate_jordan_specs(True, DEFAULT_POOL))
+    assert list(enumerate_jordan_specs(0, DEFAULT_POOL)) == []
 
 
 def test_sweep_config_validation():

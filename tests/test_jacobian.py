@@ -615,6 +615,50 @@ def test_exact_directional_derivative_repr_matches_signed_reference_on_frobenius
                         reference_directional_derivative(B, M))
 
 
+def _sparse_direction(rng, n, zero):
+    """A direction with about half its entries the given zero object and the
+    rest random Gaussian rationals, integers among them."""
+    rows = tuple(tuple(zero if rng.random() < 0.5 else
+                       (gq(rng.randint(-3, 3)) if rng.random() < 0.5 else
+                        random_gaussian_rational(rng, 4))
+                       for _ in range(n)) for _ in range(n))
+    return SquareMatrix(n, EXACT, rows)
+
+
+def test_exact_directional_derivative_repr_matches_reference_for_either_zero():
+    """The exact sum skips the shared zero by identity and starts from its
+    first term: a fresh gq(0) must still be skipped by value, and an empty
+    or cancelling sum must print as the reference's."""
+    from symrank.canonical import build_frobenius, jordan_to_frobenius
+
+    rng = random.Random(850)
+    bases = []
+    for n in range(1, 6):
+        specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
+        bases += [build_frobenius(jordan_to_frobenius(spec)) for spec in rng.sample(specs, 3)]
+        bases += [random_exact(rng, n), build_jordan(JordanSpec.of({gq(0): [n]}))]
+    checked = 0
+    for B in bases:
+        n = B.n
+        fresh = gq(0)
+        assert fresh is not GQ_ZERO
+        for zero in (fresh, GQ_ZERO):
+            directions = [_sparse_direction(rng, n, zero) for _ in range(3)]
+            directions.append(SquareMatrix(n, EXACT, ((zero,) * n,) * n))
+            # diag(1, -1, 0, ...): for n >= 2 the sigma_1 component, tr M, cancels
+            directions.append(SquareMatrix(n, EXACT, tuple(
+                tuple((gq(1 - 2 * i) if i == j and i < 2 else zero) for j in range(n))
+                for i in range(n))))
+            for M in directions:
+                got = directional_derivative(B, M)
+                assert repr(got) == repr(reference_directional_derivative(B, M))
+                checked += 1
+    origin = SquareMatrix.zeros(2)
+    cancel = SquareMatrix(2, EXACT, ((gq(1), gq(0)), (gq(0), gq(-1))))
+    assert not directional_derivative(origin, cancel)[0]
+    assert checked == 10 * len(bases)
+
+
 def test_directional_derivative_reuses_the_last_matrix(monkeypatch):
     calls = []
     original = jacobian.char_and_adjugate

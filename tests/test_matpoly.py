@@ -600,23 +600,45 @@ def test_charpoly_split_rows_match_generic_loop(n):
             assert to_gaussian_rationals(d ** (k - 1), m_re, m_im) == tuple(map(tuple, ref))
 
 
-def test_charpoly_split_refuses_an_inexact_division(monkeypatch):
-    """A trace off by one is not divisible by k = 2: the checked / k raises
-    ArithmeticError instead of flooring."""
+def _refuses_off_by_one(monkeypatch, rows, k, part):
+    """Shadow the builtin ``divmod`` in the module, so that the part-th call
+    dividing by k (0 the real, 1 the imaginary part) sees a trace part off by
+    one, and check that the split kernel raises ArithmeticError."""
     import symrank.matpoly as matpoly
 
-    original = matpoly.exact_quotients
+    calls = []
 
-    def off_by_one(re, im, divisor_re, divisor_im=0):
-        if divisor_re == 2:
-            re = [re[0] + 1] + re[1:]
-        return original(re, im, divisor_re, divisor_im)
+    def off_by_one(value, divisor):
+        if divisor == k:
+            calls.append(value)
+            if len(calls) == part + 1:
+                value += 1
+        return divmod(value, divisor)
 
-    rows = ([[1, 2], [3, 4]], [[0, 1], [0, 0]])
     charpoly_in_ring(*rows)
-    monkeypatch.setattr(matpoly, "exact_quotients", off_by_one)
+    monkeypatch.setattr(matpoly, "divmod", off_by_one, raising=False)
     with pytest.raises(ArithmeticError):
         charpoly_in_ring(*rows)
+    assert len(calls) == 2  # both parts divided, then checked
+
+
+def test_charpoly_split_refuses_an_inexact_division(monkeypatch):
+    """A trace off by one is not divisible by k = 2: the checked / k raises
+    ArithmeticError instead of flooring.  The trace division is one builtin
+    ``divmod`` per part."""
+    _refuses_off_by_one(monkeypatch, ([[1, 2], [3, 4]], [[0, 1], [0, 0]]), 2, 0)
+
+
+_ROWS_3 = ([[1, 2, 0], [3, 4, 1], [0, 1, 2]], [[0, 1, 0], [0, 0, 2], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("rows, k, part", [
+    (([[1, 2], [3, 4]], [[0, 1], [0, 0]]), 2, 1),
+    (_ROWS_3, 2, 0), (_ROWS_3, 2, 1), (_ROWS_3, 3, 0), (_ROWS_3, 3, 1),
+], ids=["last-im", "loop-re", "loop-im", "last3-re", "last3-im"])
+def test_charpoly_split_refuses_an_inexact_division_at_every_step(monkeypatch, rows, k, part):
+    # a step of the loop (k < n) divides apart from the last step (k = n)
+    _refuses_off_by_one(monkeypatch, rows, k, part)
 
 
 class _Zi:

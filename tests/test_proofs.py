@@ -646,6 +646,87 @@ def test_vandermonde_matches_gaussian_rational_route(pool):
     assert compared > 100
 
 
+def reference_confluent_vandermonde_det(clusters) -> VandermondeComparison:
+    """The former route: the same scaled columns and Bareiss pass, then
+    |det|^2 as det times its conjugate and the closed form as Fraction and
+    GaussianRational arithmetic on the eigenvalues."""
+    import math
+
+    from symrank.jacobian import _bareiss
+    from symrank.scalars import GQ_ZERO, clear_denominator, coerce_scalar, to_gaussian_rationals
+
+    groups = [(coerce_scalar(lam, EXACT), int(mult)) for lam, mult in clusters]
+    n = sum(m for _, m in groups)
+    cols_re, cols_im, scale = [], [], 1
+    for lam, mult in groups:
+        e, a_re, a_im = clear_denominator(lam)
+        powers = [(1, 0)]
+        for _ in range(n - 1):
+            x, y = powers[-1]
+            powers.append((x * a_re - y * a_im, x * a_im + y * a_re))
+        for d in range(mult):
+            col_re, col_im = [0] * n, [0] * n
+            for j in range(1, n - d + 1):
+                p = n - j
+                s = falling_factorial(p, d) * e ** (j - 1) * (-1 if j % 2 else 1)
+                x, y = powers[p - d]
+                col_re[j - 1], col_im[j - 1] = x * s, y * s
+            cols_re.append(col_re)
+            cols_im.append(col_im)
+            scale *= e ** (n - 1 - d)
+    rank, (p_re, p_im), sign = _bareiss([list(row) for row in zip(*cols_re)],
+                                        [list(row) for row in zip(*cols_im)])
+    if rank < n:
+        det = GQ_ZERO
+    else:
+        ((det,),) = to_gaussian_rationals(scale, [[p_re * sign]], [[p_im * sign]])
+    det_abs2 = (det * det.conjugate()).re
+    factorial_part = 1
+    for _, mult in groups:
+        for j in range(mult):
+            factorial_part *= math.factorial(j)
+    closed_abs2 = Fraction(factorial_part) ** 2
+    for a in range(len(groups)):
+        for b in range(a + 1, len(groups)):
+            diff = groups[b][0] - groups[a][0]
+            closed_abs2 *= diff.abs2() ** (groups[a][1] * groups[b][1])
+    if det.im:
+        sign = None
+    else:
+        sign = 0 if not det.re else (1 if det.re > 0 else -1)
+    return VandermondeComparison(det, det_abs2, closed_abs2, math.sqrt(float(closed_abs2)),
+                                 det_abs2 == closed_abs2, sign)
+
+
+def _cluster_patterns(pool, n):
+    """Every choice of distinct pool values (pool order) with every
+    composition of n into their multiplicities."""
+    import itertools
+
+    from symrank.cli import compositions
+
+    for k in range(1, min(len(pool), n) + 1):
+        for subset in itertools.combinations(pool, k):
+            for comp in compositions(n, k):
+                yield list(zip(subset, comp))
+
+
+@pytest.mark.parametrize("pool", [DEFAULT_POOL, (gq("1/2"), gq("-2/3", "1/5"), gq(0, "3/4"))],
+                         ids=["default", "denominators"])
+def test_vandermonde_equals_the_fraction_route(pool):
+    compared = 0
+    for n in range(1, 8):
+        for clusters in _cluster_patterns(pool, n):
+            got = confluent_vandermonde_det(clusters)
+            want = reference_confluent_vandermonde_det(clusters)
+            assert got == want
+            assert repr(got) == repr(want)
+            assert repr(got.closed_form_abs) == repr(want.closed_form_abs)
+            assert got.matches
+            compared += 1
+    assert compared == {5: 791, 3: 119}[len(pool)]
+
+
 def test_vandermonde_determinant_independent_of_closed_form():
     # the reference above borrows the closed form; the determinant alone
     # against cofactor expansion, with scaled columns (e = 15 and e = 2)
