@@ -31,7 +31,6 @@ from .scalars import (
     field_zero,
     scalar_from_json,
     scalar_to_json,
-    to_gaussian_integers,
     to_gaussian_rationals,
 )
 
@@ -383,10 +382,12 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
     """Conjugate M by a random integer unimodular matrix Q (det Q = 1).
 
     Q is a product of elementary shears I + c E_ij with |c| <= magnitude.
-    Each shear is applied to the split rows of D*M (D the common denominator)
-    in draw order as a row operation plus a column operation, so the result
-    stays in the exact field and Q itself is never formed; see the
-    :mod:`symrank.scalars` docstring for why D*M stays integral.  The draws
+    Each shear is applied to a copy of the split rows of D*M (D the common
+    denominator) in draw order as a row operation plus a column operation, so
+    the result stays in the exact field and Q itself is never formed; see the
+    :mod:`symrank.scalars` docstring for why D*M stays integral.  The result
+    keeps those rows and builds its entries on first read.  At least one
+    shear with ``magnitude`` < 1 raises ValueError.  The draws
     are those of ``random.Random(seed)``: i = randrange(n),
     j = randrange(n - 1) and c = choice of the nonzero multipliers, made by
     the same ``getrandbits`` calls, so every seed gives the same shears.
@@ -408,10 +409,11 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
         return r
 
     count = shear_count if shear_count is not None else 2 * n
+    if count > 0 and magnitude < 1:
+        raise ValueError(f"a shear needs magnitude >= 1, got magnitude = {magnitude}")
     multipliers = [k for k in range(-magnitude, magnitude + 1) if k != 0]
-    if count > 0 and not multipliers:
-        raise IndexError("Cannot choose from an empty sequence")
-    d, work_re, work_im = to_gaussian_integers(M.entries)
+    d, re, im = M._split_rows()
+    work_re, work_im = [row[:] for row in re], [row[:] for row in im]
     for _ in range(count):
         i = below(n)
         j = below(n - 1)
@@ -423,4 +425,4 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
             work[i] = [a + b * c for a, b in zip(work[i], work[j])]
             for row in work:
                 row[j] -= row[i] * c
-    return SquareMatrix(n, EXACT, to_gaussian_rationals(d, work_re, work_im))
+    return SquareMatrix._of_split(d, work_re, work_im)

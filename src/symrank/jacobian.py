@@ -10,9 +10,9 @@ elementary directions gives an n-by-n^2 matrix whose column (i, j) sits at
 index i*n + j (0-based row-major vectorization); its rank is computed
 fraction-free over Gaussian integers in the exact field and via SVD
 thresholding in the float field.  One reader, :func:`_trace_form_rows`,
-turns an adjugate into those rows: the Gaussian-rational or float adjugate
-of B for :func:`jacobian_exact`, and the real and imaginary parts of the
-Gaussian-integer adjugate of D*B for :func:`_scaled_jacobian`.
+turns an adjugate into those rows: the float adjugate of B, and the real and
+imaginary parts of the Gaussian-integer adjugate of D*B for both exact
+routes, :func:`jacobian_exact` and :func:`_scaled_jacobian`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
-from .matpoly import SquareMatrix, char_and_adjugate, charpoly_in_ring, symmetrize
+from .matpoly import (SquareMatrix, _StoredRows, char_and_adjugate, charpoly_in_ring,
+                      symmetrize)
 from .scalars import (
     EXACT,
     FLOAT,
@@ -29,19 +30,28 @@ from .scalars import (
     exact_quotients,
     field_zero,
     to_complex,
-    to_gaussian_integers,
+    to_gaussian_rationals,
 )
 
 COLUMN_ORDER = "direction (i,j) -> column i*n + j, 0-based row-major"
 
 
 @dataclass(frozen=True)
-class JacobianMatrix:
-    """n rows (one per sigma_k) by n^2 columns (one per direction)."""
+class JacobianMatrix(_StoredRows):
+    """n rows (one per sigma_k) by n^2 columns (one per direction).  An exact
+    result of :func:`jacobian_exact` keeps its split rows (see
+    ``matpoly._StoredRows``), row k over D^(k-1) and the even rows negated,
+    and :func:`rank_exact` ranks them."""
 
     n: int
     field: str
     rows: tuple
+
+    _LAZY = "rows"
+
+    @staticmethod
+    def _build(denominators, re, im) -> tuple:
+        return tuple(to_gaussian_rationals(d, (r,), (i,))[0] for d, r, i in zip(denominators, re, im))
 
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.rows)
@@ -147,9 +157,9 @@ def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
 def _trace_form_rows(adj) -> list:
     """Rows of the derivative at B read off adj(tI - B) = sum_k N_k t^(n-k)
     by the trace form: adj gives N_1, ..., N_n as lists of rows, and row k
-    holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  An
-    exact zero (the shared ``GQ_ZERO``) negates to itself and is returned as
-    itself; a float 0j becomes -0j."""
+    holds (-1)^(k+1) (N_k)_ji = d sigma_k along E_ij at column i*n + j.  The
+    entries are ints (one part of a Gaussian-integer adjugate) or floats, of
+    which 0j becomes -0j."""
     rows = []
     for k, m in enumerate(adj, 1):
         row = [x for col in zip(*m) for x in col]
@@ -166,8 +176,13 @@ def jacobian_exact(B: SquareMatrix) -> JacobianMatrix:
     for every column.
     """
     _, adj = char_and_adjugate(B)
-    rows = _trace_form_rows(m.entries for m in reversed(adj.coefficients))
-    return JacobianMatrix(B.n, B.field, tuple(map(tuple, rows)))
+    if B.field == FLOAT:
+        rows = _trace_form_rows(m.entries for m in reversed(adj.coefficients))
+        return JacobianMatrix(B.n, FLOAT, tuple(map(tuple, rows)))
+    splits = [m._split_rows() for m in reversed(adj.coefficients)]
+    return JacobianMatrix._of_split([d for d, _, _ in splits],
+                                    _trace_form_rows(re for _, re, _ in splits),
+                                    _trace_form_rows(im for _, _, im in splits))
 
 
 def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
@@ -176,7 +191,7 @@ def _scaled_jacobian(B: SquareMatrix) -> tuple[int, list, list]:
     :func:`jacobian_exact`, read by :func:`_trace_form_rows` from the real and
     the imaginary parts of the adjugate of D*B (see the :mod:`symrank.scalars`
     docstring for why the scaling is sound)."""
-    d, re, im = to_gaussian_integers(B.entries)
+    d, re, im = B._split_rows()
     _, adj = charpoly_in_ring(re, im)
     return d, _trace_form_rows(m for m, _ in adj), _trace_form_rows(m for _, m in adj)
 
@@ -211,20 +226,18 @@ def jacobian_fd(B: SquareMatrix, h: float) -> JacobianMatrix:
 def rank_exact(A) -> int:
     """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
 
-    One pass (:func:`symrank.scalars.clear_rows`) scales each row by the lcm
-    of its own denominators, and the rows are eliminated over Gaussian
-    integers (see the :mod:`symrank.scalars` docstring for why that is
-    exact).  Entries must be int, Fraction or GaussianRational; a float
-    matrix, or a float entry in a plain list of rows, raises ValueError.
+    The stored split rows of a matrix a kernel made (a :func:`jacobian_exact`
+    result), else each row scaled by the lcm of its own denominators
+    (:func:`symrank.scalars.clear_rows`), are eliminated over Gaussian integers
+    (see the :mod:`symrank.scalars` docstring for why that is exact).  Entries
+    must be int, Fraction or GaussianRational; a float matrix, or a float
+    entry in a plain list of rows, raises ValueError.
     """
-    if isinstance(A, JacobianMatrix):
-        rows = A.rows
-    elif isinstance(A, SquareMatrix):
-        rows = A.entries
-    else:
-        rows = A
     try:
-        rows_re, rows_im = clear_rows(rows)
+        if isinstance(A, (JacobianMatrix, SquareMatrix)):
+            rows_re, rows_im = A._split_rows(clear_rows)[-2:]
+        else:
+            rows_re, rows_im = clear_rows(A)
     except TypeError:
         raise ValueError("exact rank requires exact entries") from None
     return _bareiss(rows_re, rows_im)[0]
@@ -233,7 +246,7 @@ def rank_exact(A) -> int:
 def _bareiss(rows_re: list, rows_im: list) -> tuple:
     """(rank, last pivot, sign) of one fraction-free elimination pass over
     Z[i] on split rows: ``rows_re`` and ``rows_im`` are the int rows of the
-    real and imaginary parts, and are overwritten.
+    real and imaginary parts, which it copies and does not write to.
 
     Pivots are the first nonzero entry in a row-major scan of the remaining
     block.  For square independent rows the last pivot, an int pair (re, im),
@@ -247,6 +260,7 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
     nrows = len(rows_re)
     if not nrows:
         return 0, (1, 0), 1
+    rows_re, rows_im = [row[:] for row in rows_re], [row[:] for row in rows_im]
     ncols = len(rows_re[0])
     rank = 0
     sign = 1

@@ -91,13 +91,48 @@ def _infer_field(values: Iterable) -> str:
     return EXACT
 
 
+class _StoredRows:
+    """Base of the exact matrices that a kernel makes from split rows: the
+    result of ``canonical.random_similarity``, the N_k of
+    :func:`char_and_adjugate` and an exact ``jacobian.jacobian_exact``.
+    ``_of_split`` keeps the rows with their denominators, which kernels read
+    through ``_split_rows``, and the Gaussian rationals of the field named
+    ``_LAZY`` are built by ``_build`` on its first read.  Values, ``==``,
+    hash, repr, JSON and pickling are those of a matrix built with them."""
+
+    @classmethod
+    def _of_split(cls, denominators, re: list, im: list):
+        """Exact matrix of split rows, which no one may write to afterwards."""
+        M = object.__new__(cls)
+        M.__dict__.update(n=len(re), field=EXACT, _split=(denominators, re, im))
+        return M
+
+    def __getattr__(self, name):
+        # runs only for an attribute missing from __dict__, so never for a
+        # matrix built with its entries; racing readers build equal tuples
+        split = self.__dict__.get("_split") if name == self._LAZY else None
+        if split is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = self._build(*split)
+        return value
+
+    def _split_rows(self, clear=to_gaussian_integers) -> tuple:
+        """The stored split rows with their denominators, else ``clear`` of the
+        Gaussian rationals, for a kernel to read and never to write."""
+        return self.__dict__.get("_split") or clear(getattr(self, self._LAZY))
+
+
 @dataclass(frozen=True)
-class SquareMatrix:
-    """Immutable n-by-n matrix over one scalar field."""
+class SquareMatrix(_StoredRows):
+    """Immutable n-by-n matrix over one scalar field; a kernel's result keeps
+    its split rows over one denominator (see :class:`_StoredRows`)."""
 
     n: int
     field: str
     entries: tuple
+
+    _LAZY = "entries"
+    _build = staticmethod(to_gaussian_rationals)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field: str | None = None) -> "SquareMatrix":
@@ -580,24 +615,26 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     An exact M runs :func:`charpoly_in_ring` once on D*M, D the common
     denominator of its entries, and is scaled back: det(tI - DM) =
     D^n det(t/D I - M), so c_j(M) = c_j(DM) / D^(n-j); and N_k(M) =
-    N_k(DM) / D^(k-1).  ``jacobian._trace_form_rows`` reads the derivative
-    of the symmetrization map off this adjugate, and off the scaled one.
+    N_k(DM) / D^(k-1), kept as the split rows of N_k(DM) (:class:`_StoredRows`),
+    off which ``jacobian._trace_form_rows`` reads the derivative.
     """
     n, field = M.n, M.field
     if field == FLOAT:
         coeffs, adj = _charpoly_float(M.to_numpy(), keep_adjugate=True)
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
         return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
-    d, re, im = to_gaussian_integers(M.entries)
+    d, re, im = M._split_rows()
     (c_re, c_im), adj = charpoly_in_ring(re, im)
     (unscaled,) = to_gaussian_rationals(d ** n, [[x * d ** j for j, x in enumerate(c_re)]],
                                         [[y * d ** j for j, y in enumerate(c_im)]])
     poly = Polynomial(unscaled, field)
-    mats = tuple(
-        SquareMatrix(n, field, to_gaussian_rationals(d ** (k - 1), re, im))
-        for k, (re, im) in reversed(list(enumerate(adj, 1)))
-    )
-    return poly, MatrixPolynomial(mats)
+    # N_1 = I leads, so MatrixPolynomial.__post_init__ would strip nothing; it
+    # is skipped, and with it the read of N_1's entries
+    adjugate = object.__new__(MatrixPolynomial)
+    object.__setattr__(adjugate, "coefficients", tuple(
+        SquareMatrix._of_split(d ** (k - 1), re, im)
+        for k, (re, im) in reversed(list(enumerate(adj, 1)))))
+    return poly, adjugate
 
 
 def char_poly(M: SquareMatrix) -> Polynomial:

@@ -8,7 +8,9 @@ The exact kernels clear denominators and compute over Z[i] internally (curves
 too, by Kronecker substitution) on split rows: a Gaussian-integer matrix held
 as two lists of int rows, one of real and one of imaginary parts, which
 :func:`to_gaussian_integers` produces and :func:`to_gaussian_rationals`
-reads back.  Their inputs and outputs stay Gaussian rationals.  A single
+reads back.  Their inputs and outputs are Gaussian rationals, but a matrix
+a kernel returns keeps its split rows, builds its Gaussian rationals on first
+read, and hands the next kernel the rows (``matpoly._StoredRows``).  A single
 Gaussian integer (an eigenvalue, a pivot) is the int pair (re, im), and a
 vector or polynomial over Z[i] the pair of its int lists; each kernel writes
 the product (a + bi)(c + di) out on those ints.  Each Gaussian integer with

@@ -557,13 +557,16 @@ def test_random_similarity_draws_equal_randrange_and_choice():
 
 def test_random_similarity_without_multipliers():
     # no nonzero multiplier within the magnitude: the former choice raised
-    # IndexError at the first shear, and no shear needs none
+    # IndexError at the first shear, random_similarity a ValueError that names
+    # the argument; no shear needs none
     M = build_jordan(JordanSpec.of({gq(0): [1, 2]}))
     for magnitude in (0, -1):
         with pytest.raises(IndexError):
             reference_random_similarity(M, 0, magnitude=magnitude)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="magnitude"):
             random_similarity(M, 0, magnitude=magnitude)
+        with pytest.raises(ValueError, match="magnitude"):
+            random_similarity(M, 0, shear_count=1, magnitude=magnitude)
         assert random_similarity(M, 0, shear_count=0, magnitude=magnitude) == M
 
 

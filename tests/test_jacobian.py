@@ -1,7 +1,11 @@
 """Exact derivative assembly, finite-difference oracles, and rank."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,9 +26,11 @@ from symrank.jacobian import (
     verify_theorem,
 )
 from symrank.matpoly import (
+    MatrixPolynomial,
     Polynomial,
     SquareMatrix,
     char_and_adjugate,
+    charpoly_in_ring,
     symmetrize,
 )
 from symrank.scalars import (
@@ -41,7 +47,7 @@ from symrank.scalars import (
     to_gaussian_integers,
     to_gaussian_rationals,
 )
-from tests.test_canonical import gauss_rank
+from tests.test_canonical import gauss_rank, reference_random_similarity
 from tests.test_matpoly import OVERFLOW_ROWS, float_cases, laplace_det, reference_charpoly
 
 
@@ -800,3 +806,103 @@ def test_bareiss_refuses_an_inexact_division(monkeypatch, first_pivot):
     monkeypatch.setattr(jacobian, "exact_quotients", off_by_one)
     with pytest.raises(ArithmeticError):
         _bareiss(*rows())
+
+
+def reference_char_and_adjugate(M):
+    """The former exact route: every N_k built as Gaussian rationals at once."""
+    d, re, im = to_gaussian_integers(M.entries)
+    poly, _ = char_and_adjugate(M)
+    _, adj = charpoly_in_ring(re, im)
+    return poly, MatrixPolynomial(tuple(
+        SquareMatrix(M.n, EXACT, to_gaussian_rationals(d ** (k - 1), re, im))
+        for k, (re, im) in reversed(list(enumerate(adj, 1)))))
+
+
+def _stored_row_cases():
+    """(B, seed) for every default-pool spec with n <= 5 and every spec with
+    n <= 5 over a pool of rationals, so that D > 1."""
+    rational_pool = (gq("1/2"), gq("-2/3", "1/5"), gq(0, "3/4"))
+    for pool in (DEFAULT_POOL, rational_pool):
+        for n in range(1, 6):
+            for index, spec in enumerate(enumerate_jordan_specs(n, pool)):
+                yield build_jordan(spec), 100 * n + index
+
+
+def _same_as_eager(make, eager):
+    # every check reads a fresh result first: ==, hash, repr and JSON must
+    # each build the same values, and so must a copy taken before any read
+    assert eager == make()
+    assert hash(make()) == hash(eager)
+    assert repr(make()) == repr(eager)
+    assert make().to_json() == eager.to_json()
+    for copied in (pickle.loads(pickle.dumps(make())), copy.deepcopy(make())):
+        assert copied == eager
+        assert repr(copied) == repr(eager)
+
+
+def _snapshot(x):
+    # at n = 1 random_similarity returns its input, which stores no rows
+    return copy.deepcopy(vars(x).get("_split", x))
+
+
+def test_stored_row_results_equal_eager_ones():
+    """random_similarity, char_and_adjugate and jacobian_exact keep split rows;
+    reading them gives what building them with Gaussian rationals gave."""
+    denominators = set()
+    for B, seed in _stored_row_cases():
+        conjugated = random_similarity(B, seed)
+        eager = reference_random_similarity(B, seed)
+        eager_poly, eager_adj = reference_char_and_adjugate(eager)
+        eager_jac = reference_jacobian_exact(eager)
+        _same_as_eager(lambda: random_similarity(B, seed), eager)
+        _same_as_eager(lambda: char_and_adjugate(conjugated)[1], eager_adj)
+        _same_as_eager(lambda: jacobian_exact(conjugated), eager_jac)
+        assert char_and_adjugate(conjugated)[0] == eager_poly
+        # a kernel reads the stored rows and writes none of them
+        jac = jacobian_exact(random_similarity(B, seed))
+        before = _snapshot(jac)
+        ranks = rank_exact(jac), rank_exact(jac)
+        assert ranks[0] == ranks[1] == rank_exact(eager_jac)
+        assert _snapshot(jac) == before
+        assert jac.rows == eager_jac.rows
+        fresh = random_similarity(B, seed)
+        before = _snapshot(fresh)
+        twice = random_similarity(fresh, seed + 1), random_similarity(fresh, seed + 1)
+        assert _snapshot(fresh) == before
+        assert twice[0] == twice[1] == reference_random_similarity(eager, seed + 1)
+        assert fresh.entries == eager.entries
+        # no kernel on the conjugate path read the conjugate's entries
+        assert B.n == 1 or "entries" not in vars(conjugated)
+        denominators.update(vars(jac)["_split"][0])
+    assert max(denominators) > 1
+
+
+def test_stored_rows_under_racing_threads():
+    # four threads read entries or rows of one fresh matrix each round; a race
+    # may build them twice, and every reader must see the same values
+    rng = random.Random(1400)
+    B = random_exact(rng, 7)
+    want_entries = reference_random_similarity(B, 7).entries
+    want_rows = reference_jacobian_exact(reference_random_similarity(B, 7)).rows
+    results = []
+
+    def read(matrix, name):
+        results.append((name, getattr(matrix, name)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            for matrix, name in ((random_similarity(B, 7), "entries"),
+                                 (jacobian_exact(random_similarity(B, 7)), "rows")):
+                threads = [threading.Thread(target=read, args=(matrix, name)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 80
+    for name, value in results:
+        assert value == (want_entries if name == "entries" else want_rows)
