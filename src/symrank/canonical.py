@@ -90,9 +90,6 @@ class JordanSpec:
                 return blk.sizes
         raise ValueError(f"{lam} is not an eigenvalue of this spec")
 
-    def multiplicity(self, lam) -> int:
-        return sum(self.sizes_for(lam))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -377,20 +374,18 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     return spec
 
 
-def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None,
-                      magnitude: int = 2) -> SquareMatrix:
+def random_similarity(M: SquareMatrix, seed: int) -> SquareMatrix:
     """Conjugate M by a random integer unimodular matrix Q (det Q = 1).
 
-    Q is a product of elementary shears I + c E_ij with |c| <= magnitude.
-    Each shear is applied to a copy of the split rows of D*M (D the common
-    denominator) in draw order as a row operation plus a column operation, so
-    the result stays in the exact field and Q itself is never formed; see the
-    :mod:`symrank.scalars` docstring for why D*M stays integral.  The result
-    keeps those rows and builds its entries on first read.  At least one
-    shear with ``magnitude`` < 1 raises ValueError.  The draws
-    are those of ``random.Random(seed)``: i = randrange(n),
-    j = randrange(n - 1) and c = choice of the nonzero multipliers, made by
-    the same ``getrandbits`` calls, so every seed gives the same shears.
+    Q is a product of 2n elementary shears I + c E_ij with c one of
+    -2, -1, 1, 2.  Each shear is applied to a copy of the split rows of D*M
+    (D the common denominator) in draw order as a row operation plus a column
+    operation, so the result stays in the exact field and Q itself is never
+    formed; see the :mod:`symrank.scalars` docstring for why D*M stays
+    integral.  The result keeps those rows and builds its entries on first
+    read.  The draws are those of ``random.Random(seed)``: i = randrange(n),
+    j = randrange(n - 1) and c = choice of the multipliers, made by the same
+    ``getrandbits`` calls, so every seed gives the same shears.
     """
     if M.field != EXACT:
         raise ValueError("random similarity requires an exact matrix")
@@ -408,18 +403,14 @@ def random_similarity(M: SquareMatrix, seed: int, shear_count: int | None = None
             r = getrandbits(width)
         return r
 
-    count = shear_count if shear_count is not None else 2 * n
-    if count > 0 and magnitude < 1:
-        raise ValueError(f"a shear needs magnitude >= 1, got magnitude = {magnitude}")
-    multipliers = [k for k in range(-magnitude, magnitude + 1) if k != 0]
     d, re, im = M._split_rows()
     work_re, work_im = [row[:] for row in re], [row[:] for row in im]
-    for _ in range(count):
+    for _ in range(2 * n):
         i = below(n)
         j = below(n - 1)
         if j >= i:
             j += 1
-        c = multipliers[below(len(multipliers))]
+        c = (-2, -1, 1, 2)[below(4)]
         # (I + c E_ij) M (I - c E_ij): row i += c row j, then column j -= c column i
         for work in (work_re, work_im):
             work[i] = [a + b * c for a, b in zip(work[i], work[j])]

@@ -168,12 +168,12 @@ def _derived_seed(base_seed: int, index: int, stream: int) -> int:
     return (base_seed * 7919 + index) * 31 + stream
 
 
-def _random_exact_matrix(n: int, seed: int, magnitude: int = 4) -> SquareMatrix:
+def _random_exact_matrix(n: int, seed: int) -> SquareMatrix:
     import random as _random
 
     rng = _random.Random(seed)
     return SquareMatrix.from_rows(
-        [[random_gaussian_rational(rng, magnitude) for _ in range(n)] for _ in range(n)],
+        [[random_gaussian_rational(rng, 4) for _ in range(n)] for _ in range(n)],
         EXACT,
     )
 

@@ -26,10 +26,10 @@ from .scalars import (
     EXACT,
     FLOAT,
     NumericFailure,
-    clear_rows,
     exact_quotients,
     field_zero,
     to_complex,
+    to_gaussian_integers,
     to_gaussian_rationals,
 )
 
@@ -227,17 +227,17 @@ def rank_exact(A) -> int:
     """Exact rank by fraction-free (Bareiss) elimination with full pivoting.
 
     The stored split rows of a matrix a kernel made (a :func:`jacobian_exact`
-    result), else each row scaled by the lcm of its own denominators
-    (:func:`symrank.scalars.clear_rows`), are eliminated over Gaussian integers
-    (see the :mod:`symrank.scalars` docstring for why that is exact).  Entries
-    must be int, Fraction or GaussianRational; a float matrix, or a float
-    entry in a plain list of rows, raises ValueError.
+    result), else the rows times the common denominator of all their entries
+    (:func:`symrank.scalars.to_gaussian_integers`), are eliminated over
+    Gaussian integers (see the :mod:`symrank.scalars` docstring for why that
+    is exact).  Entries must be int, Fraction or GaussianRational; a float
+    matrix, or a float entry in a plain list of rows, raises ValueError.
     """
     try:
         if isinstance(A, (JacobianMatrix, SquareMatrix)):
-            rows_re, rows_im = A._split_rows(clear_rows)[-2:]
+            _, rows_re, rows_im = A._split_rows()
         else:
-            rows_re, rows_im = clear_rows(A)
+            _, rows_re, rows_im = to_gaussian_integers(A)
     except TypeError:
         raise ValueError("exact rank requires exact entries") from None
     return _bareiss(rows_re, rows_im)[0]

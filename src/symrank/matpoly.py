@@ -116,10 +116,11 @@ class _StoredRows:
         value = self.__dict__[name] = self._build(*split)
         return value
 
-    def _split_rows(self, clear=to_gaussian_integers) -> tuple:
-        """The stored split rows with their denominators, else ``clear`` of the
-        Gaussian rationals, for a kernel to read and never to write."""
-        return self.__dict__.get("_split") or clear(getattr(self, self._LAZY))
+    def _split_rows(self) -> tuple:
+        """The stored split rows with their denominators, else
+        :func:`symrank.scalars.to_gaussian_integers` of the Gaussian rationals,
+        for a kernel to read and never to write."""
+        return self.__dict__.get("_split") or to_gaussian_integers(getattr(self, self._LAZY))
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,6 @@ class SquareMatrix(_StoredRows):
         return SquareMatrix(self.n, self.field, tuple(
             tuple(c * x for x in r) for r in self.entries
         ))
-
-    def trace(self):
-        total = self.entries[0][0]
-        for i in range(1, self.n):
-            total = total + self.entries[i][i]
-        return total
 
     def is_zero(self) -> bool:
         return all(not x for r in self.entries for x in r)
@@ -467,13 +462,6 @@ class MatrixPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def evaluate(self, t) -> SquareMatrix:
-        t = coerce_scalar(t, self.field)
-        total = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            total = total.scale(t) + c
-        return total
 
     def entry_poly(self, i: int, j: int) -> Polynomial:
         return Polynomial(tuple(c.entries[i][j] for c in self.coefficients), self.field)

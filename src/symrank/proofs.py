@@ -48,7 +48,6 @@ from .scalars import (
     GaussianRational,
     balanced_splitter,
     clear_denominator,
-    clear_rows,
     coerce_scalar,
     field_one,
     field_zero,
@@ -132,8 +131,8 @@ def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
     """True iff every certificate vector kills every column of the derivative.
 
     The products are taken over Z[i], against the row-scaled derivative of
-    ``jacobian._scaled_jacobian`` and each vector rescaled to match (see the
-    :mod:`symrank.scalars` docstring).
+    ``jacobian._scaled_jacobian`` and the vectors rescaled to match, over one
+    common denominator (see the :mod:`symrank.scalars` docstring).
     """
     if B.field != EXACT:
         raise ValueError("annihilation check requires an exact matrix")
@@ -146,7 +145,7 @@ def verify_annihilation(cert: NullspaceCertificate, B: SquareMatrix) -> bool:
     if not cert.vectors:
         return True
     d, rows_re, rows_im = _scaled_jacobian(B)
-    for w_re, w_im in zip(*clear_rows(v.vector for v in cert.vectors)):
+    for w_re, w_im in zip(*to_gaussian_integers(v.vector for v in cert.vectors)[1:]):
         # row k is D^(k-1) J_k, so w_k = L v_k D^(n-k) gives w . rows = L D^(n-1) v . J
         terms = [(a * d ** (n - k), b * d ** (n - k), rows_re[k - 1], rows_im[k - 1])
                  for k, (a, b) in enumerate(zip(w_re, w_im), 1) if a or b]

@@ -38,10 +38,11 @@ their verdicts:
   so row k of the derivative read from the adjugate of D*B is D^(k-1)
   times row k of pi'(B) (``jacobian._scaled_jacobian``).  Each row is
   scaled by a nonzero integer, so the rank is that of pi'(B);
-* covector rescale: for a covector v and L the common denominator of the
-  w_k = v_k D^(n-k), sum_k (L w_k)(D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k,
-  so v annihilates a column of J = pi'(B) iff the Gaussian integers L w
-  annihilate that column of the scaled rows (``verify_annihilation``);
+* covector rescale: for covectors v and L the common denominator of all
+  their entries, with w_k = L v_k D^(n-k),
+  sum_k w_k (D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k, so v annihilates a
+  column of J = pi'(B) iff the Gaussian integers w annihilate that column
+  of the scaled rows (``verify_annihilation``);
 * determinant column scale: scaling column c by s_c multiplies the
   determinant by the product of the s_c.  With lam = a/e, the confluent
   Vandermonde column of order d scaled by e^(n-1-d) has entries
@@ -323,47 +324,12 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
     as split rows, ``re`` and ``im`` the int rows of its real and imaginary
     parts.  Entries may be int, Fraction or GaussianRational; anything else
     raises TypeError."""
-    re_rows, im_rows = [], []
-    denominators = set()
+    parts, d = [], 1
     for row in rows:
-        re_row, im_row = [], []
+        row_parts = []
         for x in row:
             if x is GQ_ZERO:
-                re_row.append((0, 1))
-                im_row.append((0, 1))
-                continue
-            if type(x) is GaussianRational:
-                re, re_den = x.re.as_integer_ratio()
-                im, im_den = x.im.as_integer_ratio()
-            elif isinstance(x, (int, Fraction)):
-                re, re_den = x.as_integer_ratio()
-                im, im_den = 0, 1
-            else:
-                raise TypeError(f"{x!r} is not an exact scalar")
-            re_row.append((re, re_den))
-            im_row.append((im, im_den))
-            denominators.add(re_den)
-            denominators.add(im_den)
-        re_rows.append(re_row)
-        im_rows.append(im_row)
-    d = math.lcm(*denominators)
-    if d == 1:
-        # every default-pool matrix: the parts are already integers
-        return (1, [[x for x, _ in row] for row in re_rows],
-                [[x for x, _ in row] for row in im_rows])
-    return (d, [[x * (d // den) for x, den in row] for row in re_rows],
-            [[x * (d // den) for x, den in row] for row in im_rows])
-
-
-def clear_rows(rows) -> tuple[list, list]:
-    """(re, im) split rows of ``rows``, each row times the lcm of its own
-    denominators; entries as in :func:`to_gaussian_integers`."""
-    re_rows, im_rows = [], []
-    for row in rows:
-        parts, d = [], 1
-        for x in row:
-            if x is GQ_ZERO:
-                parts.append((0, 1, 0, 1))
+                row_parts.append((0, 1, 0, 1))
                 continue
             if type(x) is GaussianRational:
                 re, re_den = x.re.as_integer_ratio()
@@ -375,12 +341,14 @@ def clear_rows(rows) -> tuple[list, list]:
                 raise TypeError(f"{x!r} is not an exact scalar")
             if re_den != 1 or im_den != 1:
                 d = math.lcm(d, re_den, im_den)
-            parts.append((re, re_den, im, im_den))
-        if d != 1:
-            parts = [(re * (d // p), 1, im * (d // q), 1) for re, p, im, q in parts]
-        re_rows.append([re for re, _, _, _ in parts])
-        im_rows.append([im for _, _, im, _ in parts])
-    return re_rows, im_rows
+            row_parts.append((re, re_den, im, im_den))
+        parts.append(row_parts)
+    if d == 1:
+        # every default-pool matrix: the parts are already integers
+        return (1, [[re for re, _, _, _ in row] for row in parts],
+                [[im for _, _, im, _ in row] for row in parts])
+    return (d, [[re * (d // p) for re, p, _, _ in row] for row in parts],
+            [[im * (d // q) for _, _, im, q in row] for row in parts])
 
 
 def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
@@ -505,10 +473,6 @@ def parse_eigenvalue(text: str) -> GaussianRational:
                 if im_part in ("+", "-"):
                     im_part += "1"
                 return gq(parse_rational(re_part), parse_rational(im_part))
-        if head in ("", "+"):
-            head = "1"
-        elif head == "-":
-            head = "-1"
         return gq(0, parse_rational(head))
     return gq(parse_rational(body))
 

@@ -450,12 +450,6 @@ def test_min_poly_degree_formula_matches_krylov_everywhere():
             assert min_poly_degree(spec) == min_poly_krylov(build_jordan(spec)).degree
 
 
-def test_random_similarity_identity_when_no_shears():
-    rng = random.Random(1)
-    M = build_jordan(JordanSpec.of({0: [1, 2]}))
-    assert random_similarity(M, seed=5, shear_count=0) == M
-
-
 def test_random_similarity_preserves_invariants():
     spec = JordanSpec.of({0: [1, 2], 1: [1]})
     M = build_jordan(spec)
@@ -478,18 +472,18 @@ def test_random_similarity_requires_exact():
         random_similarity(SquareMatrix.identity(2, FLOAT), seed=0)
 
 
-def dense_similarity(M, seed, shear_count=None, magnitude=2):
+def dense_similarity(M, seed):
     """Oracle: Q @ M @ Q^-1 with Q and Q^-1 built densely from the shear draw
     of random_similarity (Q = E_last ... E_first, each E = I + c E_ij)."""
     n = M.n
     rng = random.Random(seed)
     ops = []
-    for _ in range(shear_count if shear_count is not None else 2 * n):
+    for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        ops.append((i, j, rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])))
+        ops.append((i, j, rng.choice([-2, -1, 1, 2])))
     q = [[gq(1) if a == b else gq(0) for b in range(n)] for a in range(n)]
     qinv = [row[:] for row in q]
     for i, j, c in ops:
@@ -505,13 +499,11 @@ def test_random_similarity_matches_dense_product():
         for trial in range(4):
             M = SquareMatrix.from_rows(
                 [[random_gaussian_rational(rng) for _ in range(n)] for _ in range(n)], EXACT)
-            for count in (0, None, 3 * n):
-                seed = 100 * n + trial
-                assert (random_similarity(M, seed, shear_count=count)
-                        == dense_similarity(M, seed, shear_count=count))
+            seed = 100 * n + trial
+            assert random_similarity(M, seed) == dense_similarity(M, seed)
 
 
-def reference_random_similarity(M, seed, shear_count=None, magnitude=2):
+def reference_random_similarity(M, seed):
     """The former draw: ``randrange`` and ``choice`` on ``random.Random(seed)``,
     the multiplier list rebuilt for every shear; the same split-row shears."""
     if M.field != EXACT:
@@ -520,14 +512,13 @@ def reference_random_similarity(M, seed, shear_count=None, magnitude=2):
     if n == 1:
         return M
     rng = random.Random(seed)
-    count = shear_count if shear_count is not None else 2 * n
     d, work_re, work_im = to_gaussian_integers(M.entries)
-    for _ in range(count):
+    for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        c = rng.choice([k for k in range(-magnitude, magnitude + 1) if k != 0])
+        c = rng.choice([k for k in range(-2, 3) if k != 0])
         for work in (work_re, work_im):
             work[i] = [a + b * c for a, b in zip(work[i], work[j])]
             for row in work:
@@ -537,8 +528,7 @@ def reference_random_similarity(M, seed, shear_count=None, magnitude=2):
 
 def test_random_similarity_draws_equal_randrange_and_choice():
     """Every seed 0..299 at every n = 1..8, on a Jordan and a dense rational
-    matrix; the magnitude (1..3) and the shear count (None, 0, 1, 17) cycle
-    with the seed, so each of their 12 pairs meets 25 seeds at every n."""
+    matrix."""
     rng = random.Random(31)
     jordans = [build_jordan(JordanSpec.of({gq("1/2", "-2/3"): [n - n // 2], gq(2): [n // 2]}
                                           if n > 1 else {gq(-1): [1]}))
@@ -546,28 +536,11 @@ def test_random_similarity_draws_equal_randrange_and_choice():
     denses = [SquareMatrix.from_rows([[random_gaussian_rational(rng, 5) for _ in range(n)]
                                       for _ in range(n)], EXACT) for n in range(1, 9)]
     for seed in range(300):
-        magnitude = 1 + seed % 3
-        count = (None, 0, 1, 17)[(seed // 3) % 4]
         for M in jordans + denses:
-            got = random_similarity(M, seed, shear_count=count, magnitude=magnitude)
-            want = reference_random_similarity(M, seed, shear_count=count, magnitude=magnitude)
+            got = random_similarity(M, seed)
+            want = reference_random_similarity(M, seed)
             assert got == want
             assert repr(got) == repr(want)
-
-
-def test_random_similarity_without_multipliers():
-    # no nonzero multiplier within the magnitude: the former choice raised
-    # IndexError at the first shear, random_similarity a ValueError that names
-    # the argument; no shear needs none
-    M = build_jordan(JordanSpec.of({gq(0): [1, 2]}))
-    for magnitude in (0, -1):
-        with pytest.raises(IndexError):
-            reference_random_similarity(M, 0, magnitude=magnitude)
-        with pytest.raises(ValueError, match="magnitude"):
-            random_similarity(M, 0, magnitude=magnitude)
-        with pytest.raises(ValueError, match="magnitude"):
-            random_similarity(M, 0, shear_count=1, magnitude=magnitude)
-        assert random_similarity(M, 0, shear_count=0, magnitude=magnitude) == M
 
 
 def _entries_digest(M):
@@ -587,19 +560,14 @@ def test_random_similarity_matches_recorded_matrices():
     real = SquareMatrix.from_rows([[gq(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)],
                                   EXACT)
     cases = [
-        (build_jordan(mixed), 0, {},
-         "967721425090ccc92b12cd20d570b9bba30ba05a577d8c740dea2f25da8ca0bf"),
-        (build_jordan(mixed), 7, {},
-         "9385b18b8faa7e621505c0a97392dffaf689a426f336d6aa8d9fe9806460bc82"),
-        (build_jordan(six), 11, {},
-         "655284a4af8d28532210647ef906109e8a54d8cee2c09d0fcec655851d211f6f"),
-        (dense, 5, {}, "fa577250fbad4d4a8eeec72d08a3bfb133a6abc7ada4d6df187f9b6b1b0c908a"),
-        (dense, 6, {"shear_count": 12, "magnitude": 3},
-         "ce2f9b4e3416a38afd0384f6e95d31e71e7a0c768130e15382ac102cbe0bb639"),
-        (real, 9, {}, "07801feafb2d17df13b2cdf319ce3d8ad3b5fa070ac8358eeba3359ebe94c828"),
+        (build_jordan(mixed), 0, "967721425090ccc92b12cd20d570b9bba30ba05a577d8c740dea2f25da8ca0bf"),
+        (build_jordan(mixed), 7, "9385b18b8faa7e621505c0a97392dffaf689a426f336d6aa8d9fe9806460bc82"),
+        (build_jordan(six), 11, "655284a4af8d28532210647ef906109e8a54d8cee2c09d0fcec655851d211f6f"),
+        (dense, 5, "fa577250fbad4d4a8eeec72d08a3bfb133a6abc7ada4d6df187f9b6b1b0c908a"),
+        (real, 9, "07801feafb2d17df13b2cdf319ce3d8ad3b5fa070ac8358eeba3359ebe94c828"),
     ]
-    for M, seed, options, digest in cases:
-        assert _entries_digest(random_similarity(M, seed, **options)) == digest
+    for M, seed, digest in cases:
+        assert _entries_digest(random_similarity(M, seed)) == digest
     # spelled out: a real integer Jordan matrix stays real
     conjugate = random_similarity(build_jordan(JordanSpec.of({gq(1): [1, 2]})), 3)
     assert conjugate == SquareMatrix.from_rows([[1, 0, 1], [0, 1, -1], [0, 0, 1]], EXACT)

@@ -532,6 +532,39 @@ def test_cli_sweep_stdout_default_pool(capsys):
     assert "failures" in captured.err
 
 
+def test_cli_sweep_reports_a_failing_check(tmp_path, capsys, monkeypatch):
+    """A mode that fails on one spec: exit 1, the failure count, and one
+    stderr record whose repro command fails again."""
+    import shlex
+
+    import symrank.cli as cli
+
+    check, stream, command = cli._MODE_TABLE["vandermonde"]
+    target = list(enumerate_jordan_specs(2, DEFAULT_POOL))[3]
+
+    def failing(spec):
+        result, entry = check(spec)
+        return result, {**entry, "ok": entry["ok"] and spec != target}
+
+    monkeypatch.setitem(cli._MODE_TABLE, "vandermonde", (failing, stream, command))
+    out = tmp_path / "s.jsonl"
+    assert main(["sweep", "--n-max", "2", "--modes", "vandermonde,nullspace", "--seed", "4",
+                 "--out", str(out)]) == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    # the five n = 1 specs come first
+    assert [r["index"] for r in records if not r["ok"]] == [5 + 3]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "sweep: 25 specs, 25 checked, 1 failures"
+    (failure,) = map(json.loads, err[1:])
+    assert failure["modes_failed"] == ["vandermonde"]
+    assert failure["spec"] == target.to_json()
+    (repro,) = failure["repro"]
+    argv = shlex.split(repro)
+    assert argv[0] == "symrank"
+    assert main(argv[1:] + ["--out", str(tmp_path / "repro.jsonl")]) == 1
+    assert "1 failures" in capsys.readouterr().err
+
+
 def test_cli_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-c",
@@ -736,6 +769,11 @@ ZERO_BLOCK = {"eigenvalue": ["0/1", "0/1"], "sizes": [1]}
     ("ord", {"coefficients": 5}, "'coefficients' list"),
     ("rank", '{"n": 1, "field": "float", "entries": [[[1e400, 0]]]}', "must be finite"),
     ("rank", {"n": 1, "field": "float", "entries": [[[10 ** 400, 0]]]}, "must be finite"),
+    ("verify", {"n": 1, "blocks": []}, "at least one eigenvalue group"),
+    ("tangent", {"invariant_factors": []}, "at least one invariant factor"),
+    ("tangent", {"invariant_factors": [[["0/1", "0/1"], ["2/1", "0/1"]]]}, "monic of degree"),
+    ("tangent", {"invariant_factors": [[["0/1", "0/1"], ["0/1", "0/1"], ["1/1", "0/1"]],
+                                       [["0/1", "0/1"], ["1/1", "0/1"]]]}, "ascending degree"),
 ])
 def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payload, named):
     if command == "rank" and isinstance(payload, str):

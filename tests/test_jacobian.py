@@ -300,7 +300,18 @@ def test_rank_exact_accepts_int_and_fraction_entries():
 
 
 def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
-    # each row gets its own scale, so rows must not share a denominator
+    # rows with unrelated denominators share one scale: 3 * 2^70 for the
+    # first five cases, whose rows have denominators 2, 3 and 2^70
+    tiny = Fraction(1, 2 ** 70)
+    u = [gq("1/2"), gq(0, "1/2"), gq(1, "-1/2")]
+    v = [gq("1/3", 2), gq(0), gq("-2/3", "1/3")]
+    cases = [
+        [u, v, [x * tiny for x in (gq(1), gq(2, 1), gq(-3))]],
+        [u, v, [(a + b * gq(0, 5)) * tiny for a, b in zip(u, v)]],
+        [u, [x * gq(-6) for x in u], [x * tiny for x in u]],
+        [[tiny, Fraction(1, 3)], [Fraction(1, 2), gq(0, "1/3")]],
+        [[Fraction(1, 2), 1], [2, Fraction(4, 1)]],
+    ]
     rng = random.Random(72)
     for trial in range(40):
         nrows = rng.randint(1, 5)
@@ -313,7 +324,13 @@ def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
                          if rng.random() < 0.6 else gq(0) for _ in range(ncols)])
         if nrows > 2 and trial % 2:
             rows[-1] = [a * gq("3/7", 1) + b * gq("-5/2") for a, b in zip(rows[0], rows[1])]
-        assert rank_exact(rows) == gauss_rank(rows)
+        cases.append(rows)
+    for rows in cases:
+        want = gauss_rank([[coerce_scalar(x, EXACT) for x in row] for row in rows])
+        assert rank_exact(rows) == want
+        if len(rows) == len(rows[0]):
+            assert rank_exact(SquareMatrix.from_rows(rows, EXACT)) == want
+    assert [rank_exact(rows) for rows in cases[:5]] == [3, 2, 1, 2, 1]
 
 
 def reference_rank_exact(rows) -> int:

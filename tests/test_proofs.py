@@ -29,6 +29,7 @@ from symrank.matpoly import (
 from symrank.proofs import (
     NullspaceCertificate,
     NullVector,
+    TangentCertificate,
     VandermondeComparison,
     VanishingReport,
     confluent_vandermonde_det,
@@ -244,6 +245,15 @@ def test_tangent_construction_t_cubed():
     )
     assert cert.pivots == (3, 2, 1)
     assert tangent_ok(cert)
+
+
+def test_tangent_ok_rejects_empty_and_misordered_certificates():
+    cert = tangent_construction(FrobeniusSpec((Polynomial.make([0, 0, 0, 1]),)))
+    assert tangent_ok(cert)
+    assert not tangent_ok(TangentCertificate((), (), ()))
+    # the same independent images, with pivots other than (3, 2, 1)
+    for pivots in ((1, 2, 3), (3, 1, 2), (3, 2), (2, 1, 0)):
+        assert not tangent_ok(TangentCertificate(cert.directions, cert.images, pivots))
 
 
 def test_tangent_images_match_symbolic_route():

@@ -1,5 +1,6 @@
 """Exact and float scalar field behavior."""
 
+import math
 import random
 import sys
 import threading
@@ -15,7 +16,6 @@ from symrank.scalars import (
     GaussianRational,
     approx_eq,
     clear_denominator,
-    clear_rows,
     coerce_scalar,
     exact_quotients,
     format_eigenvalue,
@@ -204,6 +204,17 @@ def test_eigenvalue_shorthand_round_trip():
         assert parse_eigenvalue(format_eigenvalue(v)) == v
 
 
+def test_eigenvalue_shorthand_unit_imaginary_spellings():
+    # a bare, signed or spaced i returns before the split loop
+    for text, want in (("i", gq(0, 1)), ("+i", gq(0, 1)), ("-i", gq(0, -1)),
+                       (" - i ", gq(0, -1)), ("+ i", gq(0, 1)), ("2i", gq(0, 2)),
+                       ("-3/2i", gq(0, "-3/2")), ("1-i", gq(1, -1)), ("1/2+i", gq("1/2", 1))):
+        assert parse_eigenvalue(text) == want
+    for text in ("++i", "i+", "1+-i"):
+        with pytest.raises(ValueError):
+            parse_eigenvalue(text)
+
+
 def test_gaussian_integer_division_raises_on_remainder():
     # division, on split rows: (a b) / b and (6 - 4i) / 2 give a = 3 - 2i
     # back, with b = -1 + 4i and a b = 5 + 14i
@@ -333,17 +344,19 @@ def test_negation_equals_fresh_construction():
     assert -GQ_ZERO is GQ_ZERO
 
 
-def reference_clear_rows(rows) -> tuple:
-    """The former per-row route: one to_gaussian_integers([row]) per row."""
-    rows_re, rows_im = [], []
-    for row in rows:
-        _, (row_re,), (row_im,) = to_gaussian_integers([row])
-        rows_re.append(row_re)
-        rows_im.append(row_im)
-    return rows_re, rows_im
+def reference_to_gaussian_integers(rows) -> tuple:
+    """(D, re, im) by Fraction arithmetic: D the lcm of every part's
+    denominator, then each part times D."""
+    parts = [[(Fraction(x.re), Fraction(x.im)) if isinstance(x, GaussianRational)
+              else (Fraction(x), Fraction(0)) for x in row] for row in rows]
+    d = math.lcm(*(p.denominator for row in parts for pair in row for p in pair))
+    return (d, [[int(re * d) for re, _ in row] for row in parts],
+            [[int(im * d) for _, im in row] for row in parts])
 
 
-def test_clear_rows_matches_the_per_row_route():
+def test_to_gaussian_integers_matches_the_fraction_route():
+    """One common denominator over rows that mix the shared zero with int,
+    Fraction and GaussianRational entries, of any lengths."""
     rng = random.Random(19)
     rows = [[], [GQ_ZERO, 0, Fraction(0), gq(0)], [1, Fraction(-1, 6), gq("1/4", "-1/3"), GQ_ZERO],
             [gq(2, -3), 5, Fraction(-4)], [gq("1/2"), gq(0, "1/3")], [2 ** 70, Fraction(1, 2 ** 70)]]
@@ -351,12 +364,13 @@ def test_clear_rows_matches_the_per_row_route():
         rows.append([rng.choice([GQ_ZERO, rng.randint(-9, 9), random_gaussian_rational(rng),
                                  Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
                      for _ in range(rng.randint(1, 7))])
-    assert clear_rows(rows) == reference_clear_rows(rows)
-    assert clear_rows([]) == ([], [])
-    # each row has its own scale
-    assert clear_rows([[Fraction(1, 2)], [Fraction(1, 3)]]) == ([[1], [1]], [[0], [0]])
+    assert to_gaussian_integers(rows) == reference_to_gaussian_integers(rows)
+    for k in range(len(rows)):
+        assert to_gaussian_integers(rows[k:k + 3]) == reference_to_gaussian_integers(rows[k:k + 3])
+    assert to_gaussian_integers([]) == (1, [], [])
+    assert to_gaussian_integers(iter([[Fraction(1, 2)], [Fraction(1, 3)]])) == (6, [[3], [2]], [[0], [0]])
     with pytest.raises(TypeError):
-        clear_rows([[gq(1)], [gq(1), 0.5]])
+        to_gaussian_integers([[gq(1)], [gq(1), 0.5]])
 
 
 def test_shared_table_under_racing_threads():
