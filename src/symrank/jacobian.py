@@ -27,7 +27,6 @@ from .scalars import (
     FLOAT,
     NumericFailure,
     exact_quotients,
-    field_zero,
     to_complex,
     to_gaussian_integers,
     to_gaussian_rationals,
@@ -55,9 +54,6 @@ class JacobianMatrix(_StoredRows):
 
     def column(self, c: int) -> tuple:
         return tuple(row[c] for row in self.rows)
-
-    def column_index(self, i: int, j: int) -> int:
-        return i * self.n + j
 
     def to_numpy(self) -> np.ndarray:
         import numpy as np
@@ -116,41 +112,36 @@ _last_jacobian = (None, None)
 
 def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
     """d/deps at 0 of symmetrize(B + eps*M): the derivative matrix at B
-    applied to vec(M).
+    applied to vec(M), for an exact pair; a float pair raises ValueError.
 
     Component k is (-1)^(k+1) times the coefficient of t^(n-k) in
     tr(adj(tI - B) M).  The matrix comes from :func:`jacobian_exact`; a
     repeated call with the same B object reuses it, so m directions at one
-    B share one adjugate.
+    B share one adjugate.  Its stored split rows (row k over D^(k-1)) are
+    summed over Z[i] against M's nonzero entries, cleared over one common
+    denominator E, and component k is divided by D^(k-1) E once.
     """
     global _last_jacobian
     B._check_compatible(M)
-    n = M.n
+    if M.field != EXACT:
+        raise ValueError("directional derivative requires exact matrices")
     last, jac = _last_jacobian
     if B is not last:
         jac = jacobian_exact(B)
         _last_jacobian = (B, jac)
-    zero = field_zero(M.field)
-    # M's nonzero entries as (column of J, entry), in the trace form's order;
-    # the shared exact zero is skipped by identity
-    support = [(i * n + j, y) for j in range(n) for i in range(n)
-               if (y := M.entries[i][j]) is not zero and y]
+    # entry (i, j) of M is at i*n + j of vec(M), the column of J it meets
+    entries = [y for row in M.entries for y in row]
+    columns = [c for c, y in enumerate(entries) if y]
+    e, (a,), (b,) = to_gaussian_integers([[entries[c] for c in columns]])
+    terms = list(zip(columns, a, b))
     out = []
-    for k, row in enumerate(jac.rows, 1):
-        if M.field == EXACT:
-            # an exact sum is the same in any order: it starts from its first term
-            terms = [x * y for c, y in support if (x := row[c]) is not zero and x]
-            out.append(sum(terms[1:], terms[0]) if terms else zero)
-            continue
-        # a float sum runs over the unsigned trace-form entries and is signed
-        # at the end, so a sum that cancels to zero keeps its sign
-        unsign = k % 2 == 0
-        tau = zero
-        for c, y in support:
-            x = row[c]
-            if x:
-                tau = tau + (-x if unsign else x) * y
-        out.append(-tau if unsign else tau)
+    for d, row_re, row_im in zip(*jac._split_rows()):
+        re = im = 0
+        for c, a_c, b_c in terms:
+            x, y = row_re[c], row_im[c]
+            re += x * a_c - y * b_c
+            im += x * b_c + y * a_c
+        out.append(to_gaussian_rationals(d * e, ((re,),), ((im,),))[0][0])
     return tuple(out)
 
 

@@ -37,7 +37,10 @@ their verdicts:
 * row scaling: N_k(D*B) = D^(k-1) N_k(B) for the adjugate coefficients,
   so row k of the derivative read from the adjugate of D*B is D^(k-1)
   times row k of pi'(B) (``jacobian._scaled_jacobian``).  Each row is
-  scaled by a nonzero integer, so the rank is that of pi'(B);
+  scaled by a nonzero integer, so the rank is that of pi'(B); and with M
+  cleared over E, component k of pi'(B) vec(M) is the Z[i] sum of row k
+  of the scaled rows against E*vec(M), divided by D^(k-1) E
+  (``jacobian.directional_derivative``);
 * covector rescale: for covectors v and L the common denominator of all
   their entries, with w_k = L v_k D^(n-k),
   sum_k w_k (D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k, so v annihilates a

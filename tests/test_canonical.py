@@ -138,6 +138,8 @@ def test_build_companion_rejects_non_monic():
         build_companion(Polynomial.make([1, 2]))
     with pytest.raises(ValueError):
         build_companion(Polynomial.make([7]))
+    with pytest.raises(ValueError, match="requires degree >= 1"):
+        build_companion(Polynomial.make([1]))
 
 
 def test_build_frobenius_single_factor():
@@ -168,6 +170,11 @@ def test_build_frobenius_char_poly():
 def test_frobenius_divisibility_enforced():
     with pytest.raises(ValueError):
         FrobeniusSpec((Polynomial.make([-1, 1]), Polynomial.make([0, 0, 1])))
+
+
+def test_frobenius_spec_rejects_a_float_factor():
+    with pytest.raises(ValueError, match="must be exact polynomials"):
+        FrobeniusSpec((Polynomial.make([0, 1], FLOAT),))
 
 
 def test_frobenius_json_round_trip():

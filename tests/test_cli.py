@@ -752,6 +752,11 @@ def test_run_sweep_calls_verify_theorem_through_the_module(monkeypatch):
 ZERO_BLOCK = {"eigenvalue": ["0/1", "0/1"], "sizes": [1]}
 
 
+def zero_matrix_json(n, field="exact"):
+    part = ["0/1", "0/1"] if field == "exact" else [0.0, 0.0]
+    return {"n": n, "field": field, "entries": [[part] * n for _ in range(n)]}
+
+
 @pytest.mark.parametrize("command, payload, named", [
     ("verify", {"n": "1", "blocks": [ZERO_BLOCK]}, "n must be"),
     ("verify", {"n": True, "blocks": [ZERO_BLOCK]}, "n must be"),
@@ -774,6 +779,11 @@ ZERO_BLOCK = {"eigenvalue": ["0/1", "0/1"], "sizes": [1]}
     ("tangent", {"invariant_factors": [[["0/1", "0/1"], ["2/1", "0/1"]]]}, "monic of degree"),
     ("tangent", {"invariant_factors": [[["0/1", "0/1"], ["0/1", "0/1"], ["1/1", "0/1"]],
                                        [["0/1", "0/1"], ["1/1", "0/1"]]]}, "ascending degree"),
+    ("ord", {"coefficients": []}, "needs at least one coefficient"),
+    ("ord", {"coefficients": [zero_matrix_json(2), zero_matrix_json(3)]},
+     "must share size and field"),
+    ("ord", {"coefficients": [zero_matrix_json(2), zero_matrix_json(2, "float")]},
+     "must share size and field"),
 ])
 def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payload, named):
     if command == "rank" and isinstance(payload, str):

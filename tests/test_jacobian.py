@@ -120,6 +120,8 @@ def test_directional_derivative_mismatch_errors():
         directional_derivative(SquareMatrix.zeros(2), SquareMatrix.zeros(3))
     with pytest.raises(ValueError):
         directional_derivative(SquareMatrix.zeros(2), SquareMatrix.zeros(2, FLOAT))
+    with pytest.raises(ValueError, match="exact"):
+        directional_derivative(SquareMatrix.zeros(2, FLOAT), SquareMatrix.zeros(2, FLOAT))
 
 
 def test_jacobian_exact_at_zero_2x2():
@@ -134,7 +136,7 @@ def test_jacobian_columns_are_directional_derivatives():
     jac = jacobian_exact(B)
     for i in range(3):
         for j in range(3):
-            col = jac.column(jac.column_index(i, j))
+            col = jac.column(i * 3 + j)
             assert col == directional_derivative(B, SquareMatrix.basis(3, i, j))
 
 
@@ -194,7 +196,8 @@ def test_jacobian_fd_richardson_ratio():
         )
     B = rand_float(0.9)
     M = rand_float(1.0)
-    exact = directional_derivative(B, M)
+    # column i*n + j of the derivative is entry (i, j) of M
+    exact = jacobian_exact(B).to_numpy() @ M.to_numpy().ravel()
     coarse = directional_fd(B, M, 1e-3)
     fine = directional_fd(B, M, 5e-4)
     sampled = 0
@@ -598,16 +601,6 @@ def test_directional_derivative_matches_per_adjugate_route():
         for B in _oracle_matrices(n, rng):
             for M in (random_exact(rng, n), SquareMatrix.basis(n, n - 1, 0)):
                 assert directional_derivative(B, M) == reference_directional_derivative(B, M)
-    # floats to the bit, signed zeros included
-    for n in range(1, 5):
-        floats = [SquareMatrix.zeros(n, FLOAT),
-                  SquareMatrix.from_rows([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                                           for _ in range(n)] for _ in range(n)], FLOAT)]
-        for B in floats:
-            for M in (SquareMatrix.identity(n, FLOAT), SquareMatrix.basis(n, 0, n - 1, FLOAT),
-                      SquareMatrix.zeros(n, FLOAT), B):
-                assert repr(directional_derivative(B, M)) == repr(
-                    reference_directional_derivative(B, M))
 
 
 def test_trace_form_rows_keeps_the_exact_zero_and_signs_the_float_one():
@@ -649,9 +642,8 @@ def _sparse_direction(rng, n, zero):
 
 
 def test_exact_directional_derivative_repr_matches_reference_for_either_zero():
-    """The exact sum skips the shared zero by identity and starts from its
-    first term: a fresh gq(0) must still be skipped by value, and an empty
-    or cancelling sum must print as the reference's."""
+    """A direction's zeros, the shared GQ_ZERO or a fresh gq(0), add
+    nothing, and an empty or cancelling sum must print as the reference's."""
     from symrank.canonical import build_frobenius, jordan_to_frobenius
 
     rng = random.Random(850)

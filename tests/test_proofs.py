@@ -175,6 +175,19 @@ def test_genocchi_first_order_convergence():
     assert report.errors[0] / report.errors[1] == pytest.approx(10.0, rel=0.15)
 
 
+@pytest.mark.parametrize("n, k, lam, eps, errors", [
+    # the error at the first step sits under the floor and the next one not
+    (4, 1, 0.5, (1e-9, 1e-3), (0.0, 1.5e-3)),
+    # the error grows as eps shrinks: the ratio falls short of the step ratio
+    (5, 2, 1.0, (1e-2, 1e-8), (0.241, 3.54)),
+])
+def test_genocchi_rejects_a_sequence_that_does_not_converge(n, k, lam, eps, errors):
+    report = genocchi_hermite_check(n, k, lam, eps)
+    assert not report.top_order
+    assert report.errors == pytest.approx(errors, rel=0.01, abs=report.floor)
+    assert not report.passed
+
+
 def test_genocchi_rejects_bad_order():
     with pytest.raises(ValueError):
         genocchi_hermite_check(3, 3, 0.0, (1e-2,))
@@ -293,6 +306,38 @@ def test_sigma_linearity_t_squared_coefficients():
     bumped = SquareMatrix.from_rows([[0, 1], [0, -1]])
     assert symmetrize(bumped)[0] - base[0] == gq(-1)
     assert sigma_linearity_check(fspec, trials=4, seed=1)
+
+
+def _last_row_perturbation(column, amount):
+    """A stand-in for proofs._perturbed_by that subtracts amount(h_j) from
+    the last-row entry at column(n, m, j), and nothing where that is None."""
+    def perturbed(fspec, B, h):
+        n, m = fspec.n, fspec.min_degree
+        rows = [list(r) for r in B.entries]
+        for j, hj in enumerate(h):
+            c = column(n, m, j)
+            if c is not None:
+                rows[n - 1][c] = rows[n - 1][c] - amount(hj)
+        return SquareMatrix.from_rows(rows, EXACT)
+    return perturbed
+
+
+@pytest.mark.parametrize("column, amount", [
+    # not additive: h_j^2 rides along with h_j
+    (lambda n, m, j: n - m + j, lambda hj: hj + hj * hj),
+    # additive but not homogeneous over C
+    (lambda n, m, j: n - m + j, lambda hj: hj.conjugate()),
+    # h_1 is left out, so sigma_m has no coefficient on it
+    (lambda n, m, j: n - m + j if j else None, lambda hj: hj),
+    # h_j lands at column n - 1 - j: sigma_1 depends on h_1, below its pivot h_m
+    (lambda n, m, j: n - 1 - j, lambda hj: hj),
+], ids=["additivity", "homogeneity", "missing-pivot", "below-pivot"])
+def test_sigma_linearity_rejects_a_distorted_perturbation(monkeypatch, column, amount):
+    fspec = jordan_to_frobenius(JordanSpec.of({0: [1, 2], 1: [1]}))
+    assert (fspec.n, fspec.min_degree) == (4, 3)
+    assert sigma_linearity_check(fspec, trials=2, seed=3)
+    monkeypatch.setattr(proofs, "_perturbed_by", _last_row_perturbation(column, amount))
+    assert not sigma_linearity_check(fspec, trials=2, seed=3)
 
 
 def test_sigma_linearity_zero_and_doubling():
@@ -770,6 +815,20 @@ def test_tangent_construction_builds_one_adjugate_per_spec(monkeypatch):
             assert image == directional_derivative(B, tangent_direction(fspec, i))
         assert len(calls) == before + 2
         assert tangent_ok(cert)
+
+
+def test_tangent_construction_reads_the_jacobian_over_z_i():
+    # the n = 7 rational spec: images with denominators, and no Gaussian
+    # rationals built for the derivative matrix itself
+    spec = JordanSpec.from_json({"n": 7, "blocks": [
+        {"eigenvalue": ["1/2", "0/1"], "sizes": [1, 1, 2]},
+        {"eigenvalue": ["1/3", "1/1"], "sizes": [1, 2]}]})
+    fspec = jordan_to_frobenius(spec)
+    cert = tangent_construction(fspec)
+    assert tangent_ok(cert)
+    assert any(x.re.denominator > 1 or x.im.denominator > 1
+               for image in cert.images for x in image)
+    assert "rows" not in jacobian._last_jacobian[1].__dict__
 
 
 def reference_annihilation(cert, B) -> bool:
