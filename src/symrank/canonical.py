@@ -25,12 +25,12 @@ from .scalars import (
     FLOAT,
     GaussianRational,
     NumericFailure,
-    clear_denominator,
     coerce_scalar,
     field_one,
     field_zero,
     scalar_from_json,
     scalar_to_json,
+    to_gaussian_integers,
     to_gaussian_rationals,
 )
 
@@ -228,36 +228,29 @@ def build_jordan(spec: JordanSpec) -> SquareMatrix:
 
 
 def build_companion(p: Polynomial) -> SquareMatrix:
-    """Companion matrix: superdiagonal ones, last row the negated coefficients."""
-    if p.is_zero or not p.is_monic:
-        raise ValueError("companion matrix requires a monic polynomial")
-    m = p.degree
-    if m < 1:
-        raise ValueError("companion matrix requires degree >= 1")
-    field = p.field
-    zero, one = field_zero(field), field_one(field)
-    rows = [[zero] * m for _ in range(m)]
-    for i in range(m - 1):
-        rows[i][i + 1] = one
-    for j in range(m):
-        rows[m - 1][j] = -p.coefficients[j]
-    return SquareMatrix.from_rows(rows, field)
+    """Companion matrix of an exact monic p of degree >= 1: superdiagonal
+    ones, last row the negated coefficients; the one-factor
+    :func:`build_frobenius`, whose spec rejects any other p."""
+    return build_frobenius(FrobeniusSpec((p,)))
 
 
 def build_frobenius(spec: FrobeniusSpec) -> SquareMatrix:
-    """Block diagonal of companion matrices of the invariant factors."""
+    """Block diagonal of companion matrices of the invariant factors, kept as
+    split rows (``matpoly._StoredRows``) over the common denominator D of the
+    factors' low coefficients: D on each block's superdiagonal, and minus D
+    times the factor's low coefficients in the block's last row."""
     n = spec.n
-    zero, one = field_zero(EXACT), field_one(EXACT)
-    rows = [[zero] * n for _ in range(n)]
+    d, low_re, low_im = to_gaussian_integers(p.coefficients[:-1] for p in spec.invariant_factors)
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
     offset = 0
-    for p in spec.invariant_factors:
-        # p's companion block: superdiagonal ones, last row minus p's coefficients
-        m = p.degree
+    for c_re, c_im in zip(low_re, low_im):
+        m = len(c_re)
         for i in range(offset, offset + m - 1):
-            rows[i][i + 1] = one
-        rows[offset + m - 1][offset:offset + m] = [-c for c in p.coefficients[:m]]
+            re[i][i + 1] = d
+        re[offset + m - 1][offset:offset + m] = [-x for x in c_re]
+        im[offset + m - 1][offset:offset + m] = [-y for y in c_im]
         offset += m
-    return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
+    return SquareMatrix._of_split(d, re, im)
 
 
 def min_poly_degree(spec: JordanSpec) -> int:
@@ -353,8 +346,8 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     of degree >= 1.
     """
     depth = max(len(blk.sizes) for blk in spec.blocks)
-    linears = [(*clear_denominator(blk.eigenvalue), sorted(blk.sizes, reverse=True))
-               for blk in spec.blocks]
+    linears = [(e, a_re, a_im, sorted(blk.sizes, reverse=True)) for blk in spec.blocks
+               for e, ((a_re,),), ((a_im,),) in [to_gaussian_integers([[blk.eigenvalue]])]]
     factors = []
     for level in range(depth):
         re, im, scale = [1], [0], 1

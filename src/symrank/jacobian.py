@@ -101,41 +101,35 @@ class TheoremReport:
         }
 
 
-#: (B, J) of the last matrix :func:`directional_derivative` differentiated.
-#: ``tangent_construction`` asks for m directions at one B in a row, so one
-#: slot is enough, and matching by identity never hashes B's Fractions.  It
-#: is kept here and not in :func:`jacobian_exact`, so that a caller of
-#: ``jacobian_exact`` alone keeps no matrix alive between calls.  A single
-#: tuple, so that a reader always sees the parts of one matrix.
-_last_jacobian = (None, None)
-
-
-def directional_derivative(B: SquareMatrix, M: SquareMatrix) -> tuple:
+def directional_derivative(B: SquareMatrix | JacobianMatrix, M: SquareMatrix) -> tuple:
     """d/deps at 0 of symmetrize(B + eps*M): the derivative matrix at B
-    applied to vec(M), for an exact pair; a float pair raises ValueError.
+    applied to vec(M), for an exact B, or B's :func:`jacobian_exact` result,
+    and an exact M; a float matrix or a size mismatch raises ValueError.
 
     Component k is (-1)^(k+1) times the coefficient of t^(n-k) in
-    tr(adj(tI - B) M).  The matrix comes from :func:`jacobian_exact`; a
-    repeated call with the same B object reuses it, so m directions at one
-    B share one adjugate.  Its stored split rows (row k over D^(k-1)) are
-    summed over Z[i] against M's nonzero entries, cleared over one common
-    denominator E, and component k is divided by D^(k-1) E once.
+    tr(adj(tI - B) M).  The derivative's split rows (row k over its own
+    denominator, D^(k-1) for a :func:`jacobian_exact` result) are summed over
+    Z[i] against the nonzero entries of M's split rows, over their common
+    denominator E, and component k is divided by its denominator times E
+    once.  Passing the Jacobian lets m directions at one B share one
+    adjugate.
     """
-    global _last_jacobian
-    B._check_compatible(M)
-    if M.field != EXACT:
+    if B.field != EXACT or M.field != EXACT:
         raise ValueError("directional derivative requires exact matrices")
-    last, jac = _last_jacobian
-    if B is not last:
-        jac = jacobian_exact(B)
-        _last_jacobian = (B, jac)
-    # entry (i, j) of M is at i*n + j of vec(M), the column of J it meets
-    entries = [y for row in M.entries for y in row]
-    columns = [c for c, y in enumerate(entries) if y]
-    e, (a,), (b,) = to_gaussian_integers([[entries[c] for c in columns]])
-    terms = list(zip(columns, a, b))
+    if B.n != M.n:
+        raise ValueError(f"size mismatch: {B.n} vs {M.n}")
+    n = M.n
+    jac = B if isinstance(B, JacobianMatrix) else jacobian_exact(B)
+    denominators, rows_re, rows_im = jac._split_rows()
+    if isinstance(denominators, int):
+        # a Jacobian built from its rows: one common denominator
+        denominators = [denominators] * n
+    e, m_re, m_im = M._split_rows()
+    # entry (i, j) of M meets column i*n + j of the Jacobian
+    terms = [(i * n + j, a, b) for i in range(n)
+             for j, (a, b) in enumerate(zip(m_re[i], m_im[i])) if a or b]
     out = []
-    for d, row_re, row_im in zip(*jac._split_rows()):
+    for d, row_re, row_im in zip(denominators, rows_re, rows_im):
         re = im = 0
         for c, a_c, b_c in terms:
             x, y = row_re[c], row_im[c]

@@ -33,7 +33,8 @@ from .canonical import (
     build_jordan,
     jordan_combinatorics,
 )
-from .jacobian import _bareiss, _scaled_jacobian, directional_derivative, rank_exact
+from .jacobian import (_bareiss, _scaled_jacobian, directional_derivative, jacobian_exact,
+                       rank_exact)
 from .matpoly import (
     MatrixPolynomial,
     SquareMatrix,
@@ -47,7 +48,6 @@ from .scalars import (
     GQ_ZERO,
     GaussianRational,
     balanced_splitter,
-    clear_denominator,
     coerce_scalar,
     field_one,
     field_zero,
@@ -316,7 +316,8 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     # e^(n-1-d): entry j is the Gaussian integer
     # (-1)^j ff(n-j, d) a^(n-j-d) e^(j-1), built as split columns
     cols_re, cols_im, scale = [], [], 1
-    cleared = [(*clear_denominator(lam), mult) for lam, mult in groups]
+    cleared = [(e, a_re, a_im, mult) for lam, mult in groups
+               for e, ((a_re,),), ((a_im,),) in [to_gaussian_integers([[lam]])]]
     for e, a_re, a_im, mult in cleared:
         powers = [(1, 0)]
         for _ in range(n - 1):
@@ -365,43 +366,42 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
 
 def tangent_direction(fspec: FrobeniusSpec, index: int) -> SquareMatrix:
     """Perturbation with h_index = 1: a single -1 in the last row of the
-    final companion block, at the block column index - 1 (1-based index)."""
+    final companion block, at the block column index - 1 (1-based index),
+    kept as split rows."""
     n = fspec.n
     m = fspec.min_degree
     if not 1 <= index <= m:
         raise ValueError(f"direction index {index} out of range 1..{m}")
-    zero = field_zero(EXACT)
-    rows = [[zero] * n for _ in range(n)]
-    rows[n - 1][n - m + index - 1] = -field_one(EXACT)
-    return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
+    re = [[0] * n for _ in range(n)]
+    re[n - 1][n - m + index - 1] = -1
+    return SquareMatrix._of_split(1, re, [[0] * n for _ in range(n)])
+
+
+def _pivot(image) -> int:
+    """1-based position of the first nonzero component, 0 for a zero image."""
+    return next((pos + 1 for pos, x in enumerate(image) if x), 0)
 
 
 def tangent_construction(fspec: FrobeniusSpec) -> TangentCertificate:
     """Images of the m one-hot last-row perturbations of the final block.
 
     The image of direction i has its first nonzero component at position
-    m - i + 1, so the m images form an anti-diagonal echelon pattern.
+    m - i + 1, so the m images form an anti-diagonal echelon pattern.  The
+    Frobenius matrix and the directions are split rows over Z[i], and every
+    image is read off one :func:`jacobian_exact` result.
     """
-    B = build_frobenius(fspec)
-    m = fspec.min_degree
-    directions = []
-    images = []
-    pivots = []
-    for i in range(1, m + 1):
-        image = directional_derivative(B, tangent_direction(fspec, i))
-        pivot = next((pos + 1 for pos, x in enumerate(image) if x), 0)
-        directions.append(i)
-        images.append(image)
-        pivots.append(pivot)
-    return TangentCertificate(tuple(directions), tuple(images), tuple(pivots))
+    jac = jacobian_exact(build_frobenius(fspec))
+    directions = tuple(range(1, fspec.min_degree + 1))
+    images = tuple(directional_derivative(jac, tangent_direction(fspec, i)) for i in directions)
+    return TangentCertificate(directions, images, tuple(map(_pivot, images)))
 
 
 def tangent_ok(cert: TangentCertificate) -> bool:
-    """Exact rank m plus the anti-diagonal pivot pattern (m, m-1, ..., 1)."""
+    """Exact rank m plus the anti-diagonal pivot pattern (m, m-1, ..., 1),
+    both as claimed and as the images' first nonzero components."""
     m = len(cert.images)
-    if m == 0:
-        return False
-    if cert.pivots != tuple(range(m, 0, -1)):
+    pattern = tuple(range(m, 0, -1))
+    if m == 0 or cert.pivots != pattern or tuple(map(_pivot, cert.images)) != pattern:
         return False
     return rank_exact(cert.images) == m
 
@@ -567,7 +567,7 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     shared = per_lam.get(lam)
     if shared is None:
         comb = jordan_combinatorics(spec, lam)
-        e, a_re, a_im = clear_denominator(lam)
+        e, ((a_re,),), ((a_im,),) = to_gaussian_integers([[lam]])
         a_powers = [(1, 0)]
         for _ in range(n):
             x, y = a_powers[-1]

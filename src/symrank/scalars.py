@@ -354,15 +354,6 @@ def to_gaussian_integers(rows) -> tuple[int, list, list]:
             [[im * (d // q) for _, _, im, q in row] for row in parts])
 
 
-def clear_denominator(x: GaussianRational) -> tuple[int, int, int]:
-    """(e, re, im) with x = (re + i*im) / e, e the lcm of the denominators of
-    x's parts."""
-    re, re_den = x.re.as_integer_ratio()
-    im, im_den = x.im.as_integer_ratio()
-    e = math.lcm(re_den, im_den)
-    return e, re * (e // re_den), im * (e // im_den)
-
-
 def to_gaussian_rationals(denominator: int, re_rows, im_rows) -> tuple:
     """Split rows divided by ``denominator``, as tuples of GaussianRational:
     the inverse of :func:`to_gaussian_integers`.  With ``denominator`` 1 a

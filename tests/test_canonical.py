@@ -138,8 +138,11 @@ def test_build_companion_rejects_non_monic():
         build_companion(Polynomial.make([1, 2]))
     with pytest.raises(ValueError):
         build_companion(Polynomial.make([7]))
-    with pytest.raises(ValueError, match="requires degree >= 1"):
+    # FrobeniusSpec's checks: a constant and a float polynomial are refused
+    with pytest.raises(ValueError, match="degree >= 1"):
         build_companion(Polynomial.make([1]))
+    with pytest.raises(ValueError, match="exact"):
+        build_companion(Polynomial.make([0.5, 1.0], FLOAT))
 
 
 def test_build_frobenius_single_factor():
@@ -581,25 +584,29 @@ def test_random_similarity_matches_recorded_matrices():
 
 
 def reference_build_frobenius(spec):
-    """The former route: one checked companion SquareMatrix per factor,
+    """The former route: one companion block per factor through from_rows,
     copied into the block diagonal, and the whole matrix through from_rows."""
     n = spec.n
     rows = [[gq(0)] * n for _ in range(n)]
     offset = 0
     for p in spec.invariant_factors:
-        block = build_companion(p)
-        for i in range(block.n):
-            rows[offset + i][offset:offset + block.n] = block.entries[i]
-        offset += block.n
+        m = p.degree
+        block = SquareMatrix.from_rows(
+            [[1 if j == i + 1 else 0 for j in range(m)] for i in range(m - 1)]
+            + [[-c for c in p.coefficients[:m]]], EXACT)
+        for i in range(m):
+            rows[offset + i][offset:offset + m] = block.entries[i]
+        offset += m
     return SquareMatrix.from_rows(rows, EXACT)
 
 
 @pytest.mark.parametrize("pool, n_max", [(DEFAULT_POOL, 6), (RATIONAL_POOL, 4)],
                          ids=["default", "rational"])
 def test_trusted_constructions_match_their_checked_twins(pool, n_max):
-    # the builders hand their rows to SquareMatrix directly and
-    # jordan_to_frobenius skips FrobeniusSpec's checks; from_rows and the
-    # validated constructor must give the same objects, to the repr
+    # the builders make their matrices directly (build_frobenius and
+    # tangent_direction from split rows) and jordan_to_frobenius skips
+    # FrobeniusSpec's checks; from_rows and the validated constructor must
+    # give the same objects, to the repr
     for n in range(1, n_max + 1):
         for spec in enumerate_jordan_specs(n, pool):
             J = build_jordan(spec)

@@ -674,7 +674,24 @@ def test_exact_directional_derivative_repr_matches_reference_for_either_zero():
     assert checked == 10 * len(bases)
 
 
-def test_directional_derivative_reuses_the_last_matrix(monkeypatch):
+def _exact_pairs(rng):
+    """(B, M) pairs with n <= 5: rational and complex entries, M with several
+    nonzero entries, and the split-row matrices of the tangent path."""
+    from symrank.canonical import build_frobenius, jordan_to_frobenius
+    from symrank.proofs import tangent_direction
+
+    pairs = []
+    for n in range(1, 6):
+        for B in _oracle_matrices(n, rng):
+            pairs += [(B, random_exact(rng, n)), (B, _sparse_direction(rng, n, GQ_ZERO))]
+        if n > 1:
+            fspec = jordan_to_frobenius(JordanSpec.of({gq("1/2"): [n - 1], gq(0, 1): [1]}))
+            B = build_frobenius(fspec)
+            pairs += [(B, tangent_direction(fspec, n)), (B, random_exact(rng, n))]
+    return pairs
+
+
+def test_directional_derivative_of_the_jacobian_matches_the_matrix(monkeypatch):
     calls = []
     original = jacobian.char_and_adjugate
 
@@ -684,24 +701,43 @@ def test_directional_derivative_reuses_the_last_matrix(monkeypatch):
 
     monkeypatch.setattr(jacobian, "char_and_adjugate", counting)
     rng = random.Random(830)
-    B = random_exact(rng, 3)
-    directions = [random_exact(rng, 3) for _ in range(3)]
-    first = [directional_derivative(B, M) for M in directions]
-    assert len(calls) == 1
-    # an equal but distinct matrix is differentiated again and answers the same
-    twin = SquareMatrix(B.n, B.field, tuple(B.entries))
-    assert twin == B and twin is not B
-    assert [directional_derivative(twin, M) for M in directions] == first
-    assert len(calls) == 2
-    # a different matrix in between never sees the last matrix's derivative
-    other = random_exact(rng, 3)
-    assert [directional_derivative(other, M) for M in directions] == [
-        directional_oracle(other, M) for M in directions]
-    assert [directional_derivative(B, M) for M in directions] == first
-    assert len(calls) == 4
-    # jacobian_exact itself keeps nothing: every call builds the adjugate
-    assert jacobian_exact(B) == jacobian_exact(B)
-    assert len(calls) == 6
+    pairs = _exact_pairs(rng)
+    assert any(x.im for _, M in pairs for row in M.entries for x in row)
+    assert any(x.re.denominator > 1 for _, M in pairs for row in M.entries for x in row)
+    for B, M in pairs:
+        before = len(calls)
+        jac = jacobian_exact(B)
+        got = directional_derivative(jac, M)
+        # one adjugate for the Jacobian, which keeps nothing between calls;
+        # the Jacobian is read as it is: no adjugate, no Gaussian-rational rows
+        assert len(calls) == before + 1 and "rows" not in jac.__dict__
+        assert got == directional_derivative(B, M) == directional_oracle(B, M)
+        assert repr(got) == repr(reference_directional_derivative(B, M))
+
+
+def test_directional_derivative_of_a_jacobian_built_from_rows():
+    # no stored rows: _split_rows clears all n rows over one common
+    # denominator, where jacobian_exact keeps one per row
+    rng = random.Random(831)
+    for B, M in _exact_pairs(rng):
+        stored = jacobian_exact(B)
+        built = JacobianMatrix(B.n, EXACT, stored.rows)
+        assert isinstance(stored._split_rows()[0], list)
+        assert isinstance(built._split_rows()[0], int)
+        got = directional_derivative(built, M)
+        assert got == directional_derivative(stored, M)
+        assert repr(got) == repr(reference_directional_derivative(B, M))
+
+
+def test_directional_derivative_refuses_a_mismatched_jacobian():
+    B = build_jordan(JordanSpec.of({0: [2]}))
+    M = SquareMatrix.basis(2, 1, 0)
+    with pytest.raises(ValueError, match="size"):
+        directional_derivative(jacobian_exact(build_jordan(JordanSpec.of({0: [3]}))), M)
+    with pytest.raises(ValueError, match="exact"):
+        directional_derivative(jacobian_exact(B.to_float()), M)
+    with pytest.raises(ValueError, match="exact"):
+        directional_derivative(jacobian_exact(B), M.to_float())
 
 
 def test_verify_theorem_ranks_the_conjugated_matrix(monkeypatch):

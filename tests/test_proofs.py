@@ -269,6 +269,19 @@ def test_tangent_ok_rejects_empty_and_misordered_certificates():
         assert not tangent_ok(TangentCertificate(cert.directions, cert.images, pivots))
 
 
+def test_tangent_ok_rejects_pivots_the_images_do_not_have():
+    # independent images leading at components 1 and 2, claimed as (2, 1)
+    forged = TangentCertificate((1, 2), ((gq(1), gq(0)), (gq(0), gq(1))), (2, 1))
+    assert rank_exact(forged.images) == 2
+    assert not tangent_ok(forged)
+    # the same claim with images that do lead at 2, then 1
+    assert tangent_ok(TangentCertificate((1, 2), ((gq(0), gq(1)), (gq(-1), gq(0))), (2, 1)))
+    # a zero image has no pivot, whatever the claim
+    cert = tangent_construction(FrobeniusSpec((Polynomial.make([0, 0, 0, 1]),)))
+    zeroed = (cert.images[0], (gq(0),) * 3, cert.images[2])
+    assert not tangent_ok(TangentCertificate(cert.directions, zeroed, cert.pivots))
+
+
 def test_tangent_images_match_symbolic_route():
     # images coincide with explicit directional derivatives of the built matrix
     spec = JordanSpec.of({0: [1, 2], 1: [1]})
@@ -606,13 +619,13 @@ def test_base_checked_once_per_curve_and_spec(monkeypatch):
 
 def test_lambda_powers_kept_per_curve_and_lambda(monkeypatch):
     calls = []
-    original = proofs.clear_denominator
+    original = proofs.to_gaussian_integers
 
-    def counting(x):
-        calls.append(x)
-        return original(x)
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
 
-    monkeypatch.setattr(proofs, "clear_denominator", counting)
+    monkeypatch.setattr(proofs, "to_gaussian_integers", counting)
     rng = random.Random(62)
     half, i = gq("1/2"), gq(0, 1)
     spec = JordanSpec.of({half: [1, 2], i: [1]})
@@ -621,7 +634,8 @@ def test_lambda_powers_kept_per_curve_and_lambda(monkeypatch):
     curve = linear_curve(build_jordan(spec), M)
     queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
     reports = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
-    assert calls == [half, i]
+    # the curve's rows once, then each eigenvalue once
+    assert len(calls) == 3 and calls[1:] == [[[half]], [[i]]]
     # the memo holds a^j and e^(n-p) D^p: for 1/2, a = 1 and e = 2
     _, d, _, _, per_lam = proofs._last_query
     _, a_powers, scales = per_lam[half]
@@ -708,13 +722,14 @@ def reference_confluent_vandermonde_det(clusters) -> VandermondeComparison:
     import math
 
     from symrank.jacobian import _bareiss
-    from symrank.scalars import GQ_ZERO, clear_denominator, coerce_scalar, to_gaussian_rationals
+    from symrank.scalars import (GQ_ZERO, coerce_scalar, to_gaussian_integers,
+                                 to_gaussian_rationals)
 
     groups = [(coerce_scalar(lam, EXACT), int(mult)) for lam, mult in clusters]
     n = sum(m for _, m in groups)
     cols_re, cols_im, scale = [], [], 1
     for lam, mult in groups:
-        e, a_re, a_im = clear_denominator(lam)
+        e, ((a_re,),), ((a_im,),) = to_gaussian_integers([[lam]])
         powers = [(1, 0)]
         for _ in range(n - 1):
             x, y = powers[-1]
@@ -809,26 +824,38 @@ def test_tangent_construction_builds_one_adjugate_per_spec(monkeypatch):
         cert = tangent_construction(fspec)
         assert len(cert.images) == fspec.min_degree == 4
         assert len(calls) == before + 1
-        # an equal but distinct matrix is differentiated again
+        # the matrix itself, not its Jacobian, costs one adjugate per direction
         B = build_frobenius(fspec)
         for i, image in zip(cert.directions, cert.images):
             assert image == directional_derivative(B, tangent_direction(fspec, i))
-        assert len(calls) == before + 2
+        assert len(calls) == before + 1 + 4
         assert tangent_ok(cert)
 
 
-def test_tangent_construction_reads_the_jacobian_over_z_i():
+def test_tangent_construction_reads_the_jacobian_over_z_i(monkeypatch):
     # the n = 7 rational spec: images with denominators, and no Gaussian
     # rationals built for the derivative matrix itself
     spec = JordanSpec.from_json({"n": 7, "blocks": [
         {"eigenvalue": ["1/2", "0/1"], "sizes": [1, 1, 2]},
         {"eigenvalue": ["1/3", "1/1"], "sizes": [1, 2]}]})
+    jacobians = []
+    original = proofs.jacobian_exact
+
+    def keeping(B):
+        jacobians.append(original(B))
+        return jacobians[-1]
+
+    monkeypatch.setattr(proofs, "jacobian_exact", keeping)
     fspec = jordan_to_frobenius(spec)
     cert = tangent_construction(fspec)
     assert tangent_ok(cert)
     assert any(x.re.denominator > 1 or x.im.denominator > 1
                for image in cert.images for x in image)
-    assert "rows" not in jacobian._last_jacobian[1].__dict__
+    (jac,) = jacobians
+    assert "rows" not in jac.__dict__
+    # nor for the Frobenius matrix and the directions: they are split rows too
+    assert "entries" not in build_frobenius(fspec).__dict__
+    assert "entries" not in tangent_direction(fspec, 1).__dict__
 
 
 def reference_annihilation(cert, B) -> bool:

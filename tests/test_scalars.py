@@ -15,7 +15,6 @@ from symrank.scalars import (
     GQ_ZERO,
     GaussianRational,
     approx_eq,
-    clear_denominator,
     coerce_scalar,
     exact_quotients,
     format_eigenvalue,
@@ -255,14 +254,15 @@ def test_gaussian_integer_conversions():
         to_gaussian_integers([[gq(1), 0.5]])
 
 
-def test_clear_denominator():
-    assert clear_denominator(gq("1/4", "-1/6")) == (12, 3, -2)
-    assert clear_denominator(gq(-3)) == (1, -3, 0)
-    # the two parts read directly, as to_gaussian_integers reads [[x]]
+def test_to_gaussian_integers_clears_one_scalar():
+    # an eigenvalue a/e enters Z[i] as [[x]]: e the lcm of its parts' denominators
+    assert to_gaussian_integers([[gq("1/4", "-1/6")]]) == (12, [[3]], [[-2]])
+    assert to_gaussian_integers([[gq(-3)]]) == (1, [[-3]], [[0]])
     rng = random.Random(13)
     for x in [GQ_ZERO, gq(0, "-5/4")] + [random_gaussian_rational(rng) for _ in range(50)]:
-        e, re, im = clear_denominator(x)
-        assert to_gaussian_integers([[x]]) == (e, [[re]], [[im]])
+        e, ((re,),), ((im,),) = to_gaussian_integers([[x]])
+        assert e == math.lcm(x.re.denominator, x.im.denominator)
+        assert gq(Fraction(re, e), Fraction(im, e)) == x
 
 
 def test_to_gaussian_integers_reads_the_shared_zero_like_any_zero():
