@@ -15,10 +15,10 @@ the real and imaginary parts, with every product written out on those ints
 and every ``/ k`` checked.  The recursion simultaneously produces the
 adjugate polynomial adj(tI - M), the source of exact first derivatives of
 det.  The same recursion expands det(tI - D*Phi) for a curve Phi(zeta): it
-runs over Gaussian integers on D*Phi(2^w), and the zeta-coefficients are read
-back as base-2^w digits (Kronecker substitution,
-``proofs._curve_char_coeffs``), which is how ``proofs.order_of_vanishing``
-reads vanishing orders.  A float
+runs over Gaussian integers on D*Phi(2^w) (Kronecker substitution,
+``proofs._curve_taylor_coeffs``), and ``proofs.order_of_vanishing`` reads
+each vanishing order as the 2-adic valuation of one Taylor coefficient of
+the result at an eigenvalue, divided by w.  A float
 matrix, or a stack of them, runs the recursion in numpy; only
 ``char_and_adjugate`` keeps the adjugate, and the finite-difference oracle
 symmetrizes its 2n^2 matrices as one stack.  numpy is imported inside the
@@ -58,9 +58,10 @@ SymPoint = tuple
 #: accept, checked before any work superlinear in the input; also the largest
 #: ``sweep --n-max``.  It bounds the work of one matrix: at n = 12 the
 #: slowest subcommand, ``ord`` along a dense curve of degree
-#: MAX_CURVE_DEGREE, takes about 2.7 s, and on a dense matrix ``minpoly``,
+#: MAX_CURVE_DEGREE, takes about 2 s, and on a dense matrix ``minpoly``,
 #: ``rank`` and ``jacobian`` take about 0.2 s (entries of magnitude-4
-#: rationals, whole processes, 2 cores, Python 3.11.7; BENCH_minpoly.json).
+#: rationals, whole processes, 2 cores, Python 3.11.7; BENCH_taylor.json,
+#: BENCH_minpoly.json).
 #: The exact kernels grow faster than n^4, and with the entries' bit length,
 #: which no limit bounds.  A sweep's spec count still grows with --n-max
 #: (2,051 structures up to n = 6, 11,806 up to n = 8).
@@ -70,9 +71,9 @@ MAX_N = 12
 #: before any matrix is decoded.  The expansion of det(tI - D*Phi) grows
 #: faster than the degree squared, and at this bound a dense n = MAX_N curve
 #: with magnitude-4 rational entries (``symrank ord --curve``) takes about
-#: 2.7 s, the slowest subcommand at MAX_N (BENCH_minpoly.json; 2 cores,
-#: Python 3.11.7).  When the bound was set, degree 12 took about 3.4 s,
-#: degree 13 up to 3.9 s and degree 16 about 5 s on the same host.
+#: 2 s, the slowest subcommand at MAX_N (BENCH_taylor.json, whole
+#: processes; 2 cores, Python 3.11.7).  When the bound was set, degree 12
+#: took about 3.4 s, degree 13 up to 3.9 s and degree 16 about 5 s.
 MAX_CURVE_DEGREE = 12
 
 

@@ -14,9 +14,10 @@ Together the two certificates re-derive rank == m without any singular value
 decomposition.  Supporting tools: Newton divided differences with Hermite
 (repeated-node) data, a convergence check for the divided-difference limit
 formula, the confluent Vandermonde determinant against its closed form, and
-an order-of-vanishing verifier for polynomial curves through B, which expands
-each curve's characteristic polynomial once, over Z[i] by Kronecker
-substitution, into its Z[i][zeta] coefficients.
+an order-of-vanishing verifier for polynomial curves through B, which
+evaluates each curve's characteristic polynomial once, over Z[i] at
+zeta = 2^w by Kronecker substitution, and reads every order from a Taylor
+coefficient of that value at an eigenvalue.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .scalars import (
     EXACT,
     GQ_ZERO,
     GaussianRational,
-    balanced_splitter,
     coerce_scalar,
     field_one,
     field_zero,
@@ -478,30 +478,27 @@ def linear_curve(B: SquareMatrix, M: SquareMatrix) -> MatrixPolynomial:
     return MatrixPolynomial((B, M))
 
 
-def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
-    """(D, c): D the common denominator of the curve's coefficient matrices,
-    c_0..c_n the coefficients of det(tI - D*Phi) over Z[i][zeta], so that
-    c_p(Phi) = D^p c_p(D*Phi) / D^n.
-
-    The expansion runs over Z[i] by Kronecker substitution: D*Phi is evaluated
-    at zeta = X = 2^w, ``charpoly_in_ring`` runs on that Gaussian-integer
-    matrix, and the real and imaginary parts of each c_p(X) are split into
-    balanced base-X digits.  w is chosen from the input so that
-    2^(w-1) > (nL)^n, L the largest l1 norm of an entry of D*Phi; that makes
-    the digits the zeta-coefficients (the bound argument in the
-    :mod:`symrank.scalars` docstring).  Each c_p is the split pair of its
-    ascending int digit lists, trimmed so that its top coefficient is nonzero;
-    zero is the pair of empty lists.
-    """
+def _curve_taylor_coeffs(curve: MatrixPolynomial, spec: JordanSpec) -> tuple[int, list]:
+    """(w, taylor): taylor[b][k], for k below the multiplicity of block b's
+    eigenvalue lam, is the split pair of T_k(2^w), T_k the u^k Taylor
+    coefficient c_k(D*Phi - D*lam*I) of det(uI - D*Phi) at u = D*lam, D the
+    common denominator of the curve.  curve(0) must be the spec's matrix, so
+    that every D*lam, a diagonal entry of D*curve(0), is a Gaussian integer.
+    One ``charpoly_in_ring`` on D*Phi(2^w), then synthetic division over
+    Z[i]; 2^(w-1) > (n L_lam)^n, L_lam = L + |D*lam|_1 <= 2L with L the
+    largest entry l1 norm of D*Phi (the Kronecker argument in
+    :mod:`symrank.scalars`)."""
     n, terms = curve.n, len(curve.coefficients)
     d, scaled_re, scaled_im = to_gaussian_integers(
         [row for c in curve.coefficients for row in c.entries])
+    e, (a_re,), (a_im,) = to_gaussian_integers([[blk.eigenvalue for blk in spec.blocks]])
+    shifts = [(d // e * x, d // e * y) for x, y in zip(a_re, a_im)]
     # row q*n + i of the split rows is row i of D*M_q, the zeta^q coefficient
     # matrix; norms[i][j] sums the l1 norms of entry (i, j) over q
     norms = [[0] * n for _ in range(n)]
     for r, (row_re, row_im) in enumerate(zip(scaled_re, scaled_im)):
         norms[r % n] = [s + abs(x) + abs(y) for s, x, y in zip(norms[r % n], row_re, row_im)]
-    l1 = max(map(max, norms))
+    l1 = max(map(max, norms)) + max(abs(x) + abs(y) for x, y in shifts)
     w = ((n * max(l1, 1)) ** n).bit_length() + 1
 
     def at_x(scaled):
@@ -513,88 +510,72 @@ def _curve_char_coeffs(curve: MatrixPolynomial) -> tuple[int, tuple]:
         return out
 
     (c_re, c_im), _ = charpoly_in_ring(at_x(scaled_re), at_x(scaled_im))
-    coeffs = []
-    for p, (x, y) in enumerate(zip(c_re, c_im)):
-        # deg c_p <= (n - p) * deg Phi
-        split = balanced_splitter(w, (n - p) * (terms - 1) + 1)
-        re, im = split(x), split(y)
-        while re and not re[-1] and not im[-1]:
-            re.pop()
-            im.pop()
-        coeffs.append((re, im))
-    return d, tuple(coeffs)
+    taylor = []
+    for blk, (s_re, s_im) in zip(spec.blocks, shifts):
+        # the coefficients c_p(X) top first, p = n, ..., 0
+        q_re, q_im, values = c_re[::-1], c_im[::-1], []
+        for _ in range(sum(blk.sizes)):
+            # divide by u - D*lam: the remainder is the next Taylor
+            # coefficient, the quotient (top first) the rest of the series
+            x = y = 0
+            b_re, b_im = [], []
+            for u, v in zip(q_re, q_im):
+                x, y = u + x * s_re - y * s_im, v + x * s_im + y * s_re
+                b_re.append(x)
+                b_im.append(y)
+            values.append((b_re.pop(), b_im.pop()))
+            q_re, q_im = b_re, b_im
+        taylor.append(values)
+    return w, taylor
 
 
-#: (curve, D, coefficients, spec, lam -> (combinatorics, a^j, scales)) of the
-#: last (curve, spec) pair queried, lam = a/e: a^j for j = 0..n as (re, im)
-#: int pairs and scales[p] = e^(n-p) D^p.  One curve is queried at every
-#: (lam, k) of one spec in turn, so one slot is enough, and matching curve and
-#: spec by identity never hashes the curve's Fractions.  A single tuple, so
-#: that a reader always sees the parts of one pair.
-_last_query = (None, 1, (), None, {})
+def _lowest_digit(w: int, re: int, im: int) -> int | None:
+    """Index of the lowest nonzero base-2^w digit of a packed Gaussian
+    integer with digit parts below 2^w in magnitude, None for zero: v2(re |
+    im) // w (the valuation argument in :mod:`symrank.scalars`)."""
+    x = re | im
+    return ((x & -x).bit_length() - 1) // w if x else None
+
+
+#: (curve, spec, w, taylor, combinatorics per block) of the last (curve,
+#: spec) pair queried.  One curve is queried at every (lam, k) of one spec in
+#: turn, so one slot is enough, and matching by identity never hashes their
+#: Fractions.  A single tuple, so that a reader always sees one pair.
+_last_query = (None, None, 1, [], [])
 
 
 def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -> VanishingReport:
     """Vanishing order in the curve parameter of the k-th derivative value.
 
-    The curve's characteristic polynomial is expanded exactly over
-    Z[i][zeta] after clearing the curve's common denominator D, its k-th
-    t-derivative is evaluated at the eigenvalue lam = a/e, and the lowest
-    nonzero power of the curve parameter is compared against the mandatory
-    order coming from the block-start combinatorics (None means identically
-    zero, which passes every requirement).  The value is taken in Z[i][zeta]
-    as sum_p ff(p, k) a^(p-k) e^(n-p) D^p c_p(D*Phi), which is D^n e^(n-k)
-    times the true value and so has the same lowest nonzero power; it is
-    summed one power of zeta at a time, up to the first nonzero one.
-
-    The expansion, the check that curve(0) is the spec's matrix, and per lam
-    the combinatorics and the powers of a, e and D are computed once for
-    each (curve, spec) pair.
+    The k-th t-derivative of det(tI - Phi) at the eigenvalue lam is
+    k! D^(k-n) T_k (see :func:`_curve_taylor_coeffs`), so both have the
+    same lowest nonzero power of the curve parameter, read off T_k(2^w) by
+    :func:`_lowest_digit` and compared against the mandatory order from the
+    block-start combinatorics (None means identically zero, which passes
+    every requirement).  The base check, the expansion and the Taylor
+    coefficients at every eigenvalue are computed once per (curve, spec).
     """
     global _last_query
     lam = coerce_scalar(lam, EXACT)
     if curve.field != EXACT:
         raise ValueError("vanishing orders are computed in the exact field")
-    last_curve, d, coeffs, last_spec, per_lam = _last_query
-    n = spec.n
+    last_curve, last_spec, w, taylor, combs = _last_query
+    blocks = spec.blocks
     if curve is not last_curve or spec is not last_spec:
         if curve.coefficients[0] != build_jordan(spec):
             raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
-        if curve is not last_curve:
-            d, coeffs = _curve_char_coeffs(curve)
-        per_lam = {}
-        _last_query = (curve, d, coeffs, spec, per_lam)
-    shared = per_lam.get(lam)
-    if shared is None:
-        comb = jordan_combinatorics(spec, lam)
-        e, ((a_re,),), ((a_im,),) = to_gaussian_integers([[lam]])
-        a_powers = [(1, 0)]
-        for _ in range(n):
-            x, y = a_powers[-1]
-            a_powers.append((x * a_re - y * a_im, x * a_im + y * a_re))
-        scales = [e ** (n - p) * d ** p for p in range(n + 1)]
-        shared = per_lam[lam] = (comb, a_powers, scales)
-    comb, a_powers, scales = shared
+        w, taylor = _curve_taylor_coeffs(curve, spec)
+        combs = [jordan_combinatorics(spec, blk.eigenvalue) for blk in blocks]
+        _last_query = (curve, spec, w, taylor, combs)
+    for b, blk in enumerate(blocks):
+        if blk.eigenvalue is lam or blk.eigenvalue == lam:
+            break
+    else:
+        raise ValueError(f"{lam} is not an eigenvalue of this spec")
+    comb = combs[b]
     if not 0 <= k <= comb.multiplicity - 1:
         raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
-    terms = []
-    for p in range(k, n + 1):
-        re, im = coeffs[p]
-        if re:
-            x, y = a_powers[p - k]
-            s = falling_factorial(p, k) * scales[p]
-            terms.append((re, im, x * s, y * s))
-    observed = None
-    for q in range(max((len(re) for re, *_ in terms), default=0)):
-        total_re = total_im = 0
-        for re, im, w_re, w_im in terms:
-            if q < len(re):
-                x, y = re[q], im[q]
-                total_re += x * w_re - y * w_im
-                total_im += x * w_im + y * w_re
-        if total_re or total_im:
-            observed = q
-            break
+    observed = _lowest_digit(w, *taylor[b][k])
     required = comb.orders[comb.multiplicity - k - 1]
     passed = observed is None or observed >= required
     return VanishingReport(lam, k, observed, required, passed)

@@ -55,21 +55,38 @@ their verdicts:
   expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
 
 A fourth argument, a bound, carries curves into Z[i] by Kronecker
-substitution (``proofs._curve_char_coeffs``).  A curve
+substitution (``proofs._curve_taylor_coeffs``).  A curve
 Phi(zeta) = sum_q zeta^q M_q scaled by the common denominator D of all its
-M_q has entries in Z[i][zeta].  Evaluation at zeta = X is a ring
-homomorphism Z[i][zeta] -> Z[i], so Faddeev-LeVerrier on D*Phi(X) gives
-c_p(X) for each coefficient c_p of det(tI - D*Phi), and every ``/ k``
-stays exact by the first argument.  To read c_p back from c_p(X), let
+M_q has entries in Z[i][zeta].  When M_0 is a spec's Jordan matrix, every
+eigenvalue lam sits on its diagonal, so D*lam is a Gaussian integer and
+D*Phi - D*lam*I has entries in Z[i][zeta] too.  Evaluation at zeta = X is
+a ring homomorphism Z[i][zeta] -> Z[i], so Faddeev-LeVerrier on D*Phi(X)
+gives c_p(X) for each coefficient c_p of det(uI - D*Phi), and every ``/ k``
+stays exact by the first argument.  The Taylor coefficients of that
+polynomial at u = D*lam, found by synthetic division over Z[i], are the
+T_k = c_k(D*Phi - D*lam*I), evaluated at X.  To bound them, let
 |z|_1 = |Re z| + |Im z|, which is submultiplicative on Z[i], and let L be
-the largest entry l1 norm sum_q |z_q|_1 over the zeta^q coefficients of
-an entry.  The l1 norm of a product of polynomials is at most the product
-of their l1 norms.  Each zeta-coefficient of c_p is a signed sum of the
-C(n, s) s! products of s = n - p entries in the principal s-minors, each
-of l1 norm at most L^s, so its real and imaginary parts are at most
-n^s L^s <= (nL)^n (for L >= 1).  With X = 2^w and 2^(w-1) > (nL)^n, those
-parts are therefore the unique balanced base-X digits, each in
-[-X/2, X/2), of the real and imaginary parts of c_p(X).
+the largest entry l1 norm sum_q |z_q|_1 over the zeta^q coefficients of an
+entry of D*Phi.  D*lam is the zeta^0 coefficient of a diagonal entry, so
+|D*lam|_1 <= L, and L_lam = L + |D*lam|_1 <= 2L bounds the entry l1 norms
+of D*Phi - D*lam*I.  The l1 norm of a product of polynomials is at most
+the product of their l1 norms.  Each zeta-coefficient of T_k is a signed
+sum of the C(n, s) s! products of s = n - k entries in the principal
+s-minors, each of l1 norm at most L_lam^s, so its real and imaginary parts
+are at most n^s L_lam^s <= (n L_lam)^n (for L_lam >= 1).  With X = 2^w and
+2^(w-1) > (n L_lam)^n for every eigenvalue, those parts are the balanced
+base-X digits of the parts of T_k(X), and w is at most n bits wider than
+(nL)^n alone would need.
+
+The vanishing order of T_k needs no digits, only a valuation.  Let
+P = sum_q d_q 2^(qw) with integers |d_q| < 2^w, and d_j the lowest nonzero
+one.  Then P = 2^(jw) (d_j + 2^w R) for an integer R, and 0 < |d_j| < 2^w
+gives v2(d_j) < w, so v2(P) = jw + v2(d_j) and j = v2(P) // w; P = 0 iff
+every d_q is 0, since d_j + 2^w R = 0 would need 2^w | d_j.  For the two
+parts of T_k(X), the lowest nonzero power of zeta is the smaller of their
+two j, and v2(re | im) = min(v2(re), v2(im)), so the order is
+v2(re | im) // w, and T_k = 0 iff re | im = 0 (``proofs._lowest_digit``).
+A digit of 2^w breaks both: it carries into the next position.
 
 A fifth argument, a bound of the same kind, packs the rows of each N_k
 into one int per part (``matpoly.charpoly_in_ring``).  With L the largest

@@ -1,5 +1,6 @@
 """Null-space and tangent certificates, divided differences, vanishing orders."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -450,16 +451,34 @@ def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
     return VanishingReport(lam, k, observed, required, observed is None or observed >= required)
 
 
-def _unscaled(d: int, coeffs) -> list:
-    """c_p(Phi) = D^p c_p(D*Phi) / D^n as Gaussian-rational polynomials, from
-    split digit pairs that must be equally long and trimmed."""
-    n = len(coeffs) - 1
-    for re, im in coeffs:
-        assert len(re) == len(im)
-        assert not re or re[-1] or im[-1]
-    return [Polynomial(tuple(gq(Fraction(x * d ** p, d ** n), Fraction(y * d ** p, d ** n))
-                             for x, y in zip(re, im)))
-            for p, (re, im) in enumerate(coeffs)]
+def _check_taylor_digits(spec, curve, expected) -> None:
+    """Split each packed T_k(2^w) of ``proofs._curve_taylor_coeffs`` into
+    balanced base-2^w digits and compare them with D^(n-k) times the u^k
+    Taylor coefficient of det(tI - Phi) at lam, sum_p C(p, k) lam^(p-k)
+    c_p(Phi), from the Fraction expansion ``expected``; D is the common
+    denominator of the curve.  Also check the width against its bound
+    2^(w-1) > (n L_lam)^n, L_lam = D (L + |lam|_1) with L the largest entry
+    l1 norm of Phi."""
+    n, degree = spec.n, len(curve.coefficients) - 1
+    d = math.lcm(*(x.denominator for c in curve.coefficients for row in c.entries
+                   for z in row for x in (z.re, z.im)))
+    norm = max(sum(abs(z.re) + abs(z.im) for z in curve.entry_poly(i, j).coefficients)
+               for i in range(n) for j in range(n))
+    w, taylor = proofs._curve_taylor_coeffs(curve, spec)
+    assert len(taylor) == len(spec.blocks)
+    for blk, values in zip(spec.blocks, taylor):
+        lam = blk.eigenvalue
+        assert 2 ** (w - 1) > (n * max(d * (norm + abs(lam.re) + abs(lam.im)), 1)) ** n
+        assert len(values) == sum(blk.sizes)
+        for k, (re, im) in enumerate(values):
+            ref = Polynomial.zero(EXACT)
+            for p in range(k, n + 1):
+                ref = ref + expected[p] * (math.comb(p, k) * lam ** (p - k))
+            count = (n - k) * degree + 1
+            want = [c * d ** (n - k) for c in ref.coefficients]
+            want += [gq(0)] * (count - len(want))
+            split = balanced_splitter(w, count)
+            assert [gq(x, y) for x, y in zip(split(re), split(im))] == want
 
 
 def _oracle_curves(spec, rng):
@@ -481,6 +500,8 @@ def _oracle_curves(spec, rng):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_curve_char_coeffs_and_reports_match_fraction_expansion(n):
+    # the packed T_k are the characteristic coefficients c_k(D*Phi - D*lam*I)
+    # of the curve shifted by each eigenvalue
     # 1/2 - 2i/3 puts rational entries in B and a rational lam in every query
     pool = [gq(0), gq("1/2", "-2/3"), gq(0, 1)]
     specs = list(enumerate_jordan_specs(n, pool))
@@ -490,8 +511,7 @@ def test_curve_char_coeffs_and_reports_match_fraction_expansion(n):
     for spec in rng.sample(specs, min(4, len(specs))) + [specs[-1]]:
         for curve in _oracle_curves(spec, rng):
             expected = reference_curve_char_coeffs(curve)
-            d, coeffs = proofs._curve_char_coeffs(curve)
-            assert _unscaled(d, coeffs) == expected
+            _check_taylor_digits(spec, curve, expected)
             for blk in spec.blocks:
                 for k in range(sum(blk.sizes)):
                     got = order_of_vanishing(spec, curve, blk.eigenvalue, k)
@@ -518,8 +538,8 @@ def test_balanced_digits_round_trip_and_refuse_a_remainder():
 def _kronecker_stress_curves(spec, rng):
     """A rational curve of degree 8-12, linear and quadratic curves with
     entries of at least 2^40, and a linear curve whose top zeta-coefficient of
-    det(tI - D*Phi), 2^(n-1) (Da)^n, is close to L^n: a digit width that drops
-    the factor n from the (nL)^n bound splits it wrongly for n >= 2."""
+    T_0, 2^(n-1) (D a)^n, is close to L_lam^n: a digit width that drops the
+    factor n from the (n L_lam)^n bound splits it wrongly for n >= 2."""
     n = spec.n
     B = build_jordan(spec)
 
@@ -547,14 +567,14 @@ def _kronecker_stress_curves(spec, rng):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_curve_char_coeffs_match_fraction_expansion_at_high_degree_and_size(n):
+    # T_k = c_k(D*Phi - D*lam*I), as in the test above
     pool = [gq(0), gq("1/2", "-2/3"), gq(0, 1)]
     specs = list(enumerate_jordan_specs(n, pool))
     rng = random.Random(700 + n)
     for spec in (rng.choice(specs), specs[-1]):
         for curve in _kronecker_stress_curves(spec, rng):
             expected = reference_curve_char_coeffs(curve)
-            d, coeffs = proofs._curve_char_coeffs(curve)
-            assert _unscaled(d, coeffs) == expected
+            _check_taylor_digits(spec, curve, expected)
             for blk in spec.blocks:
                 for k in range(sum(blk.sizes)):
                     got = order_of_vanishing(spec, curve, blk.eigenvalue, k)
@@ -617,7 +637,7 @@ def test_base_checked_once_per_curve_and_spec(monkeypatch):
     assert len(calls) == 2
 
 
-def test_lambda_powers_kept_per_curve_and_lambda(monkeypatch):
+def test_curve_and_eigenvalues_cleared_once_per_curve_and_spec(monkeypatch):
     calls = []
     original = proofs.to_gaussian_integers
 
@@ -634,16 +654,68 @@ def test_lambda_powers_kept_per_curve_and_lambda(monkeypatch):
     curve = linear_curve(build_jordan(spec), M)
     queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
     reports = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
-    # the curve's rows once, then each eigenvalue once
-    assert len(calls) == 3 and calls[1:] == [[[half]], [[i]]]
-    # the memo holds a^j and e^(n-p) D^p: for 1/2, a = 1 and e = 2
-    _, d, _, _, per_lam = proofs._last_query
-    _, a_powers, scales = per_lam[half]
-    assert a_powers == [(1, 0)] * 5
-    assert scales == [2 ** (4 - p) * d ** p for p in range(5)]
-    assert per_lam[i][1] == [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    # the curve's rows once, then each eigenvalue once, all in one call
+    assert len(calls) == 2 and calls[1] == [[half, i]]
+    # the memo holds the Taylor coefficients below each multiplicity and
+    # the combinatorics, per block of the spec
+    last_curve, last_spec, _, taylor, combs = proofs._last_query
+    assert last_curve is curve and last_spec is spec
+    assert [len(values) for values in taylor] == [3, 1]
+    assert combs == [jordan_combinatorics(spec, half), jordan_combinatorics(spec, i)]
     expected = reference_curve_char_coeffs(curve)
     assert reports == [reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
+
+
+def test_lowest_digit_is_the_valuation_over_the_digit_width():
+    rng = random.Random(11)
+
+    def pack(digits, w):
+        return sum(x << (q * w) for q, x in enumerate(digits))
+
+    for _ in range(500):
+        w, count = rng.randint(1, 40), rng.randint(1, 6)
+        zeros = rng.randint(0, count)
+        re, im = ([0] * zeros + [rng.randrange(1 - 2 ** w, 2 ** w) for _ in range(count - zeros)]
+                  for _ in range(2))
+        if rng.random() < 0.3:
+            im = [0] * count
+        nonzero = [q for q in range(count) if re[q] or im[q]]
+        got = proofs._lowest_digit(w, pack(re, w), pack(im, w))
+        assert got == (nonzero[0] if nonzero else None)
+        # with every digit below 2^w, a packed part is zero iff its digits are
+        assert (pack(re, w) == 0) == (not any(re))
+    # a digit of 2^w carries into the next position: the order reads one too
+    # high, and a digit list that is not zero can pack to zero
+    assert proofs._lowest_digit(5, pack([2 ** 5, 1], 5), 0) == 1
+    assert pack([2 ** 5, -1], 5) == 0
+    assert proofs._lowest_digit(5, pack([2 ** 5, -1], 5), 0) is None
+
+
+def test_order_of_vanishing_refuses_a_foreign_eigenvalue():
+    spec = JordanSpec.of({0: [1, 2], 1: [1]})
+    for lam in (gq(2), 2, gq("1/2"), gq(0, 1)):
+        curve = linear_curve(build_jordan(spec), SquareMatrix.identity(4))
+        # on a fresh (curve, spec) pair, then on the memoized one
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not an eigenvalue of this spec"):
+                order_of_vanishing(spec, curve, lam, 0)
+        assert order_of_vanishing(spec, curve, 1, 0).passed
+
+
+def test_equal_eigenvalues_share_one_memo_entry():
+    rng = random.Random(63)
+    spec = JordanSpec.of({0: [1], 1: [1, 2]})
+    M = SquareMatrix.from_rows(
+        [[random_gaussian_rational(rng, 4) for _ in range(4)] for _ in range(4)], EXACT)
+    curve = linear_curve(build_jordan(spec), M)
+    expected = reference_curve_char_coeffs(curve)
+    order_of_vanishing(spec, curve, 0, 0)
+    memo = proofs._last_query
+    for k in range(3):
+        reports = [order_of_vanishing(spec, curve, lam, k) for lam in (1, Fraction(1), gq(1))]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reference_order_of_vanishing(spec, expected, gq(1), k)
+        assert proofs._last_query is memo
 
 
 def test_order_of_vanishing_rejects_mismatched_base():
