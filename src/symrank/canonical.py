@@ -336,31 +336,31 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
 
     The k-th factor from the top multiplies, over all eigenvalues, the linear
     factor raised to the (k+1)-th largest block size present there; the last
-    factor is the minimal polynomial.  With lam = a/e over Gaussian integers,
-    (e t - a)^s = e^s (t - lam)^s, so each factor is expanded over Z[i][t],
-    as the split pair of its ascending int coefficient lists, and divided by
-    the product of the e^s once at the end.
+    factor is the minimal polynomial.  With every lam = a/e over one common
+    e (one :func:`to_gaussian_integers` call for the whole spec),
+    (e t - a)^s = e^s (t - lam)^s, so each factor of degree deg is expanded
+    over Z[i][t], as the split pair of its ascending int coefficient lists,
+    and divided by e^deg once at the end.
 
     The spec skips ``FrobeniusSpec.__post_init__``: sizes descend by level,
-    so each factor divides the next, and each is monic (the e^s divide out)
-    of degree >= 1.
+    so each factor divides the next, and each is monic (the e^deg divides
+    out) of degree >= 1.
     """
     depth = max(len(blk.sizes) for blk in spec.blocks)
-    linears = [(e, a_re, a_im, sorted(blk.sizes, reverse=True)) for blk in spec.blocks
-               for e, ((a_re,),), ((a_im,),) in [to_gaussian_integers([[blk.eigenvalue]])]]
+    e, (nodes_re,), (nodes_im,) = to_gaussian_integers([[blk.eigenvalue for blk in spec.blocks]])
     factors = []
     for level in range(depth):
-        re, im, scale = [1], [0], 1
-        for e, a_re, a_im, sizes_desc in linears:
-            if level < len(sizes_desc):
-                for _ in range(sizes_desc[level]):
+        re, im = [1], [0]
+        for blk, a_re, a_im in zip(spec.blocks, nodes_re, nodes_im):
+            if level < len(blk.sizes):
+                # sizes ascend: the (level+1)-th largest counts from the end
+                for _ in range(blk.sizes[-1 - level]):
                     # times (e t - a); e > 0 keeps the top coefficient nonzero
                     re, im = ([e * s - a_re * x + a_im * y
                                for s, x, y in zip([0] + re, re + [0], im + [0])],
                               [e * s - a_re * y - a_im * x
                                for s, x, y in zip([0] + im, re + [0], im + [0])])
-                scale *= e ** sizes_desc[level]
-        (coeffs,) = to_gaussian_rationals(scale, [re], [im])
+        (coeffs,) = to_gaussian_rationals(e ** (len(re) - 1), [re], [im])
         factors.append(Polynomial(coeffs, EXACT))
     spec = object.__new__(FrobeniusSpec)
     object.__setattr__(spec, "invariant_factors", tuple(reversed(factors)))

@@ -198,10 +198,8 @@ def _check_nullspace(spec: JordanSpec):
     expected = spec.n - m
     cert = nullspace_basis(spec)
     annihilates = verify_annihilation(cert, build_jordan(spec))
-    if cert.vectors:
-        independent = rank_exact([v.vector for v in cert.vectors]) == expected
-    else:
-        independent = expected == 0
+    # no vectors have rank 0
+    independent = rank_exact([v.vector for v in cert.vectors]) == expected
     return cert, {
         "count": len(cert.vectors),
         "expected": expected,

@@ -46,13 +46,16 @@ their verdicts:
   sum_k w_k (D^(k-1) J_k) = L D^(n-1) sum_k v_k J_k, so v annihilates a
   column of J = pi'(B) iff the Gaussian integers w annihilate that column
   of the scaled rows (``verify_annihilation``);
-* determinant column scale: scaling column c by s_c multiplies the
-  determinant by the product of the s_c.  With lam = a/e, the confluent
-  Vandermonde column of order d scaled by e^(n-1-d) has entries
-  +-ff(p, d) a^(p-d) e^(n-1-p) in Z[i] (p <= n - 1), so the determinant
-  is the scaled one divided by the product of those scales
-  (``confluent_vandermonde_det``).  Likewise (e t - a)^s = e^s (t - lam)^s
-  expands an invariant factor over Z[i][t] (``jordan_to_frobenius``).
+* node scaling: one :func:`to_gaussian_integers` call clears a spec's
+  eigenvalues over one common e, lam = a/e with a in Z[i].  Multiplying row
+  j of the confluent Vandermonde matrix by e^(n-j) and dividing its column
+  of order d by e^d turns each entry +-ff(n-j, d) lam^(n-j-d) into
+  +-ff(n-j, d) a^(n-j-d), so det V(lam) = det V(a) / e^E with
+  E = n(n-1)/2 - sum_c m_c(m_c-1)/2 = sum_(a<b) m_a m_b over clusters of
+  multiplicity m_c, and |lam_b - lam_a| = |a_b - a_a| / e gives the closed
+  form the same e^(2E) (``confluent_vandermonde_det``).  Likewise
+  (e t - a)^s = e^s (t - lam)^s expands an invariant factor of degree deg
+  over Z[i][t], divided by e^deg once (``jordan_to_frobenius``).
 
 A fourth argument, a bound, carries curves into Z[i] by Kronecker
 substitution (``proofs._curve_taylor_coeffs``).  A curve

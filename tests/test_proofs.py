@@ -283,6 +283,86 @@ def test_tangent_ok_rejects_pivots_the_images_do_not_have():
     assert not tangent_ok(TangentCertificate(cert.directions, zeroed, cert.pivots))
 
 
+def retired_tangent_rule(cert):
+    """The former verdict: the pivot pattern, then an exact rank of m."""
+    m = len(cert.images)
+    pattern = tuple(range(m, 0, -1))
+    return (m > 0 and cert.pivots == pattern
+            and tuple(map(proofs._pivot, cert.images)) == pattern
+            and rank_exact(cert.images) == m)
+
+
+def _forgeries(cert):
+    """The certificate, then altered copies: images reversed, claimed pivots
+    reversed, one image zeroed, the last image repeated, one image dropped."""
+    images, pivots = cert.images, cert.pivots
+    zero = (gq(0),) * len(images[0])
+    yield cert
+    yield TangentCertificate(cert.directions, images[::-1], pivots)
+    yield TangentCertificate(cert.directions, images, pivots[::-1])
+    yield TangentCertificate(cert.directions, (zero,) + images[1:], pivots)
+    yield TangentCertificate(cert.directions, images[:-1] + images[-1:] * 2, pivots + (1,))
+    yield TangentCertificate(cert.directions[1:], images[1:], pivots[1:])
+
+
+def test_tangent_ok_agrees_with_the_retired_rank_rule():
+    frobenius = [jordan_to_frobenius(spec) for n in range(1, 6)
+                 for spec in enumerate_jordan_specs(n, DEFAULT_POOL)]
+    # the Frobenius spec of the CI gen and tangent steps: (t^2 + 2) | t^4 - 4
+    frobenius.append(FrobeniusSpec((Polynomial.make([2, 0, 1]), Polynomial.make([-4, 0, 0, 0, 1]))))
+    verdicts = []
+    for fspec in frobenius:
+        cert = tangent_construction(fspec)
+        assert tangent_ok(cert)
+        for forged in _forgeries(cert):
+            verdicts.append(tangent_ok(forged))
+            assert verdicts[-1] == retired_tangent_rule(forged)
+    forged = [
+        TangentCertificate((1, 2), ((gq(1), gq(0)), (gq(0), gq(1))), (2, 1)),
+        TangentCertificate((1, 2), ((gq(0), gq(1)), (gq(-1), gq(0))), (2, 1)),
+        TangentCertificate((), (), ()),
+    ]
+    for cert in forged:
+        verdicts.append(tangent_ok(cert))
+        assert verdicts[-1] == retired_tangent_rule(cert)
+    # both verdicts occur often: a forgery can still pass, as a dropped-image
+    # copy whose remaining images lead at m - 1, ..., 1 does
+    assert len(verdicts) == 6 * 787 + 3
+    assert 787 < sum(verdicts) < len(verdicts) - 787
+
+
+def test_tangent_ok_runs_no_elimination(monkeypatch):
+    certs = [tangent_construction(jordan_to_frobenius(spec))
+             for spec in (JordanSpec.of({0: [1, 3], 1: [1]}), JordanSpec.of({gq("1/2"): [2, 4]}))]
+
+    def refuse(*args):
+        raise AssertionError("tangent_ok ran an elimination")
+
+    monkeypatch.setattr(jacobian, "_bareiss", refuse)
+    monkeypatch.setattr(proofs, "_bareiss", refuse)
+    for cert in certs:
+        assert tangent_ok(cert)
+        assert not tangent_ok(TangentCertificate(cert.directions, cert.images[::-1], cert.pivots))
+
+
+def test_tangent_ok_refuses_float_images():
+    for images in (((0j, 1 + 0j), (-1 + 0j, 0j)), ((gq(0), gq(1)), (-1.0, gq(0)))):
+        with pytest.raises(ValueError, match="must be exact"):
+            tangent_ok(TangentCertificate((1, 2), images, (2, 1)))
+
+
+def test_nullspace_basis_reads_block_sizes_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nullspace_basis looked up the combinatorics")
+
+    monkeypatch.setattr(proofs, "jordan_combinatorics", refuse)
+    spec = JordanSpec.of({gq("1/2"): [1, 1, 2], gq("1/3", 1): [1, 2], 0: [3]})
+    cert = nullspace_basis(spec)
+    assert [(v.eigenvalue, v.order) for v in cert.vectors] == [
+        (gq("1/2"), 0), (gq("1/2"), 1), (gq("1/3", 1), 0)]
+    assert len(cert.vectors) == spec.n - min_poly_degree(spec)
+
+
 def test_tangent_images_match_symbolic_route():
     # images coincide with explicit directional derivatives of the built matrix
     spec = JordanSpec.of({0: [1, 2], 1: [1]})
@@ -664,6 +744,30 @@ def test_curve_and_eigenvalues_cleared_once_per_curve_and_spec(monkeypatch):
     assert combs == [jordan_combinatorics(spec, half), jordan_combinatorics(spec, i)]
     expected = reference_curve_char_coeffs(curve)
     assert reports == [reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
+
+
+def test_spec_eigenvalues_cleared_once_per_frobenius_and_vandermonde_call(monkeypatch):
+    from symrank import canonical
+
+    calls = []
+    original = proofs.to_gaussian_integers
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(proofs, "to_gaussian_integers", counting)
+    monkeypatch.setattr(canonical, "to_gaussian_integers", counting)
+    # three eigenvalue denominators: 2, 3 and 5, so e = 30
+    lams = [gq("1/2"), gq("-1/3", 1), gq(0, "2/5")]
+    spec = JordanSpec.of({lams[0]: [1, 2], lams[1]: [1], lams[2]: [2, 2]})
+    fspec = jordan_to_frobenius(spec)
+    assert calls == [[lams]]
+    assert fspec == FrobeniusSpec(fspec.invariant_factors)
+    assert all(p.is_monic for p in fspec.invariant_factors)
+    result = confluent_vandermonde_det([(lam, sum(blk.sizes)) for lam, blk in zip(lams, spec.blocks)])
+    assert calls == [[lams], [lams]]
+    assert result.matches
 
 
 def test_lowest_digit_is_the_valuation_over_the_digit_width():
