@@ -6,10 +6,10 @@ eigenvalues and elementary block sizes, hence the minimal polynomial degree
 user-supplied exact scalars; this package never extracts Jordan structure
 from a raw float matrix, which is ill-posed.
 
-The block-start combinatorics attached to one eigenvalue (the set of indices
-where the superdiagonal of the eigenvalue's superblock is zero, and the
-derived vanishing orders) feed the certificate generators in
-:mod:`symrank.proofs`.
+The mandatory vanishing order of the curve argument has one encoding,
+:func:`required_order`, read off an eigenvalue's block sizes by
+:func:`symrank.proofs.order_of_vanishing`; the block-start data of one
+eigenvalue feed only :func:`jordan_combinatorics`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .matpoly import Polynomial, SquareMatrix, char_and_adjugate, check_size
@@ -175,9 +176,8 @@ class JordanCombinatorics:
     block_starts is the ascending tuple of indices (1-based, within this
     eigenvalue's superblock) at which an elementary block begins, i.e. where
     the superdiagonal entry vanishes; index 1 is always included.  orders[i-1]
-    is 1 plus the number of block starts in the integer window
-    [multiplicity - i + 2, multiplicity], the mandatory vanishing order used
-    by the curve estimates.
+    is ``required_order(sizes, multiplicity - i)``, 1 plus the number of block
+    starts in the integer window [multiplicity - i + 2, multiplicity].
     """
 
     eigenvalue: GaussianRational
@@ -188,26 +188,25 @@ class JordanCombinatorics:
     orders: tuple
 
 
+def required_order(sizes: Sequence[int], k: int) -> int:
+    """Mandatory vanishing order of the k-th derivative value at an eigenvalue
+    with ascending block sizes ``sizes``: 1 plus the number of blocks after
+    the first whose preceding blocks hold more than k indices, that is, 1
+    plus the number of block starts in [k + 2, multiplicity]."""
+    return 1 + sum(held > k for held in accumulate(sizes[:-1]))
+
+
 def jordan_combinatorics(spec: JordanSpec, lam) -> JordanCombinatorics:
     lam = coerce_scalar(lam, EXACT)
     sizes = spec.sizes_for(lam)
     m = sum(sizes)
-    starts = [1]
-    for s in sizes[:-1]:
-        starts.append(starts[-1] + s)
-    f0 = tuple(starts)
-    b_s = starts[-1]
-    d = tuple(
-        1 + sum(1 for b in f0 if m - i + 2 <= b <= m)
-        for i in range(1, m + 1)
-    )
     return JordanCombinatorics(
         eigenvalue=lam,
         multiplicity=m,
-        block_starts=f0,
+        block_starts=tuple(accumulate(sizes[:-1], initial=1)),
         block_count=len(sizes),
-        largest_block=m + 1 - b_s,
-        orders=d,
+        largest_block=sizes[-1],
+        orders=tuple(required_order(sizes, m - i) for i in range(1, m + 1)),
     )
 
 

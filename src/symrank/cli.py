@@ -249,11 +249,8 @@ def _check_ord(spec: JordanSpec, seed: int, curve: MatrixPolynomial | None = Non
     failing = [r for r in reports if not r.passed]
     entry = {"checks": len(reports), "violations": len(failing), "ok": not failing}
     if failing:
-        entry["failures"] = [
-            {"lambda": scalar_to_json(r.eigenvalue), "k": r.order,
-             "observed_order": r.observed_order, "required_order": r.required_order}
-            for r in failing
-        ]
+        entry["failures"] = [{key: value for key, value in r.to_json().items() if key != "passed"}
+                             for r in failing]
     return (curve, reports), entry
 
 

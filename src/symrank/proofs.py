@@ -26,13 +26,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .canonical import (
     FrobeniusSpec,
     JordanSpec,
     build_frobenius,
     build_jordan,
-    jordan_combinatorics,
+    required_order,
 )
 from .jacobian import (_bareiss, _scaled_jacobian, directional_derivative, jacobian_exact,
                        rank_exact)  # uncalled: perfbench's binding test wants it bound here
@@ -85,15 +86,21 @@ class NullspaceCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NullspaceCertificate":
-        vectors = tuple(
-            NullVector(
-                scalar_from_json(v["lambda"], EXACT),
-                int(v["k"]),
-                tuple(scalar_from_json(x, EXACT) for x in v["v"]),
-            )
-            for v in obj["vectors"]
-        )
-        return cls(vectors)
+        """ValueError naming the key: a missing key, a non-list, a k not of type int or < 0."""
+        vectors = obj.get("vectors") if isinstance(obj, dict) else None
+        if not isinstance(vectors, list):
+            raise ValueError("nullspace certificate JSON needs 'vectors', a list")
+        for v in vectors:
+            missing = sorted({"lambda", "k", "v"} - (v.keys() if isinstance(v, dict) else set()))
+            if missing:
+                raise ValueError(f"nullspace certificate vector {v!r} missing key {missing[0]!r}")
+            if type(v["k"]) is not int or v["k"] < 0:
+                raise ValueError(f"nullspace certificate 'k' must be an int >= 0, got {v['k']!r}")
+            if not isinstance(v["v"], list):
+                raise ValueError(f"nullspace certificate 'v' must be a list, got {v['v']!r}")
+        return cls(tuple(NullVector(scalar_from_json(v["lambda"], EXACT), v["k"],
+                                    tuple(scalar_from_json(x, EXACT) for x in v["v"]))
+                         for v in vectors))
 
 
 @dataclass(frozen=True)
@@ -302,9 +309,9 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     sides carry the same e^(2E), E = sum_(a<b) m_a m_b (the node-scaling
     argument in :mod:`symrank.scalars`), so ``matches`` is an identity of ints.
     """
-    groups = [(coerce_scalar(lam, EXACT), int(mult)) for lam, mult in clusters]
-    if any(m < 1 for _, m in groups):
-        raise ValueError("multiplicities must be positive")
+    groups = [(coerce_scalar(lam, EXACT), mult) for lam, mult in clusters]
+    if any(type(m) is not int or m < 1 for _, m in groups):
+        raise ValueError(f"multiplicities must be positive integers, got {[m for _, m in groups]}")
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             if groups[a][0] == groups[b][0]:
@@ -481,16 +488,16 @@ def _curve_taylor_coeffs(curve: MatrixPolynomial, spec: JordanSpec) -> tuple[int
     eigenvalue lam, is the split pair of T_k(2^w), T_k the u^k Taylor
     coefficient c_k(D*Phi - D*lam*I) of det(uI - D*Phi) at u = D*lam, D the
     common denominator of the curve.  curve(0) must be the spec's matrix, so
-    that every D*lam, a diagonal entry of D*curve(0), is a Gaussian integer.
-    One ``charpoly_in_ring`` on D*Phi(2^w), then synthetic division over
-    Z[i]; 2^(w-1) > (n L_lam)^n, L_lam = L + |D*lam|_1 <= 2L with L the
-    largest entry l1 norm of D*Phi (the Kronecker argument in
-    :mod:`symrank.scalars`)."""
+    each D*lam is read off the cleared rows of D*curve(0), on the diagonal at
+    the first row of lam's block group.  One ``charpoly_in_ring`` on
+    D*Phi(2^w), then synthetic division over Z[i]; 2^(w-1) > (n L_lam)^n,
+    L_lam = L + |D*lam|_1 <= 2L with L the largest entry l1 norm of D*Phi
+    (the Kronecker argument in :mod:`symrank.scalars`)."""
     n, terms = curve.n, len(curve.coefficients)
     d, scaled_re, scaled_im = to_gaussian_integers(
         [row for c in curve.coefficients for row in c.entries])
-    e, (a_re,), (a_im,) = to_gaussian_integers([[blk.eigenvalue for blk in spec.blocks]])
-    shifts = [(d // e * x, d // e * y) for x, y in zip(a_re, a_im)]
+    shifts = [(scaled_re[i][i], scaled_im[i][i])
+              for i in accumulate((sum(blk.sizes) for blk in spec.blocks[:-1]), initial=0)]
     # row q*n + i of the split rows is row i of D*M_q, the zeta^q coefficient
     # matrix; norms[i][j] sums the l1 norms of entry (i, j) over q
     norms = [[0] * n for _ in range(n)]
@@ -535,11 +542,11 @@ def _lowest_digit(w: int, re: int, im: int) -> int | None:
     return ((x & -x).bit_length() - 1) // w if x else None
 
 
-#: (curve, spec, w, taylor, combinatorics per block) of the last (curve,
-#: spec) pair queried.  One curve is queried at every (lam, k) of one spec in
-#: turn, so one slot is enough, and matching by identity never hashes their
-#: Fractions.  A single tuple, so that a reader always sees one pair.
-_last_query = (None, None, 1, [], [])
+#: (curve, spec, w, taylor) of the last (curve, spec) pair queried, taylor[b]
+#: as long as block b's multiplicity.  One curve is queried at every (lam, k)
+#: of one spec in turn, so one slot is enough, and matching by identity never
+#: hashes their Fractions.  A single tuple, so a reader always sees one pair.
+_last_query = (None, None, 1, [])
 
 
 def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -> VanishingReport:
@@ -548,32 +555,29 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     The k-th t-derivative of det(tI - Phi) at the eigenvalue lam is
     k! D^(k-n) T_k (see :func:`_curve_taylor_coeffs`), so both have the
     same lowest nonzero power of the curve parameter, read off T_k(2^w) by
-    :func:`_lowest_digit` and compared against the mandatory order from the
-    block-start combinatorics (None means identically zero, which passes
-    every requirement).  The base check, the expansion and the Taylor
-    coefficients at every eigenvalue are computed once per (curve, spec).
+    :func:`_lowest_digit` and compared against the mandatory order
+    :func:`required_order` of lam's block sizes (None means identically
+    zero, which passes every requirement).  The base check, the expansion and
+    the Taylor coefficients are computed once per (curve, spec).
     """
     global _last_query
     lam = coerce_scalar(lam, EXACT)
     if curve.field != EXACT:
         raise ValueError("vanishing orders are computed in the exact field")
-    last_curve, last_spec, w, taylor, combs = _last_query
-    blocks = spec.blocks
+    last_curve, last_spec, w, taylor = _last_query
     if curve is not last_curve or spec is not last_spec:
         if curve.coefficients[0] != build_jordan(spec):
             raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
         w, taylor = _curve_taylor_coeffs(curve, spec)
-        combs = [jordan_combinatorics(spec, blk.eigenvalue) for blk in blocks]
-        _last_query = (curve, spec, w, taylor, combs)
-    for b, blk in enumerate(blocks):
+        _last_query = (curve, spec, w, taylor)
+    for b, blk in enumerate(spec.blocks):
         if blk.eigenvalue is lam or blk.eigenvalue == lam:
             break
     else:
         raise ValueError(f"{lam} is not an eigenvalue of this spec")
-    comb = combs[b]
-    if not 0 <= k <= comb.multiplicity - 1:
-        raise ValueError(f"order k={k} out of range for multiplicity {comb.multiplicity}")
+    if not 0 <= k < len(taylor[b]):
+        raise ValueError(f"order k={k} out of range for multiplicity {len(taylor[b])}")
     observed = _lowest_digit(w, *taylor[b][k])
-    required = comb.orders[comb.multiplicity - k - 1]
+    required = required_order(blk.sizes, k)
     passed = observed is None or observed >= required
     return VanishingReport(lam, k, observed, required, passed)

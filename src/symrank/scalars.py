@@ -117,6 +117,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,18 +141,16 @@ def render_rational(r: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`render_rational`; also accepts a bare integer string."""
+    """Inverse of :func:`render_rational`; also accepts a bare integer string.
+    Each side of the slash is ASCII [+-]?[0-9]+ after an outer ``strip``."""
     body = text.strip()
-    if "/" in body:
-        num, _, den = body.partition("/")
-        try:
-            return normalize_rational(int(num), int(den))
-        except ValueError as exc:
-            raise ValueError(f"bad rational {text!r}: {exc}") from None
+    if not re.fullmatch(r"[+-]?[0-9]+(/[+-]?[0-9]+)?", body):
+        raise ValueError(f"bad rational {text!r}")
+    num, _, den = body.partition("/")
     try:
-        return Fraction(int(body))
-    except ValueError:
-        raise ValueError(f"bad rational {text!r}") from None
+        return normalize_rational(int(num), int(den or 1))
+    except ValueError as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
 def _as_fraction(value) -> Fraction:

@@ -524,6 +524,17 @@ def test_cli_sweep_bad_pool(capsys):
     assert main(["sweep", "--n-max", "1", "--pool", "zebra"]) == 2
 
 
+def test_cli_refuses_python_only_integer_spellings(capsys):
+    # int() would read these as 10/3, 12/5 and 10
+    for part in ("1_0/3", "\u0661\u0662/5", "1 0/3"):
+        spec = {"n": 1, "blocks": [{"eigenvalue": [part, "0/1"], "sizes": [1]}]}
+        assert main(["verify", "--spec", json.dumps(spec)]) == 2
+        assert "bad rational" in capsys.readouterr().err
+    for pool in ("1_0", "0,\u0661/2"):
+        assert main(["sweep", "--n-max", "1", "--pool", pool]) == 2
+        assert "bad pool" in capsys.readouterr().err
+
+
 def test_cli_sweep_stdout_default_pool(capsys):
     assert main(["sweep", "--n-max", "1", "--modes", "theorem"]) == 0
     captured = capsys.readouterr()

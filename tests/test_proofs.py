@@ -12,11 +12,11 @@ from symrank.canonical import (
     JordanSpec,
     build_frobenius,
     build_jordan,
-    jordan_combinatorics,
     jordan_to_frobenius,
     min_poly_degree,
+    required_order,
 )
-from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
+from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs, integer_partitions
 from symrank.jacobian import directional_derivative, jacobian_exact, rank_exact
 from symrank.matpoly import (
     MatrixPolynomial,
@@ -102,6 +102,34 @@ def test_verify_annihilation_requires_exact():
 def test_nullspace_json_round_trip():
     cert = nullspace_basis(JordanSpec.of({0: [1, 2], 1: [1, 1]}))
     assert NullspaceCertificate.from_json(cert.to_json()) == cert
+
+
+def test_nullspace_json_refuses_coerced_counts_and_malformed_certificates():
+    good = nullspace_basis(JordanSpec.of({0: [1, 2], 1: [1, 1]})).to_json()
+    vector = good["vectors"][0]
+    cases = [
+        ({"vectors": [dict(vector, k=1.7)]}, "'k'"),
+        ({"vectors": [dict(vector, k=1.0)]}, "'k'"),
+        ({"vectors": [dict(vector, k="3")]}, "'k'"),
+        ({"vectors": [dict(vector, k=True)]}, "'k'"),
+        ({"vectors": [dict(vector, k=-1)]}, "'k'"),
+        ({"vectors": [dict(vector, k=None)]}, "'k'"),
+        ({"vectors": [{"lambda": vector["lambda"], "v": vector["v"]}]}, "'k'"),
+        ({"vectors": [{"k": 0, "v": vector["v"]}]}, "'lambda'"),
+        ({"vectors": [{"lambda": vector["lambda"], "k": 0}]}, "'v'"),
+        ({"vectors": [dict(vector, v="0/1")]}, "'v'"),
+        ({"vectors": [dict(vector, v={"0": 1})]}, "'v'"),
+        ({"vectors": [[vector["lambda"], 0, vector["v"]]]}, "'k'"),
+        ({"vectors": "abc"}, "'vectors'"),
+        ({"vectors": {"k": 0}}, "'vectors'"),
+        ({}, "'vectors'"),
+        ([good], "'vectors'"),
+    ]
+    for obj, key in cases:
+        with pytest.raises(ValueError, match=key):
+            NullspaceCertificate.from_json(obj)
+    # a well-formed certificate keeps its orders
+    assert NullspaceCertificate.from_json(good).vectors[0].order == vector["k"]
 
 
 def test_divided_difference_order_zero():
@@ -243,6 +271,12 @@ def test_vandermonde_rejects_repeats():
         confluent_vandermonde_det([(gq(1), 2), (gq(1), 1)])
 
 
+def test_vandermonde_refuses_a_multiplicity_that_is_not_an_int():
+    for mult in (2.9, 2.0, "2", True, 0, -1):
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            confluent_vandermonde_det([(gq(0), 1), (gq(1), mult)])
+
+
 def test_tangent_construction_t_squared():
     cert = tangent_construction(FrobeniusSpec((Polynomial.make([0, 0, 1]),)))
     assert cert.images == ((gq(0), gq(1)), (gq(-1), gq(0)))
@@ -355,7 +389,7 @@ def test_nullspace_basis_reads_block_sizes_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("nullspace_basis looked up the combinatorics")
 
-    monkeypatch.setattr(proofs, "jordan_combinatorics", refuse)
+    monkeypatch.setattr(proofs, "required_order", refuse)
     spec = JordanSpec.of({gq("1/2"): [1, 1, 2], gq("1/3", 1): [1, 2], 0: [3]})
     cert = nullspace_basis(spec)
     assert [(v.eigenvalue, v.order) for v in cert.vectors] == [
@@ -520,14 +554,37 @@ def reference_curve_char_coeffs(curve: MatrixPolynomial) -> list:
     return coeffs
 
 
+def former_required_order(sizes, k) -> int:
+    """The former rule: with the block starts 1, 1 + s_1, 1 + s_1 + s_2, ...
+    of the ascending sizes, orders[i-1] is 1 plus the number of starts in
+    the window [m - i + 2, m], and the k-th derivative value needs
+    orders[m - k - 1]."""
+    m = sum(sizes)
+    starts = [1]
+    for s in sizes[:-1]:
+        starts.append(starts[-1] + s)
+    orders = [1 + sum(1 for b in starts if m - i + 2 <= b <= m) for i in range(1, m + 1)]
+    return orders[m - k - 1]
+
+
+def test_required_order_matches_the_former_window_rule():
+    cases = 0
+    for m in range(1, 13):
+        for sizes in integer_partitions(m):
+            for k in range(m):
+                assert required_order(sizes, k) == former_required_order(sizes, k), (sizes, k)
+                cases += 1
+    assert cases == 2646
+
+
 def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
-    """The former report: the k-th t-derivative at lam over Gaussian rationals."""
-    comb = jordan_combinatorics(spec, lam)
+    """The former report: the k-th t-derivative at lam over Gaussian rationals,
+    against the former window rule."""
     value = Polynomial.zero(EXACT)
     for p in range(k, spec.n + 1):
         value = value + coeffs[p] * (falling_factorial(p, k) * lam ** (p - k))
     observed = next((q for q, c in enumerate(value.coefficients) if c), None)
-    required = comb.orders[comb.multiplicity - k - 1]
+    required = former_required_order(spec.sizes_for(lam), k)
     return VanishingReport(lam, k, observed, required, observed is None or observed >= required)
 
 
@@ -734,16 +791,52 @@ def test_curve_and_eigenvalues_cleared_once_per_curve_and_spec(monkeypatch):
     curve = linear_curve(build_jordan(spec), M)
     queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
     reports = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
-    # the curve's rows once, then each eigenvalue once, all in one call
-    assert len(calls) == 2 and calls[1] == [[half, i]]
-    # the memo holds the Taylor coefficients below each multiplicity and
-    # the combinatorics, per block of the spec
-    last_curve, last_spec, _, taylor, combs = proofs._last_query
+    # the curve's rows once; each eigenvalue is read off their diagonal
+    assert len(calls) == 1 and len(calls[0]) == 2 * spec.n
+    # the memo holds the Taylor coefficients below each multiplicity, per
+    # block of the spec
+    last_curve, last_spec, _, taylor = proofs._last_query
     assert last_curve is curve and last_spec is spec
     assert [len(values) for values in taylor] == [3, 1]
-    assert combs == [jordan_combinatorics(spec, half), jordan_combinatorics(spec, i)]
     expected = reference_curve_char_coeffs(curve)
     assert reports == [reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
+
+
+def test_order_of_vanishing_clears_once_per_pair_and_reads_no_combinatorics(monkeypatch):
+    from symrank import canonical
+
+    def refuse(*args):
+        raise AssertionError("order_of_vanishing looked up the combinatorics")
+
+    calls = []
+    original = proofs.to_gaussian_integers
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(canonical, "jordan_combinatorics", refuse)
+    monkeypatch.setattr(proofs, "to_gaussian_integers", counting)
+    rng = random.Random(64)
+    # eigenvalue denominators 2, 3 and 5 next to 0, blocks that start late
+    specs = [JordanSpec.of({0: [1, 1, 2], gq("1/2"): [1, 2], gq("-1/3", 1): [2]}),
+             JordanSpec.of({gq(0, "2/5"): [1, 1, 1], gq("3/2", "-1/3"): [3]})]
+    pairs = 0
+    for spec in specs:
+        B = build_jordan(spec)
+        for degree in (1, 2):
+            curve = MatrixPolynomial((B,) + tuple(
+                SquareMatrix.from_rows([[random_gaussian_rational(rng, 3) for _ in range(spec.n)]
+                                        for _ in range(spec.n)], EXACT)
+                for _ in range(degree)))
+            queries = [(blk.eigenvalue, k) for blk in spec.blocks for k in range(sum(blk.sizes))]
+            reports = [order_of_vanishing(spec, curve, lam, k) for lam, k in queries]
+            pairs += 1
+            assert len(calls) == pairs
+            expected = reference_curve_char_coeffs(curve)
+            assert reports == [reference_order_of_vanishing(spec, expected, lam, k)
+                               for lam, k in queries]
+    assert max(r.required_order for r in reports) == 3
 
 
 def test_spec_eigenvalues_cleared_once_per_frobenius_and_vandermonde_call(monkeypatch):

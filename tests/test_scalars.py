@@ -51,6 +51,11 @@ def test_normalize_zero_denominator_rejected():
         normalize_rational(1, 0)
 
 
+def test_parse_rational_keeps_the_outer_strip_and_signs():
+    assert parse_rational(" -3/6\n") == Fraction(-1, 2)
+    assert parse_rational("+4") == 4 and parse_rational("1/-2") == Fraction(-1, 2)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(5)
     for _ in range(300):
@@ -59,7 +64,10 @@ def test_render_parse_round_trip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "a/b", "1/0", "1//2"):
+    # int() alone would read "_" separators, inner whitespace and non-ASCII
+    # digits: 10/3, 12/5, 1/2, 10 and 3
+    for bad in ("", "a/b", "1/0", "1//2", "1_0/3", "\u0661\u0662/5", "1 /2", "1/ 2", "1_0",
+                "\u0663", "1 0", "1/2/3", "/2", "1/", "+-1", "\uff11/2", "1\n/2"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
