@@ -11,12 +11,9 @@ annihilating null-space certificate, and an echelon tangent certificate.
 from .canonical import (
     EigenvalueBlocks,
     FrobeniusSpec,
-    JordanCombinatorics,
     JordanSpec,
-    build_companion,
     build_frobenius,
     build_jordan,
-    jordan_combinatorics,
     jordan_to_frobenius,
     min_poly_degree,
     min_poly_krylov,
@@ -37,14 +34,12 @@ from .jacobian import (
     jacobian_fd,
     numeric_rank_profile,
     rank_exact,
-    rank_numeric,
     verify_theorem,
 )
 from .matpoly import (
     MatrixPolynomial,
     Polynomial,
     SquareMatrix,
-    adjugate_poly,
     char_poly,
     dot,
     monomial_vector,

@@ -8,8 +8,7 @@ from a raw float matrix, which is ill-posed.
 
 The mandatory vanishing order of the curve argument has one encoding,
 :func:`required_order`, read off an eigenvalue's block sizes by
-:func:`symrank.proofs.order_of_vanishing`; the block-start data of one
-eigenvalue feed only :func:`jordan_combinatorics`.
+:func:`symrank.proofs.order_of_vanishing`.
 """
 
 from __future__ import annotations
@@ -84,12 +83,6 @@ class JordanSpec:
         )
         total = sum(sum(g.sizes) for g in groups)
         return cls(n if n is not None else total, groups)
-
-    def sizes_for(self, lam) -> tuple:
-        for blk in self.blocks:
-            if blk.eigenvalue == lam:
-                return blk.sizes
-        raise ValueError(f"{lam} is not an eigenvalue of this spec")
 
     def to_json(self) -> dict:
         return {
@@ -169,45 +162,12 @@ class FrobeniusSpec:
         return cls(factors)
 
 
-@dataclass(frozen=True)
-class JordanCombinatorics:
-    """Block-start bookkeeping for one eigenvalue.
-
-    block_starts is the ascending tuple of indices (1-based, within this
-    eigenvalue's superblock) at which an elementary block begins, i.e. where
-    the superdiagonal entry vanishes; index 1 is always included.  orders[i-1]
-    is ``required_order(sizes, multiplicity - i)``, 1 plus the number of block
-    starts in the integer window [multiplicity - i + 2, multiplicity].
-    """
-
-    eigenvalue: GaussianRational
-    multiplicity: int
-    block_starts: tuple
-    block_count: int
-    largest_block: int
-    orders: tuple
-
-
 def required_order(sizes: Sequence[int], k: int) -> int:
     """Mandatory vanishing order of the k-th derivative value at an eigenvalue
     with ascending block sizes ``sizes``: 1 plus the number of blocks after
     the first whose preceding blocks hold more than k indices, that is, 1
     plus the number of block starts in [k + 2, multiplicity]."""
     return 1 + sum(held > k for held in accumulate(sizes[:-1]))
-
-
-def jordan_combinatorics(spec: JordanSpec, lam) -> JordanCombinatorics:
-    lam = coerce_scalar(lam, EXACT)
-    sizes = spec.sizes_for(lam)
-    m = sum(sizes)
-    return JordanCombinatorics(
-        eigenvalue=lam,
-        multiplicity=m,
-        block_starts=tuple(accumulate(sizes[:-1], initial=1)),
-        block_count=len(sizes),
-        largest_block=sizes[-1],
-        orders=tuple(required_order(sizes, m - i) for i in range(1, m + 1)),
-    )
 
 
 def build_jordan(spec: JordanSpec) -> SquareMatrix:
@@ -224,13 +184,6 @@ def build_jordan(spec: JordanSpec) -> SquareMatrix:
                     rows[offset + i][offset + i + 1] = one
             offset += size
     return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
-
-
-def build_companion(p: Polynomial) -> SquareMatrix:
-    """Companion matrix of an exact monic p of degree >= 1: superdiagonal
-    ones, last row the negated coefficients; the one-factor
-    :func:`build_frobenius`, whose spec rejects any other p."""
-    return build_frobenius(FrobeniusSpec((p,)))
 
 
 def build_frobenius(spec: FrobeniusSpec) -> SquareMatrix:

@@ -90,6 +90,10 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for name in ("n_max", "parallelism"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.n_max > MAX_N:

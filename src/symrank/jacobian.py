@@ -13,6 +13,16 @@ thresholding in the float field.  One reader, :func:`_trace_form_rows`,
 turns an adjugate into those rows: the float adjugate of B, and the real and
 imaginary parts of the Gaussian-integer adjugate of D*B for both exact
 routes, :func:`jacobian_exact` and :func:`_scaled_jacobian`.
+
+Why the rank is deg m_B for every n and over every field: write
+adj(tI - B) = sum_k N_k t^(n-k) and det(tI - B) = sum_j c_j t^(n-j),
+c_0 = 1.  Row k of the derivative is (-1)^(k+1) vec(N_k^T), and the trace
+pairing (X, Y) -> tr(XY) is nondegenerate, so the rank is
+dim span{N_1, ..., N_n}.  The Faddeev-LeVerrier identity
+N_k = sum_{j<k} c_(k-1-j) B^j is unit triangular in I, B, ..., B^(n-1), so
+that span is span{I, B, ..., B^(n-1)}, whose dimension is the degree of the
+minimal polynomial m_B.  The exact routes compute the rank rather than
+assume it, and the tests check the row identity against plain powers of B.
 """
 
 from __future__ import annotations
@@ -51,9 +61,6 @@ class JacobianMatrix(_StoredRows):
     @staticmethod
     def _build(denominators, re, im) -> tuple:
         return tuple(to_gaussian_rationals(d, (r,), (i,))[0] for d, r, i in zip(denominators, re, im))
-
-    def column(self, c: int) -> tuple:
-        return tuple(row[c] for row in self.rows)
 
     def to_numpy(self) -> np.ndarray:
         import numpy as np
@@ -304,6 +311,8 @@ class RankProfile:
 
 
 def numeric_rank_profile(A, tol: float | None = None) -> RankProfile:
+    """Numeric rank of A: the count of singular values above tol (default:
+    max-dim * eps * sigma_max)."""
     import numpy as np
 
     if isinstance(A, (JacobianMatrix, SquareMatrix)):
@@ -319,11 +328,6 @@ def numeric_rank_profile(A, tol: float | None = None) -> RankProfile:
     rank = int(np.count_nonzero(sv > threshold))
     gap = float(np.min(np.abs(sv - threshold))) if sv.size else None
     return RankProfile(rank, float(threshold), tuple(float(s) for s in sv), gap)
-
-
-def rank_numeric(A, tol: float | None = None) -> int:
-    """Count of singular values above tol (default: max-dim * eps * sigma_max)."""
-    return numeric_rank_profile(A, tol).rank
 
 
 def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:

@@ -19,9 +19,9 @@ runs over Gaussian integers on D*Phi(2^w) (Kronecker substitution,
 ``proofs._curve_taylor_coeffs``), and ``proofs.order_of_vanishing`` reads
 each vanishing order as the 2-adic valuation of one Taylor coefficient of
 the result at an eigenvalue, divided by w.  A float
-matrix, or a stack of them, runs the recursion in numpy; only
-``char_and_adjugate`` keeps the adjugate, and the finite-difference oracle
-symmetrizes its 2n^2 matrices as one stack.  numpy is imported inside the
+matrix, or a stack of them, runs the recursion in numpy; one matrix keeps
+its adjugate, and a stack, such as the finite-difference oracle's 2n^2
+matrices, holds only the current N_k.  numpy is imported inside the
 functions that compute in floats, so it is loaded on first float use and the
 exact paths need only the standard library.
 
@@ -627,19 +627,8 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
 
 
 def char_poly(M: SquareMatrix) -> Polynomial:
-    """Monic degree-n polynomial det(tI - M), ascending coefficients.
-
-    A float matrix runs the recursion without reading its adjugate back.
-    """
-    if M.field == FLOAT:
-        coeffs, _ = _charpoly_float(M.to_numpy())
-        return Polynomial(tuple(coeffs.tolist()), FLOAT)
+    """Monic degree-n polynomial det(tI - M), ascending coefficients."""
     return char_and_adjugate(M)[0]
-
-
-def adjugate_poly(M: SquareMatrix) -> MatrixPolynomial:
-    """A(t) = adj(tI - M), satisfying (tI - M) A(t) = char_poly(M)(t) I."""
-    return char_and_adjugate(M)[1]
 
 
 def symmetrize(M: SquareMatrix | np.ndarray) -> SymPoint | np.ndarray:

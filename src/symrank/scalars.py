@@ -156,7 +156,7 @@ def parse_rational(text: str) -> Fraction:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -272,6 +272,8 @@ class GaussianRational:
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an exact scalar, got {value!r}")
     if isinstance(value, (int, Fraction)):
         return GaussianRational(Fraction(value), Fraction(0))
     return NotImplemented
@@ -423,7 +425,10 @@ def field_one(field: str):
 
 
 def coerce_scalar(value, field: str):
-    """Coerce a loose value (int, Fraction, float, complex) into a field scalar."""
+    """Coerce a loose value (int, Fraction, float, complex) into a field
+    scalar; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"cannot place the bool {value!r} in a field")
     if field == EXACT:
         if isinstance(value, GaussianRational):
             return value

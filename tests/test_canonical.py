@@ -12,14 +12,13 @@ from symrank.canonical import (
     EigenvalueBlocks,
     FrobeniusSpec,
     JordanSpec,
-    build_companion,
     build_frobenius,
     build_jordan,
-    jordan_combinatorics,
     jordan_to_frobenius,
     min_poly_degree,
     min_poly_krylov,
     random_similarity,
+    required_order,
 )
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import Polynomial, SquareMatrix, char_poly
@@ -119,30 +118,30 @@ def test_jordan_spec_json_round_trip():
 
 def test_build_companion_linear():
     lam = gq(5, -2)
-    C = build_companion(Polynomial.make([-lam, 1]))
+    C = build_frobenius(FrobeniusSpec((Polynomial.make([-lam, 1]),)))
     assert C.entries == ((lam,),)
 
 
 def test_build_companion_t_squared():
-    C = build_companion(Polynomial.make([0, 0, 1]))
+    C = build_frobenius(FrobeniusSpec((Polynomial.make([0, 0, 1]),)))
     assert C.entries == ((gq(0), gq(1)), (gq(0), gq(0)))
 
 
 def test_build_companion_char_poly_round_trip():
     p = Polynomial.make([5, 3, 1])
-    assert char_poly(build_companion(p)) == p
+    assert char_poly(build_frobenius(FrobeniusSpec((p,)))) == p
 
 
 def test_build_companion_rejects_non_monic():
     with pytest.raises(ValueError):
-        build_companion(Polynomial.make([1, 2]))
+        build_frobenius(FrobeniusSpec((Polynomial.make([1, 2]),)))
     with pytest.raises(ValueError):
-        build_companion(Polynomial.make([7]))
+        build_frobenius(FrobeniusSpec((Polynomial.make([7]),)))
     # FrobeniusSpec's checks: a constant and a float polynomial are refused
     with pytest.raises(ValueError, match="degree >= 1"):
-        build_companion(Polynomial.make([1]))
+        build_frobenius(FrobeniusSpec((Polynomial.make([1]),)))
     with pytest.raises(ValueError, match="exact"):
-        build_companion(Polynomial.make([0.5, 1.0], FLOAT))
+        build_frobenius(FrobeniusSpec((Polynomial.make([0.5, 1.0], FLOAT),)))
 
 
 def test_build_frobenius_single_factor():
@@ -370,36 +369,33 @@ def test_exact_min_poly_matches_oracles(n):
             assert p == expected
 
 
-def test_jordan_combinatorics_hand_enumerated():
-    # single block of size 2
-    c = jordan_combinatorics(JordanSpec.of({0: [2]}), gq(0))
-    assert (c.block_starts, c.orders, c.largest_block) == ((1,), (1, 1), 2)
+def test_required_order_hand_enumerated():
+    # the orders of the k-th derivative values for k = m - 1, ..., 0, and the
+    # minimal degree: a single block of size 2
+    def orders(sizes):
+        m = sum(sizes)
+        return tuple(required_order(sizes, m - i) for i in range(1, m + 1))
+
+    assert (orders((2,)), min_poly_degree(JordanSpec.of({0: [2]}))) == ((1, 1), 2)
     # two blocks of size 1
-    c = jordan_combinatorics(JordanSpec.of({0: [1, 1]}), gq(0))
-    assert (c.block_starts, c.orders, c.largest_block) == ((1, 2), (1, 2), 1)
+    assert (orders((1, 1)), min_poly_degree(JordanSpec.of({0: [1, 1]}))) == ((1, 2), 1)
     # blocks [1, 2]
-    c = jordan_combinatorics(JordanSpec.of({0: [1, 2]}), gq(0))
-    assert (c.block_starts, c.orders, c.largest_block) == ((1, 2), (1, 1, 2), 2)
+    assert (orders((1, 2)), min_poly_degree(JordanSpec.of({0: [1, 2]}))) == ((1, 1, 2), 2)
 
 
-def test_jordan_combinatorics_rejects_foreign_eigenvalue():
-    with pytest.raises(ValueError):
-        jordan_combinatorics(JordanSpec.of({0: [2]}), gq(1))
-
-
-def test_jordan_combinatorics_properties():
+def test_required_order_properties():
     rng = random.Random(77)
     pool = [gq(0), gq(1), gq(-1)]
     for n in range(1, 6):
         for spec in enumerate_jordan_specs(n, pool):
             slack = 0
             for blk in spec.blocks:
-                c = jordan_combinatorics(spec, blk.eigenvalue)
-                assert c.orders[0] == 1
-                assert all(d <= c.block_count + 1 for d in c.orders)
-                assert all(a <= b for a, b in zip(c.orders, c.orders[1:]))
-                assert c.largest_block == blk.sizes[-1]
-                slack += c.multiplicity - c.largest_block
+                m = sum(blk.sizes)
+                orders = [required_order(blk.sizes, m - i) for i in range(1, m + 1)]
+                assert orders[0] == 1
+                assert all(d <= len(blk.sizes) + 1 for d in orders)
+                assert all(a <= b for a, b in zip(orders, orders[1:]))
+                slack += m - blk.sizes[-1]
             assert slack == n - min_poly_degree(spec)
 
 
@@ -623,7 +619,7 @@ def test_trusted_constructions_match_their_checked_twins(pool, n_max):
 
 def test_build_companion_matches_from_rows():
     for p in (Polynomial.make([gq("1/3", "2/5"), 0, gq(-2, 1), 1]), Polynomial.make([0, 0, 1])):
-        C = build_companion(p)
+        C = build_frobenius(FrobeniusSpec((p,)))
         assert repr(C) == repr(SquareMatrix.from_rows(C.entries, EXACT))
 
 

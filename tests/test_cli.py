@@ -22,7 +22,7 @@ from symrank.cli import (
     run_sweep,
 )
 from symrank.canonical import JordanSpec
-from symrank.scalars import gq
+from symrank.scalars import EXACT, FLOAT, coerce_scalar, gq
 
 
 def partition_counts_pentagonal(n_max):
@@ -198,6 +198,19 @@ def test_sweep_config_validation():
         SweepConfig(n_max=1, modes=("bogus",))
     with pytest.raises(ValueError):
         SweepConfig(n_max=1, parallelism=0)
+
+
+def test_library_boundary_refuses_non_int_counts_and_bools():
+    # counts must be ints, not floats or bools, and a bool is no scalar
+    for field, value in (("n_max", 2.5), ("n_max", True), ("parallelism", 2.0),
+                         ("parallelism", True)):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{"n_max": 2, field: value})
+    for call in (lambda: coerce_scalar(True, EXACT), lambda: coerce_scalar(False, FLOAT),
+                 lambda: gq(True), lambda: gq(0, False), lambda: gq(1) + True,
+                 lambda: True * gq(1), lambda: JordanSpec.of({True: [1], 0: [1]})):
+        with pytest.raises(TypeError, match="True|False"):
+            call()
 
 
 def test_sweep_config_mode_order_canonical():

@@ -22,7 +22,6 @@ from symrank.jacobian import (
     jacobian_fd,
     numeric_rank_profile,
     rank_exact,
-    rank_numeric,
     verify_theorem,
 )
 from symrank.matpoly import (
@@ -130,13 +129,41 @@ def test_jacobian_exact_at_zero_2x2():
     assert jac.rows[1] == (gq(0), gq(0), gq(0), gq(0))
 
 
+def test_jacobian_rows_are_the_lemma_matrices_on_the_default_pool():
+    # the every-n lemma of the jacobian module docstring: row k of the
+    # derivative at B is (-1)^(k+1) vec(N_k^T), N_k = sum_{j<k} c_(k-1-j) B^j,
+    # with c read off the spec's chi = prod (t - lam)^mult and B^j from plain
+    # products, at a random conjugate of every default-pool spec with n <= 5
+    checked = 0
+    for n in range(1, 6):
+        for seed, spec in enumerate(enumerate_jordan_specs(n, DEFAULT_POOL)):
+            chi = Polynomial.one(EXACT)
+            for blk in spec.blocks:
+                chi = chi * Polynomial.make([-blk.eigenvalue, 1]) ** sum(blk.sizes)
+            # c[j] is the coefficient of t^(n-j)
+            c = chi.coefficients[::-1]
+            B = random_similarity(build_jordan(spec), seed)
+            powers = [SquareMatrix.identity(n)]
+            for _ in range(n - 1):
+                powers.append(powers[-1] @ B)
+            rows = jacobian_exact(B).rows
+            for k in range(1, n + 1):
+                N = SquareMatrix.zeros(n)
+                for j in range(k):
+                    N = N + powers[j].scale(c[k - 1 - j])
+                vec_t = tuple(x for col in zip(*N.entries) for x in col)
+                assert rows[k - 1] == (vec_t if k % 2 else tuple(-x for x in vec_t)), (spec, k)
+            checked += 1
+    assert checked == 786
+
+
 def test_jacobian_columns_are_directional_derivatives():
     rng = random.Random(52)
     B = random_exact(rng, 3)
     jac = jacobian_exact(B)
     for i in range(3):
         for j in range(3):
-            col = jac.column(i * 3 + j)
+            col = tuple(row[i * 3 + j] for row in jac.rows)
             assert col == directional_derivative(B, SquareMatrix.basis(3, i, j))
 
 
@@ -144,7 +171,7 @@ def test_jacobian_rank_jordan_block_with_numeric_oracle():
     B = build_jordan(JordanSpec.of({0: [2]}))
     assert rank_exact(jacobian_exact(B)) == 2
     fd = jacobian_fd(B.to_float(), 1e-5)
-    assert rank_numeric(fd, tol=1e-6) == 2
+    assert numeric_rank_profile(fd, tol=1e-6).rank == 2
 
 
 def test_jacobian_rank_scalar_matrix():
@@ -417,18 +444,18 @@ def test_eliminate_determinant_matches_cofactor_oracle():
 
 
 def test_rank_numeric_identity():
-    assert rank_numeric(SquareMatrix.identity(3, FLOAT)) == 3
+    assert numeric_rank_profile(SquareMatrix.identity(3, FLOAT)).rank == 3
 
 
 def test_rank_numeric_below_threshold():
     M = SquareMatrix.from_rows([[1.0, 0.0], [0.0, 1e-18]], field=FLOAT)
-    assert rank_numeric(M) == 1
+    assert numeric_rank_profile(M).rank == 1
 
 
 def test_rank_numeric_explicit_tolerance():
     M = SquareMatrix.from_rows([[1.0, 0.0], [0.0, 1e-3]], field=FLOAT)
-    assert rank_numeric(M) == 2
-    assert rank_numeric(M, tol=1e-2) == 1
+    assert numeric_rank_profile(M).rank == 2
+    assert numeric_rank_profile(M, tol=1e-2).rank == 1
 
 
 def test_numeric_rank_profile_reports_gap():
@@ -447,7 +474,7 @@ def test_rank_cross_field_oracle():
         B = SquareMatrix.from_rows(rows, EXACT)
         exact_rank = rank_exact(jacobian_exact(B))
         fd = jacobian_fd(B.to_float(), 1e-5)
-        assert rank_numeric(fd, tol=1e-6) == exact_rank
+        assert numeric_rank_profile(fd, tol=1e-6).rank == exact_rank
 
 
 def test_verify_theorem_zero_matrix():
@@ -463,7 +490,7 @@ def test_verify_theorem_single_big_block_with_float_oracle():
     report = verify_theorem(spec)
     assert report.rank == report.min_poly_degree == 4
     B = build_jordan(spec).to_float()
-    assert rank_numeric(jacobian_fd(B, 1e-5), tol=1e-6) == 4
+    assert numeric_rank_profile(jacobian_fd(B, 1e-5), tol=1e-6).rank == 4
 
 
 def test_verify_theorem_explicit_3x9_jacobian():

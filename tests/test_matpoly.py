@@ -19,7 +19,6 @@ from symrank.matpoly import (
     MatrixPolynomial,
     Polynomial,
     SquareMatrix,
-    adjugate_poly,
     char_and_adjugate,
     char_poly,
     charpoly_in_ring,
@@ -180,13 +179,13 @@ def test_symmetrize_diag_123():
 
 
 def test_adjugate_size_one():
-    adj = adjugate_poly(SquareMatrix.from_rows([[gq(5, 1)]]))
+    adj = char_and_adjugate(SquareMatrix.from_rows([[gq(5, 1)]]))[1]
     assert adj.degree == 0
     assert adj.coefficients[0] == SquareMatrix.identity(1)
 
 
 def test_adjugate_of_zero_2x2():
-    adj = adjugate_poly(SquareMatrix.zeros(2))
+    adj = char_and_adjugate(SquareMatrix.zeros(2))[1]
     # adj(tI) = t * I for n = 2
     assert adj.degree == 1
     assert adj.coefficients[0].is_zero()
@@ -437,8 +436,8 @@ def test_char_and_adjugate_matches_fraction_recursion(n):
 def reference_char_and_adjugate_float(M):
     """The float route with the adjugate read back entry by entry: one array
     per N_k, an np.all per N_k, and complex() on every numpy scalar.  The
-    one-buffer kernel and the adjugate-free char_poly must match it bit for
-    bit, signed zeros included."""
+    one-buffer kernel and char_poly must match it bit for bit, signed zeros
+    included."""
     n = M.n
     a = np.array([[complex(x) for x in r] for r in M.entries], dtype=complex)
     coeffs = np.zeros(n + 1, dtype=complex)
@@ -492,6 +491,7 @@ def test_float_char_poly_and_adjugate_bit_identical_to_reference():
                       for j in range(1, n + 1))
         assert repr(char_and_adjugate(M)) == repr((poly, adj))
         assert repr(char_poly(M)) == repr(poly)
+        assert repr(char_poly(M)) == repr(char_and_adjugate(M)[0])
         assert repr(symmetrize(M)) == repr(sigma)
 
 
