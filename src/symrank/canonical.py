@@ -22,12 +22,11 @@ from typing import Mapping, Sequence
 from .matpoly import Polynomial, SquareMatrix, char_and_adjugate, check_size
 from .scalars import (
     EXACT,
-    FLOAT,
+    GQ_ONE,
+    GQ_ZERO,
     GaussianRational,
     NumericFailure,
     coerce_scalar,
-    field_one,
-    field_zero,
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
@@ -126,7 +125,7 @@ class FrobeniusSpec:
         if not factors:
             raise ValueError("at least one invariant factor required")
         for p in factors:
-            if p.field != EXACT:
+            if not all(isinstance(c, GaussianRational) for c in p.coefficients):
                 raise ValueError("invariant factors must be exact polynomials")
             if p.is_zero or not p.is_monic or p.degree < 1:
                 raise ValueError("invariant factors must be monic of degree >= 1")
@@ -156,7 +155,7 @@ class FrobeniusSpec:
         factors = obj.get("invariant_factors") if isinstance(obj, dict) else None
         if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
             raise ValueError("Frobenius spec JSON needs 'invariant_factors', a list of coefficient lists")
-        factors = tuple(Polynomial.from_json(f, EXACT) for f in factors)
+        factors = tuple(Polynomial.from_json(f) for f in factors)
         # before the divisibility checks, which are quadratic in the degree
         check_size(sum(p.degree for p in factors))
         return cls(factors)
@@ -173,15 +172,14 @@ def required_order(sizes: Sequence[int], k: int) -> int:
 def build_jordan(spec: JordanSpec) -> SquareMatrix:
     """Block-diagonal matrix with elementary Jordan blocks, ascending sizes."""
     n = spec.n
-    zero, one = field_zero(EXACT), field_one(EXACT)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[GQ_ZERO] * n for _ in range(n)]
     offset = 0
     for blk in spec.blocks:
         for size in blk.sizes:
             for i in range(size):
                 rows[offset + i][offset + i] = blk.eigenvalue
                 if i + 1 < size:
-                    rows[offset + i][offset + i + 1] = one
+                    rows[offset + i][offset + i + 1] = GQ_ONE
             offset += size
     return SquareMatrix(n, EXACT, tuple(map(tuple, rows)))
 
@@ -229,7 +227,7 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
     n = M.n
     if M.field == EXACT:
         char, adj = char_and_adjugate(M)
-        d = Polynomial.zero(EXACT)
+        d = Polynomial.zero()
         for i in range(n):
             for j in range(n):
                 entry = adj.entry_poly(i, j)
@@ -280,7 +278,7 @@ def min_poly_krylov(M: SquareMatrix, tol: float | None = None) -> Polynomial:
                               for j, c in enumerate(coeffs)]
                 except OverflowError:
                     raise NumericFailure(f"minimal polynomial coefficient overflowed at scale 2^{e}") from None
-            return Polynomial(tuple(coeffs), FLOAT)
+            return Polynomial(tuple(coeffs))
 
 
 def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
@@ -313,7 +311,7 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
                               [e * s - a_re * y - a_im * x
                                for s, x, y in zip([0] + im, re + [0], im + [0])])
         (coeffs,) = to_gaussian_rationals(e ** (len(re) - 1), [re], [im])
-        factors.append(Polynomial(coeffs, EXACT))
+        factors.append(Polynomial(coeffs))
     spec = object.__new__(FrobeniusSpec)
     object.__setattr__(spec, "invariant_factors", tuple(reversed(factors)))
     return spec

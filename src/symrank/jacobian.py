@@ -37,7 +37,6 @@ from .scalars import (
     FLOAT,
     NumericFailure,
     exact_quotients,
-    to_complex,
     to_gaussian_integers,
     to_gaussian_rationals,
 )
@@ -62,13 +61,6 @@ class JacobianMatrix(_StoredRows):
     def _build(denominators, re, im) -> tuple:
         return tuple(to_gaussian_rationals(d, (r,), (i,))[0] for d, r, i in zip(denominators, re, im))
 
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-
-        if self.field == FLOAT:
-            return np.array(self.rows, dtype=complex)
-        return np.array([[to_complex(x) for x in row] for row in self.rows], dtype=complex)
-
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
         return {
@@ -86,11 +78,9 @@ class TheoremReport:
     """Outcome of one rank-equals-minimal-degree check."""
 
     spec: JordanSpec
-    n: int
     min_poly_degree: int
     rank: int
     theorem_holds: bool
-    field: str
     conjugation_checked: bool
     #: rank of the derivative at the random conjugate; a failing sweep entry
     #: reports it, ``to_json`` leaves it out
@@ -99,11 +89,11 @@ class TheoremReport:
     def to_json(self) -> dict:
         return {
             "spec": self.spec.to_json(),
-            "n": self.n,
+            "n": self.spec.n,
             "min_poly_degree": self.min_poly_degree,
             "rank": self.rank,
             "theorem_holds": self.theorem_holds,
-            "field": self.field,
+            "field": EXACT,
             "conjugation_checked": self.conjugation_checked,
         }
 
@@ -344,11 +334,9 @@ def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:
     rank_conj = _bareiss(*_scaled_jacobian(conjugated)[1:])[0]
     return TheoremReport(
         spec=spec,
-        n=spec.n,
         min_poly_degree=m,
         rank=rank,
         theorem_holds=(rank == m),
-        field=EXACT,
         conjugation_checked=(rank_conj == rank),
         conjugated_rank=rank_conj,
     )

@@ -18,12 +18,13 @@ det.  The same recursion expands det(tI - D*Phi) for a curve Phi(zeta): it
 runs over Gaussian integers on D*Phi(2^w) (Kronecker substitution,
 ``proofs._curve_taylor_coeffs``), and ``proofs.order_of_vanishing`` reads
 each vanishing order as the 2-adic valuation of one Taylor coefficient of
-the result at an eigenvalue, divided by w.  A float
-matrix, or a stack of them, runs the recursion in numpy; one matrix keeps
-its adjugate, and a stack, such as the finite-difference oracle's 2n^2
-matrices, holds only the current N_k.  numpy is imported inside the
-functions that compute in floats, so it is loaded on first float use and the
-exact paths need only the standard library.
+the result at an eigenvalue, divided by w.  A float matrix, or a stack of
+them, runs the recursion in numpy.  Only :func:`char_and_adjugate` keeps a
+float adjugate; :func:`symmetrize` runs one float matrix as a stack of one,
+and a stack, such as the finite-difference oracle's 2n^2 matrices, holds
+only the current N_k.  numpy is imported inside the functions that compute
+in floats, so it is loaded on first float use and the exact paths need only
+the standard library.
 
 Everything here is pure and immutable; functions are safe to call in
 parallel.
@@ -32,12 +33,13 @@ parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     EXACT,
     FLOAT,
-    GaussianRational,
+    GQ_ONE,
+    GQ_ZERO,
     NumericFailure,
     balanced_splitter,
     coerce_scalar,
@@ -83,22 +85,13 @@ def check_size(n: int) -> None:
         raise ValueError(f"size n = {n} exceeds the size limit MAX_N = {MAX_N}")
 
 
-def _infer_field(values: Iterable) -> str:
-    for v in values:
-        if isinstance(v, GaussianRational):
-            return EXACT
-        if isinstance(v, (float, complex)):
-            return FLOAT
-    return EXACT
-
-
 class _StoredRows:
-    """Base of the exact matrices that a kernel makes from split rows: the
-    result of ``canonical.random_similarity``, the N_k of
-    :func:`char_and_adjugate` and an exact ``jacobian.jacobian_exact``.
-    ``_of_split`` keeps the rows with their denominators, which kernels read
-    through ``_split_rows``, and the Gaussian rationals of the field named
-    ``_LAZY`` are built by ``_build`` on its first read.  Values, ``==``,
+    """Base of the two matrix types, the only values that carry a ``field``.
+    An exact result of a kernel (``canonical.random_similarity``, the N_k of
+    :func:`char_and_adjugate`, an exact ``jacobian.jacobian_exact``) comes
+    from ``_of_split``, which keeps its split rows and denominators for
+    kernels to read through ``_split_rows``; ``_build`` makes the Gaussian
+    rationals of the field named ``_LAZY`` on first read.  Values, ``==``,
     hash, repr, JSON and pickling are those of a matrix built with them."""
 
     @classmethod
@@ -123,6 +116,14 @@ class _StoredRows:
         for a kernel to read and never to write."""
         return self.__dict__.get("_split") or to_gaussian_integers(getattr(self, self._LAZY))
 
+    def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
+        values = getattr(self, self._LAZY)
+        if self.field == FLOAT:
+            return np.array(values, dtype=complex)
+        return np.array([[to_complex(x) for x in r] for r in values], dtype=complex)
+
 
 @dataclass(frozen=True)
 class SquareMatrix(_StoredRows):
@@ -137,13 +138,11 @@ class SquareMatrix(_StoredRows):
     _build = staticmethod(to_gaussian_rationals)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], field: str | None = None) -> "SquareMatrix":
+    def from_rows(cls, rows: Sequence[Sequence], field: str = EXACT) -> "SquareMatrix":
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        if field is None:
-            field = _infer_field(x for r in rows for x in r)
         coerced = tuple(tuple(coerce_scalar(x, field) for x in r) for r in rows)
         return cls(n, field, coerced)
 
@@ -210,13 +209,6 @@ class SquareMatrix(_StoredRows):
             tuple(to_complex(x) for x in r) for r in self.entries
         ))
 
-    def to_numpy(self) -> np.ndarray:
-        import numpy as np
-
-        if self.field == FLOAT:
-            return np.array(self.entries, dtype=complex)
-        return np.array([[to_complex(x) for x in r] for r in self.entries], dtype=complex)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -256,10 +248,13 @@ class Polynomial:
     """Polynomial in one variable, coefficients in ascending degree.
 
     The zero polynomial has an empty coefficient tuple (degree -1).
+    Arithmetic is over Gaussian rationals.  Two float routes, a float
+    :func:`char_and_adjugate` and a float ``canonical.min_poly_krylov``,
+    return complex coefficients, which are for reading only: the degree, the
+    coefficients and JSON.
     """
 
     coefficients: tuple
-    field: str = EXACT
 
     def __post_init__(self):
         coeffs = tuple(self.coefficients)
@@ -268,16 +263,16 @@ class Polynomial:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def make(cls, values: Sequence, field: str = EXACT) -> "Polynomial":
-        return cls(tuple(coerce_scalar(v, field) for v in values), field)
+    def make(cls, values: Sequence) -> "Polynomial":
+        return cls(tuple(coerce_scalar(v, EXACT) for v in values))
 
     @classmethod
-    def zero(cls, field: str = EXACT) -> "Polynomial":
-        return cls((), field)
+    def zero(cls) -> "Polynomial":
+        return cls(())
 
     @classmethod
-    def one(cls, field: str = EXACT) -> "Polynomial":
-        return cls((field_one(field),), field)
+    def one(cls) -> "Polynomial":
+        return cls((GQ_ONE,))
 
     @property
     def degree(self) -> int:
@@ -298,25 +293,23 @@ class Polynomial:
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == field_one(self.field)
+        return not self.is_zero and self.leading == GQ_ONE
 
     def coefficient(self, degree: int):
         if 0 <= degree < len(self.coefficients):
             return self.coefficients[degree]
-        return field_zero(self.field)
+        return GQ_ZERO
 
     def evaluate(self, t):
         if self.is_zero:
-            return field_zero(self.field) if not isinstance(t, Polynomial) else Polynomial.zero(self.field)
+            return GQ_ZERO if not isinstance(t, Polynomial) else Polynomial.zero()
         total = self.coefficients[-1]
         for c in reversed(self.coefficients[:-1]):
             total = total * t + c
         return total
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(
-            tuple(c * k for k, c in enumerate(self.coefficients) if k > 0), self.field
-        )
+        return Polynomial(tuple(c * k for k, c in enumerate(self.coefficients) if k > 0))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -328,7 +321,7 @@ class Polynomial:
         merged = list(a)
         for i, c in enumerate(b):
             merged[i] = merged[i] + c
-        return Polynomial(tuple(merged), self.field)
+        return Polynomial(tuple(merged))
 
     __radd__ = __add__
 
@@ -345,33 +338,32 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients), self.field)
+        return Polynomial(tuple(-c for c in self.coefficients))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
-                return Polynomial.zero(self.field)
-            z = field_zero(self.field)
-            out = [z] * (len(self.coefficients) + len(other.coefficients) - 1)
+                return Polynomial.zero()
+            out = [GQ_ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
             for i, a in enumerate(self.coefficients):
                 if not a:
                     continue
                 for j, b in enumerate(other.coefficients):
                     out[i + j] = out[i + j] + a * b
-            return Polynomial(tuple(out), self.field)
-        return Polynomial(tuple(c * other for c in self.coefficients), self.field)
+            return Polynomial(tuple(out))
+        return Polynomial(tuple(c * other for c in self.coefficients))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
         # scalar (or integer) division only, as in making a polynomial monic
-        return Polynomial(tuple(c / other for c in self.coefficients), self.field)
+        return Polynomial(tuple(c / other for c in self.coefficients))
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        out = Polynomial.one(self.field)
+        out = Polynomial.one()
         base = self
         e = exponent
         while e:
@@ -389,7 +381,7 @@ class Polynomial:
         remainder = list(self.coefficients)
         dn = divisor.degree
         lead = divisor.leading
-        quotient = [field_zero(self.field)] * max(0, len(remainder) - dn)
+        quotient = [GQ_ZERO] * max(0, len(remainder) - dn)
         for i in range(len(remainder) - dn - 1, -1, -1):
             top = remainder[i + dn]
             if not top:
@@ -398,7 +390,7 @@ class Polynomial:
             quotient[i] = q
             for j, c in enumerate(divisor.coefficients):
                 remainder[i + j] = remainder[i + j] - q * c
-        return Polynomial(tuple(quotient), self.field), Polynomial(tuple(remainder[:dn]), self.field)
+        return Polynomial(tuple(quotient)), Polynomial(tuple(remainder[:dn]))
 
     def divides(self, other: "Polynomial") -> bool:
         _, rem = other.divmod_exact(self)
@@ -408,7 +400,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         try:
-            return Polynomial((coerce_scalar(other, self.field),), self.field)
+            return Polynomial((coerce_scalar(other, EXACT),))
         except TypeError:
             return NotImplemented
 
@@ -416,8 +408,8 @@ class Polynomial:
         return [scalar_to_json(c) for c in self.coefficients]
 
     @classmethod
-    def from_json(cls, obj: list, field: str) -> "Polynomial":
-        return cls(tuple(scalar_from_json(c, field) for c in obj), field)
+    def from_json(cls, obj: list) -> "Polynomial":
+        return cls(tuple(scalar_from_json(c, EXACT) for c in obj))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -457,15 +449,11 @@ class MatrixPolynomial:
         return self.coefficients[0].n
 
     @property
-    def field(self) -> str:
-        return self.coefficients[0].field
-
-    @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def entry_poly(self, i: int, j: int) -> Polynomial:
-        return Polynomial(tuple(c.entries[i][j] for c in self.coefficients), self.field)
+        return Polynomial(tuple(c.entries[i][j] for c in self.coefficients))
 
     def to_json(self) -> dict:
         return {"coefficients": [c.to_json() for c in self.coefficients]}
@@ -607,16 +595,16 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     N_k(DM) / D^(k-1), kept as the split rows of N_k(DM) (:class:`_StoredRows`),
     off which ``jacobian._trace_form_rows`` reads the derivative.
     """
-    n, field = M.n, M.field
-    if field == FLOAT:
+    n = M.n
+    if M.field == FLOAT:
         coeffs, adj = _charpoly_float(M.to_numpy(), keep_adjugate=True)
         mats = tuple(SquareMatrix(n, FLOAT, tuple(map(tuple, m))) for m in reversed(adj.tolist()))
-        return Polynomial(tuple(coeffs.tolist()), FLOAT), MatrixPolynomial(mats)
+        return Polynomial(tuple(coeffs.tolist())), MatrixPolynomial(mats)
     d, re, im = M._split_rows()
     (c_re, c_im), adj = charpoly_in_ring(re, im)
     (unscaled,) = to_gaussian_rationals(d ** n, [[x * d ** j for j, x in enumerate(c_re)]],
                                         [[y * d ** j for j, y in enumerate(c_im)]])
-    poly = Polynomial(unscaled, field)
+    poly = Polynomial(unscaled)
     # N_1 = I leads, so MatrixPolynomial.__post_init__ would strip nothing; it
     # is skipped, and with it the read of N_1's entries
     adjugate = object.__new__(MatrixPolynomial)
@@ -637,28 +625,28 @@ def symmetrize(M: SquareMatrix | np.ndarray) -> SymPoint | np.ndarray:
     M is a SquareMatrix, or a complex128 ndarray stack of shape (k, n, n),
     1 <= n <= MAX_N, whose k matrices run through one float recursion; the
     stack gives the (k, n) array of their points, bit for bit the points of
-    its matrices taken one at a time.
+    its matrices taken one at a time.  A float SquareMatrix, of any size, runs
+    as a stack of one, with no adjugate.
     """
-    if isinstance(M, SquareMatrix):
-        p = char_poly(M)
-        n = M.n
-        return tuple(
-            p.coefficient(n - j) if j % 2 == 0 else -p.coefficient(n - j)
-            for j in range(1, n + 1)
-        )
+    if isinstance(M, SquareMatrix) and M.field == EXACT:
+        # det(tI - M) is monic of degree n: all n + 1 coefficients are kept
+        c, n = char_poly(M).coefficients, M.n
+        return tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
     import numpy as np
 
-    if not (isinstance(M, np.ndarray) and M.dtype == np.complex128 and M.ndim == 3
-            and M.shape[1] == M.shape[2] and 1 <= M.shape[2] <= MAX_N):
+    single = isinstance(M, SquareMatrix)
+    stack = M.to_numpy()[None] if single else M
+    if not single and not (isinstance(M, np.ndarray) and M.dtype == np.complex128 and M.ndim == 3
+                           and M.shape[1] == M.shape[2] and 1 <= M.shape[2] <= MAX_N):
         raise ValueError("expected a SquareMatrix or a complex128 stack of shape (k, n, n), "
                          f"1 <= n <= MAX_N = {MAX_N}; got {type(M).__name__} "
                          f"{getattr(M, 'dtype', '')} {getattr(M, 'shape', '')}")
-    n = M.shape[2]
-    coeffs, _ = _charpoly_float(M)
+    n = stack.shape[2]
+    coeffs, _ = _charpoly_float(stack)
     # sigma_j = (-1)^j c_(n-j); np.negative flips signs exactly, zeros included
     points = coeffs[:, n - 1::-1]
     np.negative(points[:, 0::2], out=points[:, 0::2])
-    return points
+    return tuple(points[0].tolist()) if single else points
 
 
 def falling_factorial(p: int, k: int) -> int:
@@ -674,21 +662,21 @@ def sym_poly_eval(v: Sequence, k: int, t):
     The point v = (v_1, ..., v_n) determines sum_j (-1)^j v_j t^(n-j) with
     v_0 = 1; this evaluates that polynomial's k-th derivative at t.  For
     v = symmetrize(M) and k = 0 the value is det(tI - M).  k beyond n returns
-    zero (the polynomial has degree n).
+    zero (the polynomial has degree n).  v and t are exact; a float or
+    complex value raises TypeError.
     """
     if k < 0:
         raise ValueError("derivative order must be non-negative")
     n = len(v)
-    field = _infer_field((t, *v))
-    t = coerce_scalar(t, field)
-    total = field_zero(field)
+    t = coerce_scalar(t, EXACT)
+    total = GQ_ZERO
     if k > n:
         return total
     for j in range(n + 1):
         p = n - j
         if p < k:
             continue
-        vj = field_one(field) if j == 0 else coerce_scalar(v[j - 1], field)
+        vj = GQ_ONE if j == 0 else coerce_scalar(v[j - 1], EXACT)
         term = vj * falling_factorial(p, k) * t ** (p - k)
         total = total + (term if j % 2 == 0 else -term)
     return total
@@ -702,7 +690,7 @@ def monomial_vector(n: int, k: int, lam) -> tuple:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"order k={k} out of range for size {n}")
-    field = _infer_field((lam,))
+    field = FLOAT if isinstance(lam, (float, complex)) else EXACT
     lam = coerce_scalar(lam, field)
     zero = field_zero(field)
     out = []

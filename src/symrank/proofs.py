@@ -562,7 +562,7 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     """
     global _last_query
     lam = coerce_scalar(lam, EXACT)
-    if curve.field != EXACT:
+    if curve.coefficients[0].field != EXACT:
         raise ValueError("vanishing orders are computed in the exact field")
     last_curve, last_spec, w, taylor = _last_query
     if curve is not last_curve or spec is not last_spec:

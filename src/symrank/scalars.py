@@ -1,9 +1,11 @@
 """Scalar fields behind the toolkit: exact Gaussian rationals and complex floats.
 
-Every other module is generic over a ``field`` tag, either ``"exact"``
-(:class:`GaussianRational`, pairs of ``fractions.Fraction``) or ``"float"``
-(built-in ``complex``).  Exact scalars make rank decisions decidable; the
-float field exists for finite-difference oracles and numeric cross-checks.
+The exact field holds :class:`GaussianRational`, pairs of
+``fractions.Fraction``, and the float field built-in ``complex``.  Only the
+two matrix types, ``matpoly.SquareMatrix`` and ``jacobian.JacobianMatrix``,
+carry a ``field`` tag, either ``"exact"`` or ``"float"``; polynomials and
+reports are exact.  Exact scalars make rank decisions decidable; the float
+field exists for finite-difference oracles and numeric cross-checks.
 The exact kernels clear denominators and compute over Z[i] internally (curves
 too, by Kronecker substitution) on split rows: a Gaussian-integer matrix held
 as two lists of int rows, one of real and one of imaginary parts, which

@@ -116,23 +116,18 @@ def test_jordan_spec_json_round_trip():
     assert JordanSpec.from_json(spec.to_json()) == spec
 
 
-def test_build_companion_linear():
+def test_build_frobenius_one_factor_linear():
     lam = gq(5, -2)
     C = build_frobenius(FrobeniusSpec((Polynomial.make([-lam, 1]),)))
     assert C.entries == ((lam,),)
 
 
-def test_build_companion_t_squared():
-    C = build_frobenius(FrobeniusSpec((Polynomial.make([0, 0, 1]),)))
-    assert C.entries == ((gq(0), gq(1)), (gq(0), gq(0)))
-
-
-def test_build_companion_char_poly_round_trip():
+def test_build_frobenius_one_factor_char_poly_round_trip():
     p = Polynomial.make([5, 3, 1])
     assert char_poly(build_frobenius(FrobeniusSpec((p,)))) == p
 
 
-def test_build_companion_rejects_non_monic():
+def test_build_frobenius_one_factor_rejects_non_monic():
     with pytest.raises(ValueError):
         build_frobenius(FrobeniusSpec((Polynomial.make([1, 2]),)))
     with pytest.raises(ValueError):
@@ -141,7 +136,7 @@ def test_build_companion_rejects_non_monic():
     with pytest.raises(ValueError, match="degree >= 1"):
         build_frobenius(FrobeniusSpec((Polynomial.make([1]),)))
     with pytest.raises(ValueError, match="exact"):
-        build_frobenius(FrobeniusSpec((Polynomial.make([0.5, 1.0], FLOAT),)))
+        build_frobenius(FrobeniusSpec((Polynomial((0.5 + 0j, 1 + 0j)),)))
 
 
 def test_build_frobenius_single_factor():
@@ -176,7 +171,7 @@ def test_frobenius_divisibility_enforced():
 
 def test_frobenius_spec_rejects_a_float_factor():
     with pytest.raises(ValueError, match="must be exact polynomials"):
-        FrobeniusSpec((Polynomial.make([0, 1], FLOAT),))
+        FrobeniusSpec((Polynomial((0j, 1 + 0j)),))
 
 
 def test_frobenius_json_round_trip():
@@ -259,7 +254,7 @@ def reference_min_poly_float(M, tol=None):
             basis = np.column_stack(vecs)
             combo, *_ = np.linalg.lstsq(basis, target, rcond=None)
             coeffs = [complex(-c) for c in combo] + [complex(1.0)]
-            return Polynomial(tuple(coeffs), FLOAT)
+            return Polynomial(tuple(coeffs))
         vecs.append(target)
 
 
@@ -277,7 +272,7 @@ def scaled_reference_min_poly_float(M, tol=None):
     d = p.degree
     try:
         return Polynomial(tuple(complex(math.ldexp(c.real, e * (d - k)), math.ldexp(c.imag, e * (d - k)))
-                                for k, c in enumerate(p.coefficients)), FLOAT)
+                                for k, c in enumerate(p.coefficients)))
     except OverflowError:
         raise NumericFailure(f"minimal polynomial coefficient overflowed at scale 2^{e}") from None
 
@@ -415,11 +410,11 @@ def reference_jordan_to_frobenius(spec):
     depth = max(len(blk.sizes) for blk in spec.blocks)
     factors = []
     for level in range(depth):
-        poly = Polynomial.one(EXACT)
+        poly = Polynomial.one()
         for blk in spec.blocks:
             sizes_desc = sorted(blk.sizes, reverse=True)
             if level < len(sizes_desc):
-                poly = poly * Polynomial.make([-blk.eigenvalue, 1], EXACT) ** sizes_desc[level]
+                poly = poly * Polynomial.make([-blk.eigenvalue, 1]) ** sizes_desc[level]
         factors.append(poly)
     return FrobeniusSpec(tuple(reversed(factors)))
 
@@ -617,7 +612,7 @@ def test_trusted_constructions_match_their_checked_twins(pool, n_max):
                 assert repr(H) == repr(SquareMatrix.from_rows(H.entries, EXACT))
 
 
-def test_build_companion_matches_from_rows():
+def test_build_frobenius_one_factor_matches_from_rows():
     for p in (Polynomial.make([gq("1/3", "2/5"), 0, gq(-2, 1), 1]), Polynomial.make([0, 0, 1])):
         C = build_frobenius(FrobeniusSpec((p,)))
         assert repr(C) == repr(SquareMatrix.from_rows(C.entries, EXACT))

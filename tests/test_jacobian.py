@@ -59,10 +59,10 @@ def directional_oracle(B, M):
     """
     n = B.n
     entries = [
-        [Polynomial((B.entries[i][j], M.entries[i][j]), EXACT) for j in range(n)]
+        [Polynomial((B.entries[i][j], M.entries[i][j])) for j in range(n)]
         for i in range(n)
     ]
-    coeffs, _ = reference_charpoly(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
+    coeffs, _ = reference_charpoly(entries, Polynomial.zero(), Polynomial.one())
     out = []
     for k in range(1, n + 1):
         # sigma_k = (-1)^k * coefficient of t^(n-k); take its eps-linear part
@@ -137,7 +137,7 @@ def test_jacobian_rows_are_the_lemma_matrices_on_the_default_pool():
     checked = 0
     for n in range(1, 6):
         for seed, spec in enumerate(enumerate_jordan_specs(n, DEFAULT_POOL)):
-            chi = Polynomial.one(EXACT)
+            chi = Polynomial.one()
             for blk in spec.blocks:
                 chi = chi * Polynomial.make([-blk.eigenvalue, 1]) ** sum(blk.sizes)
             # c[j] is the coefficient of t^(n-j)

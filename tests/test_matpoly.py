@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from symrank import matpoly
 from symrank.canonical import build_jordan, random_similarity
 from symrank.cli import DEFAULT_POOL, enumerate_jordan_specs
 from symrank.matpoly import (
@@ -65,7 +66,7 @@ def char_poly_oracle(M):
         row = []
         for j in range(n):
             diag = gq(1) if i == j else gq(0)
-            row.append(Polynomial((-M.entries[i][j], diag), EXACT))
+            row.append(Polynomial((-M.entries[i][j], diag)))
         rows.append(row)
     return laplace_det(rows)
 
@@ -198,7 +199,7 @@ def matpoly_product(P, Q):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = Polynomial.zero(P.field)
+            acc = Polynomial.zero()
             for k in range(n):
                 acc = acc + P.entry_poly(i, k) * Q.entry_poly(k, j)
             row.append(acc)
@@ -214,7 +215,7 @@ def test_adjugate_identity_random():
         p, adj = char_and_adjugate(M)
         t_minus = MatrixPolynomial((M.scale(-1), SquareMatrix.identity(n)))
         product = matpoly_product(t_minus, adj)
-        zero = Polynomial.zero(EXACT)
+        zero = Polynomial.zero()
         for i in range(n):
             for j in range(n):
                 assert product[i][j] == (p if i == j else zero)
@@ -243,6 +244,13 @@ def test_sym_poly_eval_matches_determinant():
 
 def test_sym_poly_eval_beyond_degree_is_zero():
     assert sym_poly_eval((gq(1), gq(2)), 3, gq(5)) == gq(0)
+
+
+def test_sym_poly_eval_refuses_a_complex_point():
+    with pytest.raises(TypeError):
+        sym_poly_eval((gq(1), 2j), 0, gq(5))
+    with pytest.raises(TypeError):
+        sym_poly_eval((gq(1), gq(2)), 0, 0.5 + 1j)
 
 
 def test_monomial_vector_small():
@@ -285,7 +293,7 @@ def test_monomial_vector_symbolic_derivative_consistency():
             p = n - j
             coeffs = [gq(0)] * (p + 1)
             coeffs[p] = gq(1) if j % 2 == 0 else gq(-1)
-            family_k = Polynomial.make(coeffs, EXACT)
+            family_k = Polynomial.make(coeffs)
             for _ in range(k):
                 family_k = family_k.derivative()
             lam = gq("1/3", "2/5")
@@ -396,6 +404,12 @@ def test_matrix_requires_square():
         SquareMatrix.from_rows([[gq(1), gq(2)]])
 
 
+def test_from_rows_without_a_field_is_exact():
+    # the field is never inferred from the entries: a complex one is refused
+    with pytest.raises(TypeError):
+        SquareMatrix.from_rows([[1, 0], [0, 1j]])
+
+
 def test_polynomial_division():
     a = Polynomial.make([2, -3, 1])      # (t-1)(t-2)
     b = Polynomial.make([-1, 1])         # t - 1
@@ -456,7 +470,7 @@ def reference_char_and_adjugate_float(M):
     if not (np.all(np.isfinite(coeffs.view(float)))
             and all(np.all(np.isfinite(m.view(float))) for m in adj)):
         raise NumericFailure("characteristic polynomial overflowed")
-    poly = Polynomial(tuple(complex(c) for c in coeffs), FLOAT)
+    poly = Polynomial(tuple(complex(c) for c in coeffs))
     mats = tuple(SquareMatrix(n, FLOAT, tuple(tuple(complex(x) for x in row) for row in m))
                  for m in reversed(adj))
     return poly, MatrixPolynomial(mats)
@@ -486,9 +500,7 @@ def float_cases():
 def test_float_char_poly_and_adjugate_bit_identical_to_reference():
     for M in float_cases():
         poly, adj = reference_char_and_adjugate_float(M)
-        n = M.n
-        sigma = tuple(poly.coefficient(n - j) if j % 2 == 0 else -poly.coefficient(n - j)
-                      for j in range(1, n + 1))
+        sigma = float_sigma(poly, M.n)
         assert repr(char_and_adjugate(M)) == repr((poly, adj))
         assert repr(char_poly(M)) == repr(poly)
         assert repr(char_poly(M)) == repr(char_and_adjugate(M)[0])
@@ -544,7 +556,40 @@ def test_stacked_symmetrize_bit_identical_to_one_at_a_time():
         assert points.shape == (len(stack), n)
         for a, point in zip(stack, points.tolist()):
             M = SquareMatrix(n, FLOAT, tuple(map(tuple, a.tolist())))
-            assert repr(tuple(point)) == repr(symmetrize(M))
+            # symmetrize(M) runs a stack of one; sigma off the recursion that
+            # keeps the adjugate is independent of it
+            assert repr(tuple(point)) == repr(float_sigma(char_and_adjugate(M)[0], n))
+
+
+def float_sigma(poly, n):
+    """(sigma_1, ..., sigma_n) off the float characteristic polynomial poly."""
+    c = poly.coefficients
+    return tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
+
+
+def test_symmetrize_of_a_float_matrix_keeps_no_adjugate(monkeypatch):
+    calls = []
+    original = matpoly._charpoly_float
+
+    def spy(a, keep_adjugate=False):
+        calls.append(keep_adjugate)
+        return original(a, keep_adjugate)
+
+    monkeypatch.setattr(matpoly, "_charpoly_float", spy)
+    for M in float_cases():
+        symmetrize(M)
+    assert calls and not any(calls)
+
+
+def test_symmetrize_of_a_float_matrix_past_max_n():
+    # MAX_N bounds decoded input and stacks, not a float matrix built in code
+    n = MAX_N + 1
+    rng = random.Random(79)
+    M = SquareMatrix.from_rows([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                 for _ in range(n)] for _ in range(n)], FLOAT)
+    assert repr(symmetrize(M)) == repr(float_sigma(char_and_adjugate(M)[0], n))
+    identity = symmetrize(SquareMatrix.identity(n, FLOAT))
+    assert identity == tuple(complex(math.comb(n, j)) for j in range(1, n + 1))
 
 
 @pytest.mark.parametrize("stack", [

@@ -550,7 +550,7 @@ def reference_curve_char_coeffs(curve: MatrixPolynomial) -> list:
     with Gaussian-rational coefficients; c_0..c_n of det(tI - Phi)."""
     n = curve.n
     entries = [[curve.entry_poly(i, j) for j in range(n)] for i in range(n)]
-    coeffs, _ = reference_charpoly(entries, Polynomial.zero(EXACT), Polynomial.one(EXACT))
+    coeffs, _ = reference_charpoly(entries, Polynomial.zero(), Polynomial.one())
     return coeffs
 
 
@@ -580,7 +580,7 @@ def test_required_order_matches_the_former_window_rule():
 def reference_order_of_vanishing(spec, coeffs, lam, k) -> VanishingReport:
     """The former report: the k-th t-derivative at lam over Gaussian rationals,
     against the former window rule."""
-    value = Polynomial.zero(EXACT)
+    value = Polynomial.zero()
     for p in range(k, spec.n + 1):
         value = value + coeffs[p] * (falling_factorial(p, k) * lam ** (p - k))
     observed = next((q for q, c in enumerate(value.coefficients) if c), None)
@@ -609,7 +609,7 @@ def _check_taylor_digits(spec, curve, expected) -> None:
         assert 2 ** (w - 1) > (n * max(d * (norm + abs(lam.re) + abs(lam.im)), 1)) ** n
         assert len(values) == sum(blk.sizes)
         for k, (re, im) in enumerate(values):
-            ref = Polynomial.zero(EXACT)
+            ref = Polynomial.zero()
             for p in range(k, n + 1):
                 ref = ref + expected[p] * (math.comb(p, k) * lam ** (p - k))
             count = (n - k) * degree + 1
@@ -803,7 +803,7 @@ def test_curve_and_eigenvalues_cleared_once_per_curve_and_spec(monkeypatch):
     assert reports == [reference_order_of_vanishing(spec, expected, lam, k) for lam, k in queries]
 
 
-def test_order_of_vanishing_clears_once_per_pair_and_reads_no_combinatorics(monkeypatch):
+def test_order_of_vanishing_clears_once_per_pair(monkeypatch):
     calls = []
     original = proofs.to_gaussian_integers
 

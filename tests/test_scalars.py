@@ -147,7 +147,7 @@ def _count_products(monkeypatch, cls):
 @pytest.mark.parametrize("x", [gq("2/3", "-1/2"), Polynomial.make([gq(1, 1), gq("1/2")])],
                          ids=["gaussian_rational", "polynomial"])
 def test_power_is_repeated_product_without_a_spare_square(x, monkeypatch):
-    one = gq(1) if isinstance(x, GaussianRational) else Polynomial.one(EXACT)
+    one = gq(1) if isinstance(x, GaussianRational) else Polynomial.one()
     expected = one
     for e in range(9):
         assert x ** e == expected
