@@ -59,7 +59,6 @@ from .proofs import (
     linear_curve,
     nullspace_basis,
     order_of_vanishing,
-    sigma_linearity_check,
     tangent_construction,
     tangent_ok,
     verify_annihilation,
@@ -69,7 +68,6 @@ from .scalars import (
     FLOAT,
     GaussianRational,
     NumericFailure,
-    approx_eq,
     gq,
     normalize_rational,
     parse_rational,

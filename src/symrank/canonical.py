@@ -73,15 +73,14 @@ class JordanSpec:
             raise ValueError(f"block sizes sum to {total}, expected n={self.n}")
 
     @classmethod
-    def of(cls, blocks: Mapping | Sequence, n: int | None = None) -> "JordanSpec":
+    def of(cls, blocks: Mapping | Sequence) -> "JordanSpec":
         """Convenience constructor; sorts sizes and coerces eigenvalues."""
         items = blocks.items() if isinstance(blocks, Mapping) else blocks
         groups = tuple(
             EigenvalueBlocks(coerce_scalar(eig, EXACT), tuple(sorted(sizes)))
             for eig, sizes in items
         )
-        total = sum(sum(g.sizes) for g in groups)
-        return cls(n if n is not None else total, groups)
+        return cls(sum(sum(g.sizes) for g in groups), groups)
 
     def to_json(self) -> dict:
         return {

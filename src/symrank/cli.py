@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -48,11 +49,10 @@ from .jacobian import (
     rank_exact,
     verify_theorem,
 )
-from .matpoly import MAX_N, SquareMatrix, spectral_radius_bound, symmetrize
+from .matpoly import MAX_N, MatrixPolynomial, SquareMatrix, spectral_radius_bound, symmetrize
 from .proofs import (
     confluent_vandermonde_det,
     linear_curve,
-    MatrixPolynomial,
     nullspace_basis,
     order_of_vanishing,
     tangent_construction,
@@ -173,9 +173,7 @@ def _derived_seed(base_seed: int, index: int, stream: int) -> int:
 
 
 def _random_exact_matrix(n: int, seed: int) -> SquareMatrix:
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     return SquareMatrix.from_rows(
         [[random_gaussian_rational(rng, 4) for _ in range(n)] for _ in range(n)],
         EXACT,

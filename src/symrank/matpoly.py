@@ -117,12 +117,10 @@ class _StoredRows:
         return self.__dict__.get("_split") or to_gaussian_integers(getattr(self, self._LAZY))
 
     def to_numpy(self) -> np.ndarray:
+        """The complex array of a float matrix; an exact one raises TypeError."""
         import numpy as np
 
-        values = getattr(self, self._LAZY)
-        if self.field == FLOAT:
-            return np.array(values, dtype=complex)
-        return np.array([[to_complex(x) for x in r] for r in values], dtype=complex)
+        return np.array(getattr(self, self._LAZY), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -248,9 +246,10 @@ class Polynomial:
     """Polynomial in one variable, coefficients in ascending degree.
 
     The zero polynomial has an empty coefficient tuple (degree -1).
-    Arithmetic is over Gaussian rationals.  Two float routes, a float
-    :func:`char_and_adjugate` and a float ``canonical.min_poly_krylov``,
-    return complex coefficients, which are for reading only: the degree, the
+    Arithmetic is over Gaussian rationals: ``+`` takes two polynomials, ``*``
+    a polynomial or a scalar.  Two float routes, a float
+    :func:`char_and_adjugate` and a float ``canonical.min_poly_krylov``, return
+    complex coefficients, which are for reading only: the degree, the
     coefficients and JSON.
     """
 
@@ -312,8 +311,7 @@ class Polynomial:
         return Polynomial(tuple(c * k for k, c in enumerate(self.coefficients) if k > 0))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
@@ -322,20 +320,6 @@ class Polynomial:
         for i, c in enumerate(b):
             merged[i] = merged[i] + c
         return Polynomial(tuple(merged))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coefficients))
@@ -352,9 +336,6 @@ class Polynomial:
                     out[i + j] = out[i + j] + a * b
             return Polynomial(tuple(out))
         return Polynomial(tuple(c * other for c in self.coefficients))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __truediv__(self, other):
         # scalar (or integer) division only, as in making a polynomial monic
@@ -395,14 +376,6 @@ class Polynomial:
     def divides(self, other: "Polynomial") -> bool:
         _, rem = other.divmod_exact(self)
         return rem.is_zero
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            return other
-        try:
-            return Polynomial((coerce_scalar(other, EXACT),))
-        except TypeError:
-            return NotImplemented
 
     def to_json(self) -> list:
         return [scalar_to_json(c) for c in self.coefficients]

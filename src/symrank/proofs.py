@@ -23,7 +23,6 @@ coefficient of that value at an eigenvalue.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -43,16 +42,12 @@ from .matpoly import (
     charpoly_in_ring,
     falling_factorial,
     monomial_vector,
-    symmetrize,
 )
 from .scalars import (
     EXACT,
     GQ_ZERO,
     GaussianRational,
     coerce_scalar,
-    field_one,
-    field_zero,
-    random_gaussian_rational,
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
@@ -297,7 +292,6 @@ class VandermondeComparison:
     closed_abs_squared: Fraction
     closed_form_abs: float
     matches: bool
-    sign: int | None
 
 
 def confluent_vandermonde_det(clusters) -> VandermondeComparison:
@@ -352,17 +346,12 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
         ((det,),) = to_gaussian_rationals(scale, [[p_re * sign]], [[p_im * sign]])
     det_abs2 = p_re * p_re + p_im * p_im
     closed_abs2 = Fraction(num, scale * scale)
-    if det.im:
-        sign = None
-    else:
-        sign = 0 if not det.re else (1 if det.re > 0 else -1)
     return VandermondeComparison(
         determinant=det,
         det_abs_squared=Fraction(det_abs2, scale * scale),
         closed_abs_squared=closed_abs2,
         closed_form_abs=math.sqrt(float(closed_abs2)),
         matches=(det_abs2 == num),
-        sign=sign,
     )
 
 
@@ -409,54 +398,6 @@ def tangent_ok(cert: TangentCertificate) -> bool:
     m = len(cert.images)
     pattern = tuple(range(m, 0, -1))
     return m > 0 and cert.pivots == pattern and tuple(map(_pivot, cert.images)) == pattern
-
-
-def _perturbed_by(fspec: FrobeniusSpec, B: SquareMatrix, h) -> SquareMatrix:
-    n, m = fspec.n, fspec.min_degree
-    rows = [list(r) for r in B.entries]
-    for j, hj in enumerate(h):
-        rows[n - 1][n - m + j] = rows[n - 1][n - m + j] - hj
-    return SquareMatrix.from_rows(rows, EXACT)
-
-
-def sigma_linearity_check(fspec: FrobeniusSpec, trials: int, seed: int = 0) -> bool:
-    """Sampled exact check that each sigma_k moves linearly in the h variables.
-
-    Verifies additivity and homogeneity of h -> symmetrize(B + H(h)) -
-    symmetrize(B), that component k has a nonzero coefficient on h_(m-k+1)
-    for k = 1..m, and no dependence on h_j for j < m-k+1.
-    """
-    B = build_frobenius(fspec)
-    m = fspec.min_degree
-    base = symmetrize(B)
-
-    def delta(h):
-        moved = symmetrize(_perturbed_by(fspec, B, h))
-        return tuple(a - b for a, b in zip(moved, base))
-
-    rng = random.Random(seed)
-    zero = field_zero(EXACT)
-    one = field_one(EXACT)
-    for _ in range(trials):
-        h1 = tuple(random_gaussian_rational(rng, 4) for _ in range(m))
-        h2 = tuple(random_gaussian_rational(rng, 4) for _ in range(m))
-        alpha = random_gaussian_rational(rng, 4)
-        summed = delta(tuple(a + b for a, b in zip(h1, h2)))
-        expected = tuple(a + b for a, b in zip(delta(h1), delta(h2)))
-        if summed != expected:
-            return False
-        scaled = delta(tuple(alpha * a for a in h1))
-        if scaled != tuple(alpha * a for a in delta(h1)):
-            return False
-    for k in range(1, m + 1):
-        for j in range(1, m + 1):
-            unit = tuple(one if idx == j else zero for idx in range(1, m + 1))
-            component = delta(unit)[k - 1]
-            if j == m - k + 1 and not component:
-                return False
-            if j < m - k + 1 and component:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -396,10 +396,8 @@ def to_gaussian_rationals(denominator: int, re_rows, im_rows) -> tuple:
         for re_row, im_row in zip(re_rows, im_rows))
 
 
-def to_complex(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(float(x.re), float(x.im))
-    return complex(x)
+def to_complex(x: GaussianRational) -> complex:
+    return complex(float(x.re), float(x.im))
 
 
 def ensure_finite(z: complex) -> complex:
@@ -407,15 +405,6 @@ def ensure_finite(z: complex) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NumericFailure(f"non-finite float scalar {z!r}")
     return z
-
-
-def approx_eq(a, b, tol: float) -> bool:
-    """|a - b| <= tol * max(1, |a|, |b|); symmetric normalized comparison."""
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    a = complex(a)
-    b = complex(b)
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def field_zero(field: str):

@@ -1,5 +1,6 @@
 """Exact derivative assembly, finite-difference oracles, and rank."""
 
+import cmath
 import copy
 import itertools
 import pickle
@@ -38,7 +39,6 @@ from symrank.scalars import (
     GQ_ONE,
     GQ_ZERO,
     NumericFailure,
-    approx_eq,
     coerce_scalar,
     field_zero,
     gq,
@@ -196,7 +196,7 @@ def test_jacobian_fd_agreement():
         fd = jacobian_fd(B, 1e-5)
         for re, rf in zip(exact.rows, fd.rows):
             for a, b in zip(re, rf):
-                assert approx_eq(a, b, 1e-6)
+                assert cmath.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6)
 
 
 def directional_fd(B, M, h):

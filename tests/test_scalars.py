@@ -14,7 +14,6 @@ from symrank.scalars import (
     FLOAT,
     GQ_ZERO,
     GaussianRational,
-    approx_eq,
     coerce_scalar,
     exact_quotients,
     format_eigenvalue,
@@ -70,26 +69,6 @@ def test_parse_rational_rejects_garbage():
                 "\u0663", "1 0", "1/2/3", "/2", "1/", "+-1", "\uff11/2", "1\n/2"):
         with pytest.raises(ValueError):
             parse_rational(bad)
-
-
-def test_approx_eq_examples():
-    assert approx_eq(complex(1, 0), complex(1, 0), 0.0)
-    assert approx_eq(complex(1, 0), complex(1 + 1e-12, 0), 1e-9)
-    assert not approx_eq(complex(1, 0), complex(2, 0), 1e-9)
-
-
-def test_approx_eq_symmetric():
-    rng = random.Random(11)
-    for _ in range(200):
-        a = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        b = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        tol = rng.uniform(0, 2)
-        assert approx_eq(a, b, tol) == approx_eq(b, a, tol)
-
-
-def test_approx_eq_negative_tol_rejected():
-    with pytest.raises(ValueError):
-        approx_eq(1 + 0j, 1 + 0j, -1e-9)
 
 
 def test_field_axioms_random_triples():
