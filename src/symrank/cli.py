@@ -31,7 +31,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .canonical import (
     EigenvalueBlocks,
@@ -64,6 +63,7 @@ from .scalars import (
     FLOAT,
     GQ_I,
     NumericFailure,
+    Value,
     coerce_scalar,
     format_eigenvalue,
     gq,
@@ -81,41 +81,36 @@ class CliInputError(Exception):
     """Malformed or inconsistent input, or an unwritable --out; exit code 2."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_max: int
-    pool: tuple = DEFAULT_POOL
-    modes: tuple = MODES
-    seed: int = 0
-    parallelism: int = 1
+class SweepConfig(Value):
+    __slots__ = ("n_max", "pool", "modes", "seed", "parallelism")
 
-    def __post_init__(self):
-        for name in ("n_max", "parallelism"):
-            value = getattr(self, name)
+    def __init__(self, n_max: int, pool: tuple = DEFAULT_POOL, modes: tuple = MODES,
+                 seed: int = 0, parallelism: int = 1):
+        for name, value in (("n_max", n_max), ("parallelism", parallelism)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n_max < 1:
+        if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.n_max > MAX_N:
-            raise ValueError(f"n_max {self.n_max} exceeds the size limit MAX_N = {MAX_N}")
-        if not self.pool:
+        if n_max > MAX_N:
+            raise ValueError(f"n_max {n_max} exceeds the size limit MAX_N = {MAX_N}")
+        if not pool:
             raise ValueError("eigenvalue pool must be non-empty")
-        twice = [value for value, count in Counter(self.pool).items() if count > 1]
+        twice = [value for value, count in Counter(pool).items() if count > 1]
         if twice:
             raise ValueError(f"pool values must be distinct, got {twice[0]} twice")
-        unknown = [m for m in self.modes if m not in MODES]
+        unknown = [m for m in modes if m not in MODES]
         if unknown:
             raise ValueError(f"unknown modes: {unknown}")
-        object.__setattr__(self, "modes", tuple(m for m in MODES if m in self.modes))
-        if self.parallelism < 1:
+        if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        self._set(n_max, pool, tuple(m for m in MODES if m in modes), seed, parallelism)
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    records: tuple
-    total_specs: int
-    failures: tuple
+class SweepReport(Value):
+    __slots__ = ("records", "total_specs", "failures")
+
+    def __init__(self, records: tuple, total_specs: int, failures: tuple):
+        self._set(records, total_specs, failures)
 
     @property
     def passed(self) -> bool:
@@ -145,7 +140,7 @@ def enumerate_jordan_specs(n: int, pool):
 
     A spec is a choice of distinct eigenvalues (pool order), a composition of
     n into their multiplicities, and an ascending block partition of each
-    multiplicity.  The specs skip ``JordanSpec.__post_init__``, whose checks
+    multiplicity.  The specs skip ``JordanSpec.__init__``, whose checks
     cost more than the spec: the parts ascend and sum to n and the pool is
     coerced, so only a repeated pool value can fail.  That is checked per
     subset, before its first spec, with the ValueError the constructor raised.

@@ -27,8 +27,6 @@ assume it, and the tests check the row identity against plain powers of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import JordanSpec, build_jordan, min_poly_degree, random_similarity
 from .matpoly import (SquareMatrix, _StoredRows, char_and_adjugate, charpoly_in_ring,
                       symmetrize)
@@ -36,6 +34,7 @@ from .scalars import (
     EXACT,
     FLOAT,
     NumericFailure,
+    Value,
     exact_quotients,
     to_gaussian_integers,
     to_gaussian_rationals,
@@ -44,18 +43,17 @@ from .scalars import (
 COLUMN_ORDER = "direction (i,j) -> column i*n + j, 0-based row-major"
 
 
-@dataclass(frozen=True)
 class JacobianMatrix(_StoredRows):
     """n rows (one per sigma_k) by n^2 columns (one per direction).  An exact
     result of :func:`jacobian_exact` keeps its split rows (see
     ``matpoly._StoredRows``), row k over D^(k-1) and the even rows negated,
     and :func:`rank_exact` ranks them."""
 
-    n: int
-    field: str
-    rows: tuple
-
+    _fields = ("n", "field", "rows")
     _LAZY = "rows"
+
+    def __init__(self, n: int, field: str, rows: tuple):
+        self._set(n, field, rows)
 
     @staticmethod
     def _build(denominators, re, im) -> tuple:
@@ -73,18 +71,17 @@ class JacobianMatrix(_StoredRows):
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of one rank-equals-minimal-degree check."""
+class TheoremReport(Value):
+    """Outcome of one rank-equals-minimal-degree check.  ``conjugated_rank``
+    is the rank of the derivative at the random conjugate; a failing sweep
+    entry reports it, ``to_json`` leaves it out."""
 
-    spec: JordanSpec
-    min_poly_degree: int
-    rank: int
-    theorem_holds: bool
-    conjugation_checked: bool
-    #: rank of the derivative at the random conjugate; a failing sweep entry
-    #: reports it, ``to_json`` leaves it out
-    conjugated_rank: int
+    __slots__ = ("spec", "min_poly_degree", "rank", "theorem_holds", "conjugation_checked",
+                 "conjugated_rank")
+
+    def __init__(self, spec: JordanSpec, min_poly_degree: int, rank: int, theorem_holds: bool,
+                 conjugation_checked: bool, conjugated_rank: int):
+        self._set(spec, min_poly_degree, rank, theorem_holds, conjugation_checked, conjugated_rank)
 
     def to_json(self) -> dict:
         return {
@@ -290,14 +287,13 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
     return rank, (q_re, q_im), sign
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Value):
     """Numeric rank with the threshold and its distance to the spectrum."""
 
-    rank: int
-    threshold: float
-    singular_values: tuple
-    gap: float | None
+    __slots__ = ("rank", "threshold", "singular_values", "gap")
+
+    def __init__(self, rank: int, threshold: float, singular_values: tuple, gap: float | None):
+        self._set(rank, threshold, singular_values, gap)
 
 
 def numeric_rank_profile(A, tol: float | None = None) -> RankProfile:

@@ -32,8 +32,7 @@ parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .scalars import (
     EXACT,
@@ -41,6 +40,7 @@ from .scalars import (
     GQ_ONE,
     GQ_ZERO,
     NumericFailure,
+    Value,
     balanced_splitter,
     coerce_scalar,
     field_one,
@@ -85,14 +85,16 @@ def check_size(n: int) -> None:
         raise ValueError(f"size n = {n} exceeds the size limit MAX_N = {MAX_N}")
 
 
-class _StoredRows:
+class _StoredRows(Value):
     """Base of the two matrix types, the only values that carry a ``field``.
     An exact result of a kernel (``canonical.random_similarity``, the N_k of
     :func:`char_and_adjugate`, an exact ``jacobian.jacobian_exact``) comes
     from ``_of_split``, which keeps its split rows and denominators for
     kernels to read through ``_split_rows``; ``_build`` makes the Gaussian
     rationals of the field named ``_LAZY`` on first read.  Values, ``==``,
-    hash, repr, JSON and pickling are those of a matrix built with them."""
+    hash, repr, JSON and pickling are those of a matrix built with them.
+    The fields live in ``__dict__``, which pickling and copying keep as it
+    is: split rows stay unbuilt."""
 
     @classmethod
     def _of_split(cls, denominators, re: list, im: list):
@@ -116,6 +118,12 @@ class _StoredRows:
         for a kernel to read and never to write."""
         return self.__dict__.get("_split") or to_gaussian_integers(getattr(self, self._LAZY))
 
+    def __getstate__(self) -> dict:
+        return self.__dict__
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+
     def to_numpy(self) -> np.ndarray:
         """The complex array of a float matrix; an exact one raises TypeError."""
         import numpy as np
@@ -123,17 +131,16 @@ class _StoredRows:
         return np.array(getattr(self, self._LAZY), dtype=complex)
 
 
-@dataclass(frozen=True)
 class SquareMatrix(_StoredRows):
     """Immutable n-by-n matrix over one scalar field; a kernel's result keeps
     its split rows over one denominator (see :class:`_StoredRows`)."""
 
-    n: int
-    field: str
-    entries: tuple
-
+    _fields = ("n", "field", "entries")
     _LAZY = "entries"
     _build = staticmethod(to_gaussian_rationals)
+
+    def __init__(self, n: int, field: str, entries: tuple):
+        self._set(n, field, entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field: str = EXACT) -> "SquareMatrix":
@@ -241,8 +248,7 @@ def _dot_seq(u, w):
     return total
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Value):
     """Polynomial in one variable, coefficients in ascending degree.
 
     The zero polynomial has an empty coefficient tuple (degree -1).
@@ -253,10 +259,10 @@ class Polynomial:
     coefficients and JSON.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: tuple):
+        coeffs = tuple(coefficients)
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -395,18 +401,17 @@ class Polynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class MatrixPolynomial:
+class MatrixPolynomial(Value):
     """Matrix-valued polynomial: tuple of coefficient matrices, ascending degree.
 
     Carries both adjugate polynomials adj(tI - M) and curves
     Phi(zeta) = B + zeta*M1 + zeta^2*M2 + ... through one representation.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients: tuple):
+        coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("matrix polynomial needs at least one coefficient")
         n, field = coeffs[0].n, coeffs[0].field
@@ -578,7 +583,7 @@ def char_and_adjugate(M: SquareMatrix) -> tuple[Polynomial, MatrixPolynomial]:
     (unscaled,) = to_gaussian_rationals(d ** n, [[x * d ** j for j, x in enumerate(c_re)]],
                                         [[y * d ** j for j, y in enumerate(c_im)]])
     poly = Polynomial(unscaled)
-    # N_1 = I leads, so MatrixPolynomial.__post_init__ would strip nothing; it
+    # N_1 = I leads, so MatrixPolynomial.__init__ would strip nothing; it
     # is skipped, and with it the read of N_1's entries
     adjugate = object.__new__(MatrixPolynomial)
     object.__setattr__(adjugate, "coefficients", tuple(

@@ -23,7 +23,6 @@ coefficient of that value at an eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -47,6 +46,7 @@ from .scalars import (
     EXACT,
     GQ_ZERO,
     GaussianRational,
+    Value,
     coerce_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -54,18 +54,20 @@ from .scalars import (
     to_gaussian_rationals,
 )
 
-@dataclass(frozen=True)
-class NullVector:
-    eigenvalue: GaussianRational
-    order: int
-    vector: tuple
+class NullVector(Value):
+    __slots__ = ("eigenvalue", "order", "vector")
+
+    def __init__(self, eigenvalue: GaussianRational, order: int, vector: tuple):
+        self._set(eigenvalue, order, vector)
 
 
-@dataclass(frozen=True)
-class NullspaceCertificate:
+class NullspaceCertificate(Value):
     """n - m vectors annihilating every column of the derivative matrix."""
 
-    vectors: tuple
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: tuple):
+        self._set(vectors)
 
     def to_json(self) -> dict:
         return {
@@ -98,13 +100,13 @@ class NullspaceCertificate:
                          for v in vectors))
 
 
-@dataclass(frozen=True)
-class TangentCertificate:
+class TangentCertificate(Value):
     """m image vectors in echelon form; directions index the one-hot h."""
 
-    directions: tuple
-    images: tuple
-    pivots: tuple
+    __slots__ = ("directions", "images", "pivots")
+
+    def __init__(self, directions: tuple, images: tuple, pivots: tuple):
+        self._set(directions, images, pivots)
 
     def to_json(self) -> dict:
         return {
@@ -204,8 +206,7 @@ def divided_difference(nodes, derivatives) -> object:
     return col[0]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Value):
     """Errors of k! f[lam, lam+eps, ..., lam+k*eps] against the k-th derivative.
 
     When k = n - 1 every component of the monomial family has degree at most
@@ -216,15 +217,12 @@ class ConvergenceReport:
     that floating point cannot deliver.
     """
 
-    n: int
-    order: int
-    lam: complex
-    eps: tuple
-    errors: tuple
-    floor: float
-    top_order: bool
-    allowances: tuple
-    passed: bool
+    __slots__ = ("n", "order", "lam", "eps", "errors", "floor", "top_order", "allowances",
+                 "passed")
+
+    def __init__(self, n: int, order: int, lam: complex, eps: tuple, errors: tuple,
+                 floor: float, top_order: bool, allowances: tuple, passed: bool):
+        self._set(n, order, lam, eps, errors, floor, top_order, allowances, passed)
 
 
 def genocchi_hermite_check(n: int, k: int, lam, eps_sequence) -> ConvergenceReport:
@@ -277,8 +275,7 @@ def genocchi_hermite_check(n: int, k: int, lam, eps_sequence) -> ConvergenceRepo
     )
 
 
-@dataclass(frozen=True)
-class VandermondeComparison:
+class VandermondeComparison(Value):
     """Direct confluent Vandermonde determinant against the closed form.
 
     The closed form is the factorial product times all pairwise eigenvalue
@@ -287,11 +284,12 @@ class VandermondeComparison:
     rational eigenvalues.
     """
 
-    determinant: GaussianRational
-    det_abs_squared: Fraction
-    closed_abs_squared: Fraction
-    closed_form_abs: float
-    matches: bool
+    __slots__ = ("determinant", "det_abs_squared", "closed_abs_squared", "closed_form_abs",
+                 "matches")
+
+    def __init__(self, determinant: GaussianRational, det_abs_squared: Fraction,
+                 closed_abs_squared: Fraction, closed_form_abs: float, matches: bool):
+        self._set(determinant, det_abs_squared, closed_abs_squared, closed_form_abs, matches)
 
 
 def confluent_vandermonde_det(clusters) -> VandermondeComparison:
@@ -400,15 +398,14 @@ def tangent_ok(cert: TangentCertificate) -> bool:
     return m > 0 and cert.pivots == pattern and tuple(map(_pivot, cert.images)) == pattern
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(Value):
     """Observed versus mandatory vanishing order of one derivative value."""
 
-    eigenvalue: GaussianRational
-    order: int
-    observed_order: int | None
-    required_order: int
-    passed: bool
+    __slots__ = ("eigenvalue", "order", "observed_order", "required_order", "passed")
+
+    def __init__(self, eigenvalue: GaussianRational, order: int, observed_order: int | None,
+                 required_order: int, passed: bool):
+        self._set(eigenvalue, order, observed_order, required_order, passed)
 
     def to_json(self) -> dict:
         return {

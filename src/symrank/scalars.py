@@ -113,6 +113,18 @@ of rounding, and so does a digit split (:func:`balanced_splitter`) that
 leaves a remainder.
 
 All values are immutable and safe to share between threads.
+
+The value types derive from :class:`Value`, a frozen base.  A subclass
+names its fields in ``__slots__`` (or in ``_fields``, to keep a
+``__dict__``) and sets them in its own ``__init__``, after its checks.  The
+base gives ``==`` by field tuple within one class, ``hash`` of that tuple,
+the repr ``Name(field=value, ...)``, AttributeError on assignment, and
+pickling and copying that skip ``__init__``: what frozen data classes gave,
+without importing their module (and ``inspect``) or ``exec``-ing generated
+methods, about a third of a cold ``import symrank``.  The base's loop over
+the fields is several times slower than generated code, so
+:class:`GaussianRational`, the one value that arithmetic builds, compares
+and hashes, writes ``__init__``, ``__eq__`` and ``__hash__`` out.
 """
 
 from __future__ import annotations
@@ -120,11 +132,57 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 EXACT = "exact"
 FLOAT = "float"
+
+#: Writes a field past :class:`Value`'s frozen ``__setattr__``
+_setattr = object.__setattr__
+
+
+class Value:
+    """Frozen value base (see the module docstring): ``==``, ``hash``,
+    repr, frozenness and pickling over the fields named in ``_fields``,
+    which defaults to the class's ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__dict__.get("__slots__", ())
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def _set(self, *values) -> None:
+        """Write the fields in order."""
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
 
 
 class NumericFailure(RuntimeError):
@@ -165,12 +223,22 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
+class GaussianRational(Value):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        _setattr(self, "re", re)
+        _setattr(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

@@ -488,9 +488,8 @@ def test_theorem_entry_lists_conjugated_rank_on_failure(monkeypatch):
 
 
 def test_vandermonde_entry_lists_squared_moduli_on_failure(monkeypatch):
-    import dataclasses
-
     import symrank.cli as cli
+    from symrank.proofs import VandermondeComparison
 
     spec = JordanSpec.from_json(json.loads(SPEC_0_1))
     _, entry = cli._check_vandermonde(spec)
@@ -499,8 +498,8 @@ def test_vandermonde_entry_lists_squared_moduli_on_failure(monkeypatch):
 
     def off_by_half(clusters):
         result = original(clusters)
-        return dataclasses.replace(result, det_abs_squared=result.det_abs_squared / 2,
-                                   matches=False)
+        return VandermondeComparison(result.determinant, result.det_abs_squared / 2,
+                                     result.closed_abs_squared, result.closed_form_abs, False)
 
     monkeypatch.setattr(cli, "confluent_vandermonde_det", off_by_half)
     _, entry = cli._check_vandermonde(spec)
@@ -964,6 +963,15 @@ def test_python_dash_m_symrank_matches_main(capsys, monkeypatch):
     assert done.stdout == capsys.readouterr().out
 
 
+def _child_env() -> dict:
+    """This environment with the imported symrank's tree first on PYTHONPATH."""
+    import symrank
+
+    src = str(Path(symrank.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 STDLIB_ONLY_CHILD = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
@@ -985,8 +993,6 @@ def test_exact_commands_run_without_numpy(tmp_path, capsys):
     its float spectral bound, so it is not run here."""
     import hashlib
 
-    import symrank
-
     spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [2]},
                                           {"eigenvalue": ["1/2", "1/3"], "sizes": [1]}]})
     matrix = tmp_path / "matrix.json"
@@ -998,11 +1004,8 @@ def test_exact_commands_run_without_numpy(tmp_path, capsys):
     report = tmp_path / "sweep.jsonl"
     sweep = ["sweep", "--n-max", "3", "--modes", "theorem,nullspace,tangent,vandermonde",
              "--seed", "0", "--jobs", "1", "--out", str(report)]
-    src = str(Path(symrank.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", STDLIB_ONLY_CHILD, json.dumps(argvs + [sweep])],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert done.returncode == 0, done.stderr
     child = json.loads(done.stdout)
     assert child["pool_loaded"] is False
@@ -1012,6 +1015,29 @@ def test_exact_commands_run_without_numpy(tmp_path, capsys):
         assert out == capsys.readouterr().out, argv
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "843e3a269e5d0f73389e6ad04693101ad4750d600334bea90c78f531952ee957")
+
+
+#: Modules a cold ``import symrank`` must not load: the value types need no
+#: dataclasses (nor the inspect module it imports), annotations no typing,
+#: the exact paths no numpy, and a serial sweep no process pool.
+IMPORT_CHILD = """
+import json, sys
+before = set(sys.modules)
+import symrank
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+UNUSED_AT_IMPORT = {"dataclasses", "inspect", "typing", "numpy", "concurrent.futures.process"}
+
+
+def test_import_loads_no_unused_module():
+    """A fresh interpreter without ``site``, which may preload typing,
+    imports symrank and reports the modules that the import added."""
+    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHILD],
+                          capture_output=True, text=True, env=_child_env())
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "symrank.cli" in added
+    assert not added & UNUSED_AT_IMPORT, sorted(added & UNUSED_AT_IMPORT)
 
 
 FLOAT_2X2 = {"n": 2, "field": "float",

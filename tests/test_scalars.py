@@ -392,3 +392,110 @@ def test_shared_table_under_racing_threads():
         assert out == expected
         assert out[parts.index(0)][parts.index(0)] is GQ_ZERO
     assert len(scalars._SHARED) <= (2 * bound + 1) ** 2
+
+
+#: The fields of each of the package's value types, in declaration order:
+#: ``==`` and ``hash`` work on this tuple and the repr lists it.
+VALUE_FIELDS = {
+    "GaussianRational": ("re", "im"),
+    "EigenvalueBlocks": ("eigenvalue", "sizes"),
+    "JordanSpec": ("n", "blocks"),
+    "FrobeniusSpec": ("invariant_factors",),
+    "SquareMatrix": ("n", "field", "entries"),
+    "Polynomial": ("coefficients",),
+    "MatrixPolynomial": ("coefficients",),
+    "JacobianMatrix": ("n", "field", "rows"),
+    "TheoremReport": ("spec", "min_poly_degree", "rank", "theorem_holds",
+                      "conjugation_checked", "conjugated_rank"),
+    "RankProfile": ("rank", "threshold", "singular_values", "gap"),
+    "NullVector": ("eigenvalue", "order", "vector"),
+    "NullspaceCertificate": ("vectors",),
+    "TangentCertificate": ("directions", "images", "pivots"),
+    "ConvergenceReport": ("n", "order", "lam", "eps", "errors", "floor", "top_order",
+                          "allowances", "passed"),
+    "VandermondeComparison": ("determinant", "det_abs_squared", "closed_abs_squared",
+                              "closed_form_abs", "matches"),
+    "VanishingReport": ("eigenvalue", "order", "observed_order", "required_order", "passed"),
+    "SweepConfig": ("n_max", "pool", "modes", "seed", "parallelism"),
+    "SweepReport": ("records", "total_specs", "failures"),
+}
+
+
+@pytest.fixture(scope="module")
+def value_instances():
+    """One instance of each value type, by class name.  The matrices are
+    kernel results that keep split rows, and the Frobenius spec skips its
+    constructor's checks, like the ones a sweep builds."""
+    from symrank.canonical import JordanSpec, build_jordan, jordan_to_frobenius, random_similarity
+    from symrank.cli import SweepConfig, run_sweep
+    from symrank.jacobian import RankProfile, jacobian_exact, verify_theorem
+    from symrank.proofs import (confluent_vandermonde_det, genocchi_hermite_check, linear_curve,
+                                nullspace_basis, order_of_vanishing, tangent_construction)
+
+    spec = JordanSpec.of({gq(0): [1, 2], gq("1/2", 1): [1]})
+    B = build_jordan(spec)
+    conjugate = random_similarity(B, 3)
+    curve = linear_curve(B, conjugate)
+    nullspace = nullspace_basis(spec)
+    config = SweepConfig(n_max=1, pool=(gq(0), gq(1)), modes=("theorem",))
+    instances = [
+        gq(1, "-2/3"), spec.blocks[0], spec, jordan_to_frobenius(spec), conjugate,
+        Polynomial.make([1, 0, 2]), curve, jacobian_exact(conjugate), verify_theorem(spec),
+        RankProfile(2, 1e-12, (3.0, 1.0, 0.0), 1e-12), nullspace.vectors[0], nullspace,
+        tangent_construction(jordan_to_frobenius(spec)),
+        genocchi_hermite_check(3, 1, 0.5, (1e-2, 1e-3)),
+        confluent_vandermonde_det([(gq(0), 2), (gq(1), 1)]),
+        order_of_vanishing(spec, curve, gq(0), 1), config, run_sweep(config),
+    ]
+    return {type(x).__name__: x for x in instances}
+
+
+@pytest.mark.parametrize("name", VALUE_FIELDS)
+def test_value_type_contract(name, value_instances, monkeypatch):
+    """Each value type compares and hashes by its field tuple, only against
+    its own class; prints as Name(field=value, ...) (gq(re, im) for a
+    Gaussian rational); refuses assignment; and pickles and deep-copies to an
+    equal value without running its constructor."""
+    import copy
+    import pickle
+    from types import SimpleNamespace
+
+    x = value_instances[name]
+    fields = VALUE_FIELDS[name]
+    assert type(x).__name__ == name
+    values = tuple(getattr(x, f) for f in fields)
+    assert x == x and not x != x
+    try:
+        want = hash(values)
+    except TypeError:
+        # a sweep report holds its JSON records, which are dicts
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == want
+    if name == "GaussianRational":
+        assert repr(x) == f"gq({x.re!r}, {x.im!r})"
+    else:
+        assert repr(x) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, getattr(x, f))
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    with pytest.raises(AttributeError):
+        x.unknown = 1
+    assert tuple(getattr(x, f) for f in fields) == values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a copy ran the constructor")
+
+    monkeypatch.setattr(type(x), "__init__", refuse)
+    for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(copied) is type(x)
+        assert copied == x and not copied != x
+        assert repr(copied) == repr(x)
+
+    lookalike = SimpleNamespace(**dict(zip(fields, values)))
+    assert x.__eq__(lookalike) is NotImplemented
+    assert x != lookalike and not x == lookalike
+    assert x != object() and not x == values
