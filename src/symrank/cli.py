@@ -109,9 +109,6 @@ class SweepConfig(Value):
 class SweepReport(Value):
     __slots__ = ("records", "total_specs", "failures")
 
-    def __init__(self, records: tuple, total_specs: int, failures: tuple):
-        self._set(records, total_specs, failures)
-
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -36,6 +36,7 @@ from .scalars import (
     NumericFailure,
     Value,
     exact_quotients,
+    scalar_to_json,
     to_gaussian_integers,
     to_gaussian_rationals,
 )
@@ -52,15 +53,11 @@ class JacobianMatrix(_StoredRows):
     _fields = ("n", "field", "rows")
     _LAZY = "rows"
 
-    def __init__(self, n: int, field: str, rows: tuple):
-        self._set(n, field, rows)
-
     @staticmethod
     def _build(denominators, re, im) -> tuple:
         return tuple(to_gaussian_rationals(d, (r,), (i,))[0] for d, r, i in zip(denominators, re, im))
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
         return {
             "n": self.n,
             "field": self.field,
@@ -78,10 +75,6 @@ class TheoremReport(Value):
 
     __slots__ = ("spec", "min_poly_degree", "rank", "theorem_holds", "conjugation_checked",
                  "conjugated_rank")
-
-    def __init__(self, spec: JordanSpec, min_poly_degree: int, rank: int, theorem_holds: bool,
-                 conjugation_checked: bool, conjugated_rank: int):
-        self._set(spec, min_poly_degree, rank, theorem_holds, conjugation_checked, conjugated_rank)
 
     def to_json(self) -> dict:
         return {
@@ -292,9 +285,6 @@ class RankProfile(Value):
 
     __slots__ = ("rank", "threshold", "singular_values", "gap")
 
-    def __init__(self, rank: int, threshold: float, singular_values: tuple, gap: float | None):
-        self._set(rank, threshold, singular_values, gap)
-
 
 def numeric_rank_profile(A, tol: float | None = None) -> RankProfile:
     """Numeric rank of A: the count of singular values above tol (default:
@@ -328,11 +318,4 @@ def verify_theorem(spec: JordanSpec, seed: int = 0) -> TheoremReport:
     m = min_poly_degree(spec)
     conjugated = random_similarity(B, seed)
     rank_conj = _bareiss(*_scaled_jacobian(conjugated)[1:])[0]
-    return TheoremReport(
-        spec=spec,
-        min_poly_degree=m,
-        rank=rank,
-        theorem_holds=(rank == m),
-        conjugation_checked=(rank_conj == rank),
-        conjugated_rank=rank_conj,
-    )
+    return TheoremReport(spec, m, rank, rank == m, rank_conj == rank, rank_conj)

@@ -41,13 +41,13 @@ from .scalars import (
     GQ_ZERO,
     NumericFailure,
     Value,
+    _power,
     balanced_splitter,
     coerce_scalar,
     field_one,
     field_zero,
     scalar_from_json,
     scalar_to_json,
-    to_complex,
     to_gaussian_integers,
     to_gaussian_rationals,
 )
@@ -139,9 +139,6 @@ class SquareMatrix(_StoredRows):
     _LAZY = "entries"
     _build = staticmethod(to_gaussian_rationals)
 
-    def __init__(self, n: int, field: str, entries: tuple):
-        self._set(n, field, entries)
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field: str = EXACT) -> "SquareMatrix":
         rows = [list(r) for r in rows]
@@ -208,11 +205,7 @@ class SquareMatrix(_StoredRows):
         return all(not x for r in self.entries for x in r)
 
     def to_float(self) -> "SquareMatrix":
-        if self.field == FLOAT:
-            return self
-        return SquareMatrix(self.n, FLOAT, tuple(
-            tuple(to_complex(x) for x in r) for r in self.entries
-        ))
+        return SquareMatrix.from_rows(self.entries, FLOAT)
 
     def to_json(self) -> dict:
         return {
@@ -348,18 +341,7 @@ class Polynomial(Value):
         return Polynomial(tuple(c / other for c in self.coefficients))
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, exponent, Polynomial.one())
 
     def divmod_exact(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Polynomial long division over the field; returns (quotient, remainder)."""

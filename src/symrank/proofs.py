@@ -57,17 +57,11 @@ from .scalars import (
 class NullVector(Value):
     __slots__ = ("eigenvalue", "order", "vector")
 
-    def __init__(self, eigenvalue: GaussianRational, order: int, vector: tuple):
-        self._set(eigenvalue, order, vector)
-
 
 class NullspaceCertificate(Value):
     """n - m vectors annihilating every column of the derivative matrix."""
 
     __slots__ = ("vectors",)
-
-    def __init__(self, vectors: tuple):
-        self._set(vectors)
 
     def to_json(self) -> dict:
         return {
@@ -104,9 +98,6 @@ class TangentCertificate(Value):
     """m image vectors in echelon form; directions index the one-hot h."""
 
     __slots__ = ("directions", "images", "pivots")
-
-    def __init__(self, directions: tuple, images: tuple, pivots: tuple):
-        self._set(directions, images, pivots)
 
     def to_json(self) -> dict:
         return {
@@ -220,10 +211,6 @@ class ConvergenceReport(Value):
     __slots__ = ("n", "order", "lam", "eps", "errors", "floor", "top_order", "allowances",
                  "passed")
 
-    def __init__(self, n: int, order: int, lam: complex, eps: tuple, errors: tuple,
-                 floor: float, top_order: bool, allowances: tuple, passed: bool):
-        self._set(n, order, lam, eps, errors, floor, top_order, allowances, passed)
-
 
 def genocchi_hermite_check(n: int, k: int, lam, eps_sequence) -> ConvergenceReport:
     """Confluent-limit convergence: the scaled divided difference over nodes
@@ -287,10 +274,6 @@ class VandermondeComparison(Value):
     __slots__ = ("determinant", "det_abs_squared", "closed_abs_squared", "closed_form_abs",
                  "matches")
 
-    def __init__(self, determinant: GaussianRational, det_abs_squared: Fraction,
-                 closed_abs_squared: Fraction, closed_form_abs: float, matches: bool):
-        self._set(determinant, det_abs_squared, closed_abs_squared, closed_form_abs, matches)
-
 
 def confluent_vandermonde_det(clusters) -> VandermondeComparison:
     """Determinant of [v(l1), v'(l1), ..., v(l2), ...] vs the closed form.
@@ -344,13 +327,8 @@ def confluent_vandermonde_det(clusters) -> VandermondeComparison:
         ((det,),) = to_gaussian_rationals(scale, [[p_re * sign]], [[p_im * sign]])
     det_abs2 = p_re * p_re + p_im * p_im
     closed_abs2 = Fraction(num, scale * scale)
-    return VandermondeComparison(
-        determinant=det,
-        det_abs_squared=Fraction(det_abs2, scale * scale),
-        closed_abs_squared=closed_abs2,
-        closed_form_abs=math.sqrt(float(closed_abs2)),
-        matches=(det_abs2 == num),
-    )
+    return VandermondeComparison(det, Fraction(det_abs2, scale * scale), closed_abs2,
+                                 math.sqrt(float(closed_abs2)), det_abs2 == num)
 
 
 def tangent_direction(fspec: FrobeniusSpec, index: int) -> SquareMatrix:
@@ -402,10 +380,6 @@ class VanishingReport(Value):
     """Observed versus mandatory vanishing order of one derivative value."""
 
     __slots__ = ("eigenvalue", "order", "observed_order", "required_order", "passed")
-
-    def __init__(self, eigenvalue: GaussianRational, order: int, observed_order: int | None,
-                 required_order: int, passed: bool):
-        self._set(eigenvalue, order, observed_order, required_order, passed)
 
     def to_json(self) -> dict:
         return {

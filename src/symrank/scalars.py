@@ -115,8 +115,10 @@ leaves a remainder.
 All values are immutable and safe to share between threads.
 
 The value types derive from :class:`Value`, a frozen base.  A subclass
-names its fields in ``__slots__`` (or in ``_fields``, to keep a
-``__dict__``) and sets them in its own ``__init__``, after its checks.  The
+names its fields once, in ``__slots__`` (or in ``_fields``, to keep a
+``__dict__``), and the base's constructor takes their values positionally,
+in that order.  A subclass that checks or normalizes its input writes its
+own ``__init__`` and sets the fields with ``_set`` after its checks.  The
 base gives ``==`` by field tuple within one class, ``hash`` of that tuple,
 the repr ``Name(field=value, ...)``, AttributeError on assignment, and
 pickling and copying that skip ``__init__``: what frozen data classes gave,
@@ -142,15 +144,22 @@ _setattr = object.__setattr__
 
 
 class Value:
-    """Frozen value base (see the module docstring): ``==``, ``hash``,
-    repr, frozenness and pickling over the fields named in ``_fields``,
-    which defaults to the class's ``__slots__``."""
+    """Frozen value base (see the module docstring): a positional
+    constructor, ``==``, ``hash``, repr, frozenness and pickling over the
+    fields named in ``_fields``, which defaults to the class's
+    ``__slots__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the {len(self._fields)} values "
+                            f"{self._fields}, got {len(values)}")
+        self._set(*values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -317,18 +326,7 @@ class GaussianRational(Value):
         return GaussianRational(-self.re, -self.im if self.im else self.im)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = GQ_ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, exponent, GQ_ONE)
 
     def __repr__(self) -> str:
         return f"gq({self.re!r}, {self.im!r})"
@@ -347,6 +345,21 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return GaussianRational(Fraction(value), Fraction(0))
     return NotImplemented
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply, starting from ``one``; a
+    negative or non-int exponent raises TypeError."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise TypeError(f"exponent must be an int >= 0, got {exponent!r}")
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
 
 
 def gq(re=0, im=0) -> GaussianRational:
@@ -464,10 +477,6 @@ def to_gaussian_rationals(denominator: int, re_rows, im_rows) -> tuple:
         for re_row, im_row in zip(re_rows, im_rows))
 
 
-def to_complex(x: GaussianRational) -> complex:
-    return complex(float(x.re), float(x.im))
-
-
 def ensure_finite(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -489,14 +498,13 @@ def coerce_scalar(value, field: str):
     if isinstance(value, bool):
         raise TypeError(f"cannot place the bool {value!r} in a field")
     if field == EXACT:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return gq(value)
-        raise TypeError(f"cannot place {value!r} in the exact field")
+        exact = _coerce(value)
+        if exact is NotImplemented:
+            raise TypeError(f"cannot place {value!r} in the exact field")
+        return exact
     if field == FLOAT:
         if isinstance(value, GaussianRational):
-            return ensure_finite(to_complex(value))
+            return ensure_finite(complex(float(value.re), float(value.im)))
         if isinstance(value, (int, float, complex)):
             return ensure_finite(complex(value))
         raise TypeError(f"cannot place {value!r} in the float field")

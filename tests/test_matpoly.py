@@ -426,6 +426,18 @@ def test_polynomial_trims_trailing_zeros():
     assert Polynomial.make([0, 0]).is_zero
 
 
+def test_polynomial_str():
+    assert str(Polynomial.zero()) == "0"
+    assert str(Polynomial.make([gq("1/2"), 0, gq(0, 2)])) == "(1/2) + (0+2i)*t^2"
+
+
+def test_to_float_takes_the_float_coercion_of_each_entry():
+    M = SquareMatrix.from_rows([[gq("1/3", 1), 2], [0, gq(0, "-1/2")]])
+    F = M.to_float()
+    assert F.field == FLOAT and F.entries == ((complex(1 / 3, 1), 2 + 0j), (0j, -0.5j))
+    assert F.to_float() == F
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_char_and_adjugate_matches_fraction_recursion(n):
     # the Gaussian-integer route, unscaled by D^(n-j) and D^(k-1), against

@@ -170,10 +170,31 @@ def test_scalar_json_float_rejects_non_finite():
 
 
 def test_coerce_rejects_cross_field():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="cannot place 0.5 in the exact field"):
         coerce_scalar(0.5, EXACT)
     with pytest.raises(TypeError):
         coerce_scalar("nope", FLOAT)
+
+
+def test_coerce_exact_follows_the_arithmetic_rules():
+    # an int or Fraction becomes a real Gaussian rational, as it does as an
+    # operand of GaussianRational arithmetic; a Gaussian rational passes as is
+    x = gq(1, 2)
+    assert coerce_scalar(x, EXACT) is x
+    for value in (3, Fraction(-2, 7)):
+        y = coerce_scalar(value, EXACT)
+        assert type(y) is GaussianRational and y == gq(value) and y + x == x + value
+    assert coerce_scalar(gq("1/3", -2), FLOAT) == complex(1 / 3, -2)
+    with pytest.raises(OverflowError):
+        coerce_scalar(gq(10 ** 400), FLOAT)
+
+
+@pytest.mark.parametrize("exponent", [-1, 0.5, 2.0, "2", None])
+@pytest.mark.parametrize("base", [gq("1/2", 1), Polynomial.make([1, gq(0, 1)])],
+                         ids=["GaussianRational", "Polynomial"])
+def test_power_refuses_a_negative_or_non_int_exponent(base, exponent):
+    with pytest.raises(TypeError, match="exponent"):
+        base ** exponent
 
 
 def test_coerce_rejects_non_finite():
@@ -395,7 +416,8 @@ def test_shared_table_under_racing_threads():
 
 
 #: The fields of each of the package's value types, in declaration order:
-#: ``==`` and ``hash`` work on this tuple and the repr lists it.
+#: the constructor takes them in this order, ``==`` and ``hash`` work on
+#: this tuple and the repr lists it.
 VALUE_FIELDS = {
     "GaussianRational": ("re", "im"),
     "EigenvalueBlocks": ("eigenvalue", "sizes"),
@@ -452,19 +474,32 @@ def value_instances():
 
 @pytest.mark.parametrize("name", VALUE_FIELDS)
 def test_value_type_contract(name, value_instances, monkeypatch):
-    """Each value type compares and hashes by its field tuple, only against
+    """Each value type is rebuilt by its constructor from its field values,
+    in field order; compares and hashes by its field tuple, only against
     its own class; prints as Name(field=value, ...) (gq(re, im) for a
     Gaussian rational); refuses assignment; and pickles and deep-copies to an
-    equal value without running its constructor."""
+    equal value without running its constructor.  A type without its own
+    constructor takes exactly its field values, positionally."""
     import copy
     import pickle
     from types import SimpleNamespace
 
     x = value_instances[name]
     fields = VALUE_FIELDS[name]
-    assert type(x).__name__ == name
+    cls = type(x)
+    assert cls.__name__ == name
     values = tuple(getattr(x, f) for f in fields)
     assert x == x and not x != x
+    assert cls(*values) == x
+    with pytest.raises(TypeError):
+        cls(*values, unknown=None)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    if cls.__init__ is scalars.Value.__init__:
+        with pytest.raises(TypeError, match=f"takes the {len(fields)} values"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{fields[-1]: values[-1]})
     try:
         want = hash(values)
     except TypeError:
@@ -499,3 +534,24 @@ def test_value_type_contract(name, value_instances, monkeypatch):
     assert x.__eq__(lookalike) is NotImplemented
     assert x != lookalike and not x == lookalike
     assert x != object() and not x == values
+
+
+def test_value_fields_list_every_value_type():
+    """VALUE_FIELDS names every public Value subclass in the package, each
+    with the fields its positional constructor reads, in that order."""
+    import symrank  # noqa: F401 -- loads every module
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    public = [cls for cls in subclasses(scalars.Value)
+              if cls.__module__.startswith("symrank.") and not cls.__name__.startswith("_")]
+    assert {cls.__name__: cls._fields for cls in public} == VALUE_FIELDS
+    assert len(public) == len(VALUE_FIELDS)
+    # the types that check or normalize their input, or are written out
+    # for speed, keep their own constructor
+    assert sorted(cls.__name__ for cls in public if cls.__init__ is not scalars.Value.__init__) == [
+        "EigenvalueBlocks", "FrobeniusSpec", "GaussianRational", "JordanSpec",
+        "MatrixPolynomial", "Polynomial", "SweepConfig"]
