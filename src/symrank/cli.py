@@ -424,10 +424,15 @@ def _cmd_gen(args) -> int:
 
 
 def _spectral_bound(matrix: SquareMatrix) -> float | None:
-    """The float spectral-radius diagnostic, or None where it overflows."""
+    """The float spectral-radius diagnostic, or None where it overflows or
+    numpy is missing: a float diagnostic never aborts an exact result."""
     try:
         return spectral_radius_bound(matrix.to_float(), iterations=8)
     except (NumericFailure, OverflowError):
+        return None
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
         return None
 
 
@@ -635,6 +640,11 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("error: the float field needs numpy, which is not installed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -226,8 +226,9 @@ def _bareiss(rows_re: list, rows_im: list) -> tuple:
     determinant.  Without a pivot the last pivot is (1, 0), the determinant
     of the empty matrix.  Each step replaces x by (p x - m z) / q, p the
     pivot, m the row's entry in the pivot column, z the pivot row's entry and
-    q the previous pivot; every division is checked, and one that leaves a
-    remainder raises ArithmeticError.
+    q the previous pivot.  A unit q (1, -1, i or -i) divides exactly by
+    construction and takes no check; every other division is checked, and
+    one that leaves a remainder raises ArithmeticError.
     """
     nrows = len(rows_re)
     if not nrows:

@@ -29,7 +29,9 @@ Each division a kernel makes is exact in Z[i]:
   (``matpoly.charpoly_in_ring``) on a Gaussian-integer A is exact;
 * scaling a row by a nonzero integer leaves the rank unchanged, and every
   Bareiss division is exact in any integral domain, Z[i] among them; the
-  pivot order (first nonzero in a row-major scan) does not change;
+  pivot order (first nonzero in a row-major scan) does not change.  A
+  previous pivot that is a unit (1, -1, i or -i) divides every Gaussian
+  integer, so that division is exact by construction and takes no check;
 * the similarity shears have integer multipliers, so D*M stays a
   Gaussian-integer matrix.
 
@@ -110,7 +112,7 @@ A nonzero remainder therefore means a bug: the divisions of the kernels,
 the checked trace division of ``matpoly.charpoly_in_ring`` (one ``divmod``
 per part) and :func:`exact_quotients`, raise ``ArithmeticError`` instead
 of rounding, and so does a digit split (:func:`balanced_splitter`) that
-leaves a remainder.
+leaves a remainder.  A unit divisor cannot leave one and takes no check.
 
 All values are immutable and safe to share between threads.
 
@@ -389,14 +391,22 @@ GQ_I = gq(0, 1)
 
 
 def exact_quotients(re: list, im: list, divisor_re: int, divisor_im: int = 0) -> tuple:
-    """(re + i*im) / (divisor_re + i*divisor_im) entrywise over Z[i], as new
+    """(re + i*im) / (divisor_re + i*divisor_im) entrywise over Z[i], as
     (re, im) int lists; raises ArithmeticError if a quotient is not in Z[i]
-    and ZeroDivisionError for a zero divisor."""
+    and ZeroDivisionError for a zero divisor.  A unit divisor (1, -1, i or
+    -i) is exact by construction and takes no check: the rows times its
+    conjugate, which may hand back ``re`` or ``im`` itself."""
     if divisor_im:
         norm = divisor_re * divisor_re + divisor_im * divisor_im
+        if norm == 1:  # i or -i: times -i or i swaps the parts with a sign
+            return (im, [-x for x in re]) if divisor_im == 1 else ([-y for y in im], re)
         # times the conjugate, then an exact division by the norm
         re, im = ([x * divisor_re + y * divisor_im for x, y in zip(re, im)],
                   [y * divisor_re - x * divisor_im for x, y in zip(re, im)])
+    elif divisor_re == 1:
+        return re, im
+    elif divisor_re == -1:
+        return [-x for x in re], [-y for y in im]
     else:
         norm = divisor_re
     if not norm:

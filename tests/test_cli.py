@@ -901,6 +901,45 @@ def test_cli_pi_float_overflow_is_a_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_pi_exact_without_numpy_prints_a_null_bound(tmp_path, capsys, monkeypatch):
+    """A float diagnostic never aborts an exact result: without numpy, exact
+    `pi` prints the same sigma and a null spectral bound."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 2, "field": "exact", "entries": [
+        [["1/2", "0/1"], ["1/1", "-1/3"]], [["0/1", "2/1"], ["-3/4", "0/1"]]]}))
+    assert main(["pi", str(path)]) == 0
+    with_numpy = json.loads(capsys.readouterr().out)
+    assert with_numpy["spectral_radius_bound"] is not None
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main(["pi", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["values"] == with_numpy["values"]
+    assert out["spectral_radius_bound"] is None and out["in_spectral_ball"] is None
+
+
+@pytest.mark.parametrize("command", ["pi", "jacobian", "rank", "minpoly"])
+def test_cli_float_without_numpy_exits_2(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(FLOAT_2X2))
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numpy" in err and "Traceback" not in err
+
+
+def test_cli_reraises_a_missing_module_other_than_numpy(tmp_path, monkeypatch):
+    import symrank.cli as cli
+
+    def missing(*args, **kwargs):
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+    monkeypatch.setattr(cli, "spectral_radius_bound", missing)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 1, "field": "exact", "entries": [[["1/2", "0/1"]]]}))
+    with pytest.raises(ModuleNotFoundError):
+        main(["pi", str(path)])
+
+
 def _jordan_block_spec(n):
     return json.dumps({"n": n, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [n]}]})
 
@@ -989,8 +1028,9 @@ def test_exact_commands_run_without_numpy(tmp_path, capsys):
     """The exact subcommands and an exact serial sweep need only the standard
     library: a fresh interpreter in which numpy cannot be imported gives the
     same output, and the sweep the golden bytes, without loading the process
-    pool either.  `pi` is the one exact subcommand that still loads numpy, for
-    its float spectral bound, so it is not run here."""
+    pool either.  `pi` is the one exact subcommand that still tries numpy, for
+    its float spectral bound; without it the bound is null, so its output
+    differs and `test_cli_pi_exact_without_numpy_prints_a_null_bound` checks it."""
     import hashlib
 
     spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [2]},

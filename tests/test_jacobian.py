@@ -832,12 +832,29 @@ def _bareiss_cases(rng):
     for nrows, ncols in ((2, 5), (5, 2), (3, 4), (4, 3)):
         cases.append([[entry("complex") if rng.random() < 0.7 else gq(0) for _ in range(ncols)]
                       for _ in range(nrows)])
+    # entries in {0, +-1, +-i}: a second pivot of -1, i or -i, which the third
+    # step divides by, and random ones whose later pivots are units too
+    units = [gq(0), gq(1), gq(-1), gq(0, 1), gq(0, -1)]
+    for unit in units[2:]:
+        cases.append([[gq(1), gq(0), gq(1), gq(0)], [gq(0), unit, gq(1), gq(1)],
+                      [gq(1), gq(1), gq(1), gq(0)], [gq(0), gq(1), gq(0, -1), gq(1)]])
+    for n in (4, 5, 6):
+        for _ in range(8):
+            cases.append([[rng.choice(units) for _ in range(n)] for _ in range(n)])
     return cases
 
 
-def test_bareiss_split_rows_match_gauss_jordan():
+def test_bareiss_split_rows_match_gauss_jordan(monkeypatch):
     rng = random.Random(1300)
     seen_swaps = seen_deficient = 0
+    divisors = set()
+    original = jacobian.exact_quotients
+
+    def spy(re, im, divisor_re, divisor_im=0):
+        divisors.add((divisor_re, divisor_im))
+        return original(re, im, divisor_re, divisor_im)
+
+    monkeypatch.setattr(jacobian, "exact_quotients", spy)
     for rows in _bareiss_cases(rng):
         _, re, im = to_gaussian_integers(rows)
         rank, (p_re, p_im), sign = _bareiss(re, im)
@@ -851,6 +868,8 @@ def test_bareiss_split_rows_match_gauss_jordan():
                 seen_deficient += 1
         seen_swaps += sign == -1
     assert seen_swaps and seen_deficient
+    # every unit divides on the path that skips the remainder check
+    assert {(1, 0), (-1, 0), (0, 1), (0, -1)} <= divisors
     assert _bareiss([], []) == (0, (1, 0), 1)
     # a permutation matrix: pivot 1, and the sign is the permutation's
     assert _bareiss([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0] * 3 for _ in range(3)]) == (

@@ -241,6 +241,13 @@ def test_gaussian_integer_division_raises_on_remainder():
     q_re, q_im = 2 ** 70 + 3, -(2 ** 65)
     big_re, big_im = -5 * q_re - 7 * q_im, -5 * q_im + 7 * q_re
     assert exact_quotients([big_re], [big_im], q_re, q_im) == ([-5], [7])
+    # a unit divides every Gaussian integer: quotient times divisor gives the
+    # rows back, for big and negative parts too
+    re, im = [2 ** 70 + 1, -(2 ** 70) - 3, 0, -1], [-(2 ** 71) + 5, 7, 2 ** 70, 0]
+    for u_re, u_im in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        q_re, q_im = exact_quotients(re, im, u_re, u_im)
+        assert [a * u_re - b * u_im for a, b in zip(q_re, q_im)] == re, (u_re, u_im)
+        assert [a * u_im + b * u_re for a, b in zip(q_re, q_im)] == im, (u_re, u_im)
 
 
 def test_gaussian_integer_conversions():
