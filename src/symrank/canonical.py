@@ -27,6 +27,7 @@ from .scalars import (
     NumericFailure,
     Value,
     coerce_scalar,
+    json_fields,
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
@@ -99,22 +100,11 @@ class JordanSpec(Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "JordanSpec":
-        try:
-            n = obj["n"]
-            blocks = obj["blocks"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"Jordan spec JSON missing key: {exc}") from None
-        if not isinstance(blocks, list):
-            raise ValueError(f"Jordan spec 'blocks' must be a list, got {blocks!r}")
-        groups = []
-        for b in blocks:
-            try:
-                eig = scalar_from_json(b["eigenvalue"], EXACT)
-                sizes = tuple(b["sizes"])
-            except (TypeError, KeyError) as exc:
-                raise ValueError(f"bad Jordan block entry: {exc}") from None
-            groups.append(EigenvalueBlocks(eig, sizes))
-        spec = cls(n, tuple(groups))
+        n, blocks = json_fields(obj, "Jordan spec JSON", {"n": None, "blocks": list})
+        fields = {"eigenvalue": list, "sizes": list}
+        blocks = [json_fields(b, "Jordan block", fields) for b in blocks]
+        spec = cls(n, tuple(EigenvalueBlocks(scalar_from_json(eig, EXACT), tuple(sizes))
+                            for eig, sizes in blocks))
         check_size(spec.n)
         return spec
 
@@ -157,10 +147,8 @@ class FrobeniusSpec(Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "FrobeniusSpec":
-        factors = obj.get("invariant_factors") if isinstance(obj, dict) else None
-        if not isinstance(factors, list) or not all(isinstance(f, list) for f in factors):
-            raise ValueError("Frobenius spec JSON needs 'invariant_factors', a list of coefficient lists")
-        factors = tuple(Polynomial.from_json(f) for f in factors)
+        (factors,) = json_fields(obj, "Frobenius spec JSON", {"invariant_factors": [list]})
+        factors = tuple(Polynomial(tuple(scalar_from_json(c, EXACT) for c in f)) for f in factors)
         # before the divisibility checks, which are quadratic in the degree
         check_size(sum(p.degree for p in factors))
         return cls(factors)

@@ -15,9 +15,10 @@ values is never reached: the default five-value pool misses 1 type at n = 6,
 3 at n = 7 and 9 at n = 8.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed input
-(including a matrix or spec larger than :data:`MAX_N`, a curve of degree
-above ``MAX_CURVE_DEGREE`` and a --tol that is not a finite number >= 0) or
-an unwritable --out.
+(including JSON of the wrong kind, whose message names what was expected, a
+matrix or spec larger than :data:`MAX_N`, a curve of degree above
+``MAX_CURVE_DEGREE`` and a --tol that is not a finite number >= 0), an --out
+that does not open, or a write to stdout or --out that fails.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .jacobian import (
 from .matpoly import MAX_N, MatrixPolynomial, SquareMatrix, spectral_radius_bound, symmetrize
 from .proofs import (
     confluent_vandermonde_det,
+    curve_through,
     linear_curve,
     nullspace_basis,
     order_of_vanishing,
@@ -399,10 +401,8 @@ def _tolerance(text: str) -> float:
 
 
 def _open_out(path: str | None):
-    """The file at path, truncated for writing, or stdout when path is empty.
-
-    An unwritable path is a CliInputError naming it and the OS error.
-    """
+    """The file at path, truncated for writing, or stdout when path is empty;
+    an unwritable path is a CliInputError naming it and the OS error."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -411,16 +411,32 @@ def _open_out(path: str | None):
         raise CliInputError(f"--out {path}: {exc.strerror or exc}") from None
 
 
-def _emit(args, obj) -> None:
+def _write_out(fh, path: str | None, text: str) -> None:
+    """Write text to fh, which _open_out(path) gave, and flush it; a failed
+    write is a CliInputError naming path (or stdout) and the OS error."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        # the buffer's rest goes to devnull: the flush at close or exit cannot fail
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fh.fileno())
+        os.close(null)
+        name = f"--out {path}" if path else "stdout"
+        raise CliInputError(f"{name}: {exc.strerror or exc}") from None
+
+
+def _emit(args, obj, ok: bool = True) -> int:
+    """Write obj as the command's JSON output; the exit code, 0 if ok else 1."""
     with _open_out(args.out) as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _write_out(fh, args.out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return 0 if ok else 1
 
 
 def _cmd_gen(args) -> int:
     spec = _read(_any_spec, args.spec_file, args.spec)
     matrix = build_frobenius(spec) if isinstance(spec, FrobeniusSpec) else build_jordan(spec)
-    _emit(args, _in_field(matrix, args.field).to_json())
-    return 0
+    return _emit(args, _in_field(matrix, args.field).to_json())
 
 
 def _spectral_bound(matrix: SquareMatrix) -> float | None:
@@ -439,22 +455,19 @@ def _spectral_bound(matrix: SquareMatrix) -> float | None:
 def _cmd_pi(args) -> int:
     matrix = _matrix(args)
     values = symmetrize(matrix)
-    out = {
+    bound = _spectral_bound(matrix)
+    return _emit(args, {
         "n": matrix.n,
         "field": matrix.field,
         "values": [scalar_to_json(v) for v in values],
-    }
-    bound = _spectral_bound(matrix)
-    out["spectral_radius_bound"] = bound
-    out["in_spectral_ball"] = True if bound is not None and bound < 1.0 else None
-    _emit(args, out)
-    return 0
+        "spectral_radius_bound": bound,
+        "in_spectral_ball": True if bound is not None and bound < 1.0 else None,
+    })
 
 
 def _cmd_jacobian(args) -> int:
     matrix = _matrix(args)
-    _emit(args, jacobian_exact(matrix).to_json())
-    return 0
+    return _emit(args, jacobian_exact(matrix).to_json())
 
 
 def _cmd_rank(args) -> int:
@@ -472,69 +485,52 @@ def _cmd_rank(args) -> int:
             "threshold_gap": profile.gap,
             "spectral_radius_bound": _spectral_bound(matrix),
         }
-    _emit(args, out)
-    return 0
+    return _emit(args, out)
 
 
 def _cmd_minpoly(args) -> int:
     matrix = _matrix(args)
     poly = min_poly_krylov(matrix, args.tol)
-    _emit(args, {
+    return _emit(args, {
         "field": matrix.field,
         "degree": poly.degree,
         "coefficients": poly.to_json(),
     })
-    return 0
 
 
 def _cmd_verify(args) -> int:
     spec = _read(JordanSpec.from_json, args.spec_file, args.spec)
     report, entry = _check_theorem(spec, args.seed)
-    _emit(args, report.to_json())
-    return 0 if entry["ok"] else 1
+    return _emit(args, report.to_json(), entry["ok"])
 
 
 def _cmd_nullspace(args) -> int:
     cert, entry = _check_nullspace(_read(JordanSpec.from_json, args.spec_file, args.spec))
-    _emit(args, cert.to_json())
-    print(
-        f"nullspace: {entry['count']}/{entry['expected']} vectors, "
-        f"annihilates={entry['annihilates']}, independent={entry['independent']}",
-        file=sys.stderr,
-    )
-    return 0 if entry["ok"] else 1
+    print(f"nullspace: {entry['count']}/{entry['expected']} vectors, annihilates="
+          f"{entry['annihilates']}, independent={entry['independent']}", file=sys.stderr)
+    return _emit(args, cert.to_json(), entry["ok"])
 
 
 def _cmd_tangent(args) -> int:
     cert, entry = _check_tangent(_read(_any_spec, args.spec_file, args.spec))
-    _emit(args, cert.to_json())
-    print(
-        f"tangent: {entry['images']} images, pivots {entry['pivots']}, ok={entry['ok']}",
-        file=sys.stderr,
-    )
-    return 0 if entry["ok"] else 1
+    print(f"tangent: {entry['images']} images, pivots {entry['pivots']}, ok={entry['ok']}",
+          file=sys.stderr)
+    return _emit(args, cert.to_json(), entry["ok"])
 
 
 def _cmd_ord(args) -> int:
     spec = _read(JordanSpec.from_json, args.spec_file, args.spec)
-
-    def through_spec(obj) -> MatrixPolynomial:
-        curve = MatrixPolynomial.from_json(obj)
-        if curve.coefficients[0] != build_jordan(spec):
-            raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
-        return curve
-
     curve = None
     if args.curve is not None or args.curve_file is not None:
-        curve = _read(through_spec, args.curve_file, args.curve, "--curve")
+        curve = _read(lambda obj: curve_through(MatrixPolynomial.from_json(obj), spec),
+                      args.curve_file, args.curve, "--curve")
     (curve, reports), entry = _check_ord(spec, args.seed, curve)
-    _emit(args, {
+    return _emit(args, {
         "spec": spec.to_json(),
         "curve_degree": curve.degree,
         "results": [r.to_json() for r in reports],
         "all_passed": entry["ok"],
-    })
-    return 0 if entry["ok"] else 1
+    }, entry["ok"])
 
 
 def _parse_pool(text: str) -> tuple:
@@ -549,19 +545,13 @@ def _cmd_sweep(args) -> int:
     modes = MODES if args.modes is None else tuple(
         m.strip() for m in args.modes.split(",") if m.strip())
     try:
-        config = SweepConfig(
-            n_max=args.n_max,
-            pool=pool,
-            modes=modes,
-            seed=args.seed,
-            parallelism=args.jobs,
-        )
+        config = SweepConfig(args.n_max, pool, modes, args.seed, args.jobs)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     # opened first, so that an unwritable --out fails before the checks run
     with _open_out(args.out) as fh:
         report = run_sweep(config)
-        fh.write("".join(
+        _write_out(fh, args.out, "".join(
             json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
             for record in report.records
         ))

@@ -46,6 +46,7 @@ from .scalars import (
     coerce_scalar,
     field_one,
     field_zero,
+    json_fields,
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
@@ -216,22 +217,13 @@ class SquareMatrix(_StoredRows):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SquareMatrix":
-        try:
-            n = obj["n"]
-            field = obj["field"]
-            entries = obj["entries"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"matrix JSON missing key: {exc}") from None
-        if type(n) is not int:
-            raise ValueError(f"matrix 'n' must be an integer, got {n!r}")
+        n, field, entries = json_fields(
+            obj, "matrix JSON", {"n": int, "field": str, "entries": list})
         check_size(n)
-        if field not in (EXACT, FLOAT):
-            raise ValueError(f"unknown field {field!r}")
-        if (not isinstance(entries, list) or len(entries) != n
-                or any(not isinstance(r, list) or len(r) != n for r in entries)):
+        if len(entries) != n or any(not isinstance(r, list) or len(r) != n for r in entries):
             raise ValueError(f"matrix JSON entries are not {n}x{n}")
-        rows = [[scalar_from_json(x, field) for x in r] for r in entries]
-        return cls.from_rows(rows, field)
+        # scalar_from_json refuses a field other than EXACT and FLOAT
+        return cls.from_rows([[scalar_from_json(x, field) for x in r] for r in entries], field)
 
 
 def _dot_seq(u, w):
@@ -368,10 +360,6 @@ class Polynomial(Value):
     def to_json(self) -> list:
         return [scalar_to_json(c) for c in self.coefficients]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "Polynomial":
-        return cls(tuple(scalar_from_json(c, EXACT) for c in obj))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -420,9 +408,7 @@ class MatrixPolynomial(Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixPolynomial":
-        coeffs = obj.get("coefficients") if isinstance(obj, dict) else None
-        if not isinstance(coeffs, list):
-            raise ValueError("curve JSON must have a 'coefficients' list")
+        (coeffs,) = json_fields(obj, "curve JSON", {"coefficients": list})
         if len(coeffs) - 1 > MAX_CURVE_DEGREE:
             raise ValueError(f"curve 'coefficients' give degree {len(coeffs) - 1}, above the "
                              f"degree limit MAX_CURVE_DEGREE = {MAX_CURVE_DEGREE}")

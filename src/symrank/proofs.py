@@ -48,6 +48,7 @@ from .scalars import (
     GaussianRational,
     Value,
     coerce_scalar,
+    json_fields,
     scalar_from_json,
     scalar_to_json,
     to_gaussian_integers,
@@ -77,21 +78,14 @@ class NullspaceCertificate(Value):
 
     @classmethod
     def from_json(cls, obj: dict) -> "NullspaceCertificate":
-        """ValueError naming the key: a missing key, a non-list, a k not of type int or < 0."""
-        vectors = obj.get("vectors") if isinstance(obj, dict) else None
-        if not isinstance(vectors, list):
-            raise ValueError("nullspace certificate JSON needs 'vectors', a list")
-        for v in vectors:
-            missing = sorted({"lambda", "k", "v"} - (v.keys() if isinstance(v, dict) else set()))
-            if missing:
-                raise ValueError(f"nullspace certificate vector {v!r} missing key {missing[0]!r}")
-            if type(v["k"]) is not int or v["k"] < 0:
-                raise ValueError(f"nullspace certificate 'k' must be an int >= 0, got {v['k']!r}")
-            if not isinstance(v["v"], list):
-                raise ValueError(f"nullspace certificate 'v' must be a list, got {v['v']!r}")
-        return cls(tuple(NullVector(scalar_from_json(v["lambda"], EXACT), v["k"],
-                                    tuple(scalar_from_json(x, EXACT) for x in v["v"]))
-                         for v in vectors))
+        (vectors,) = json_fields(obj, "nullspace certificate JSON", {"vectors": list})
+        fields = {"lambda": list, "k": int, "v": list}
+        vectors = [json_fields(v, "nullspace certificate vector", fields) for v in vectors]
+        if any(k < 0 for _, k, _ in vectors):
+            raise ValueError("nullspace certificate vector 'k' must be >= 0")
+        return cls(tuple(NullVector(scalar_from_json(lam, EXACT), k,
+                                    tuple(scalar_from_json(x, EXACT) for x in v))
+                         for lam, k, v in vectors))
 
 
 class TangentCertificate(Value):
@@ -461,6 +455,15 @@ def _lowest_digit(w: int, re: int, im: int) -> int | None:
 _last_query = (None, None, 1, [])
 
 
+def curve_through(curve: MatrixPolynomial, spec: JordanSpec) -> MatrixPolynomial:
+    """curve, once checked to be exact and to start at spec's Jordan matrix."""
+    if curve.coefficients[0].field != EXACT:
+        raise ValueError("vanishing orders are computed in the exact field")
+    if curve.coefficients[0] != build_jordan(spec):
+        raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
+    return curve
+
+
 def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -> VanishingReport:
     """Vanishing order in the curve parameter of the k-th derivative value.
 
@@ -474,12 +477,9 @@ def order_of_vanishing(spec: JordanSpec, curve: MatrixPolynomial, lam, k: int) -
     """
     global _last_query
     lam = coerce_scalar(lam, EXACT)
-    if curve.coefficients[0].field != EXACT:
-        raise ValueError("vanishing orders are computed in the exact field")
     last_curve, last_spec, w, taylor = _last_query
     if curve is not last_curve or spec is not last_spec:
-        if curve.coefficients[0] != build_jordan(spec):
-            raise ValueError("curve base mismatch: curve(0) must equal the spec's matrix")
+        curve_through(curve, spec)
         w, taylor = _curve_taylor_coeffs(curve, spec)
         _last_query = (curve, spec, w, taylor)
     for b, blk in enumerate(spec.blocks):

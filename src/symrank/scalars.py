@@ -551,6 +551,40 @@ def scalar_from_json(obj, field: str):
     raise ValueError(f"unknown field {field!r}")
 
 
+_JSON_TYPES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _has_type(value, t) -> bool:
+    if isinstance(t, list):
+        return isinstance(value, list) and all(_has_type(x, t[0]) for x in value)
+    return t is None or isinstance(value, t) and not isinstance(value, bool)
+
+
+def _type_name(t) -> str:
+    return f"a list of {_type_name(t[0]).split()[1]}s" if isinstance(t, list) else _JSON_TYPES[t]
+
+
+def json_fields(obj, kind: str, fields: dict) -> tuple:
+    """The values of fields' keys in the decoded JSON obj, in fields' order.
+
+    The shape rule of every JSON decoder: fields maps each key to its type,
+    list, str or int (a bool is not an int), [t] for a list of t, or None
+    for a value the caller checks.  An obj that is not an object, a key
+    that is missing or a value of another type is a ValueError naming kind,
+    each key with its type, and the fault.  Range checks are the caller's."""
+    expected = f"{kind} must be an object with " + ", ".join(
+        repr(key) if t is None else f"{key!r}, {_type_name(t)}" if isinstance(t, list)
+        else f"{key!r} {_type_name(t).split()[1]}" for key, t in fields.items())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{expected}, got {obj!r:.60}")
+    for key, t in fields.items():
+        if key not in obj:
+            raise ValueError(f"{expected}; {key!r} is missing")
+        if not _has_type(obj[key], t):
+            raise ValueError(f"{expected}; {key!r} must be {_type_name(t)}, got {obj[key]!r:.60}")
+    return tuple(obj[key] for key in fields)
+
+
 def parse_eigenvalue(text: str) -> GaussianRational:
     """Parse shorthand exact eigenvalues: "2", "-1", "1/2", "i", "-i", "1+2i"."""
     body = text.strip().replace(" ", "")

@@ -807,6 +807,15 @@ def zero_matrix_json(n, field="exact"):
      "must share size and field"),
     ("ord", {"coefficients": [zero_matrix_json(2), zero_matrix_json(2, "float")]},
      "must share size and field"),
+    # JSON of the wrong kind: the message names the kind and the keys
+    ("rank", [1, 2], "matrix JSON must be an object with 'n' integer"),
+    ("verify", "text", "Jordan spec JSON must be an object with 'n', 'blocks' list"),
+    ("verify", [ZERO_BLOCK], "Jordan spec JSON must be an object"),
+    ("verify", {"n": 1, "blocks": [5]}, "Jordan block must be an object with 'eigenvalue'"),
+    ("verify", {"n": 1, "blocks": [dict(ZERO_BLOCK, sizes=1)]}, "'sizes' must be a list"),
+    ("ord", {"coefficients": [5]}, "matrix JSON must be an object"),
+    ("ord", {"coefficients": [zero_matrix_json(2, "float")]},
+     "vanishing orders are computed in the exact field"),
 ])
 def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payload, named):
     if command == "rank" and isinstance(payload, str):
@@ -825,6 +834,7 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payl
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+    assert "subscriptable" not in err and "indices" not in err
 
 
 @pytest.mark.parametrize("command, entry", [
@@ -1114,7 +1124,7 @@ def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys):
     assert str(path) in err and "utf-8" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
+OUT_COMMANDS = [
     ["gen", "--spec", SPEC_0_11],
     ["pi", "MATRIX"],
     ["jacobian", "MATRIX"],
@@ -1125,7 +1135,10 @@ def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys):
     ["tangent", "--spec", SPEC_0_11],
     ["ord", "--spec", SPEC_0_11],
     ["sweep", "--n-max", "1", "--modes", "theorem"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
 def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
     import symrank.cli as cli
 
@@ -1141,6 +1154,28 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert str(out) in captured.err and "No such file or directory" in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_failed_write_exits_2(tmp_path, capsys, argv):
+    # /dev/full opens, and every write to it fails with ENOSPC
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(FLOAT_2X2))
+    argv = [str(matrix) if a == "MATRIX" else a for a in argv]
+    assert main(argv + ["--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert "--out /dev/full: No space left on device" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_failed_write_to_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "symrank", "verify", "--spec", SPEC_0_11],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=_child_env())
+    assert done.returncode == 2
+    assert done.stderr == "error: stdout: No space left on device\n"
 
 
 def test_cli_minpoly_float_power_overflow_is_a_numeric_failure(tmp_path, capsys):

@@ -427,7 +427,7 @@ def test_tangent_direction_range():
         tangent_direction(fspec, 3)
 
 
-def test_sigma_linearity_t_squared_coefficients():
+def test_sigma_1_moves_with_the_trace_of_a_t_squared_companion():
     # direct check: sigma_1(B + H(e_2)) - sigma_1(B) = -1, untouched by e_1
     fspec = FrobeniusSpec((Polynomial.make([0, 0, 1]),))
     B = build_frobenius(fspec)
@@ -436,7 +436,7 @@ def test_sigma_linearity_t_squared_coefficients():
     assert symmetrize(bumped)[0] - base[0] == gq(-1)
 
 
-def test_sigma_linearity_zero_and_doubling():
+def test_sigma_shift_doubles_with_h_and_vanishes_at_h_zero():
     fspec = jordan_to_frobenius(JordanSpec.of({0: [1, 2], 2: [2]}))
     B = build_frobenius(fspec)
     base = symmetrize(B)

@@ -18,6 +18,7 @@ from symrank.scalars import (
     exact_quotients,
     format_eigenvalue,
     gq,
+    json_fields,
     normalize_rational,
     parse_eigenvalue,
     parse_rational,
@@ -167,6 +168,30 @@ def test_scalar_json_float_rejects_non_finite():
     for parts in ([float("inf"), 0.0], [0, float("-inf")], [float("nan"), 0], [10 ** 400, 0]):
         with pytest.raises(ValueError, match="finite"):
             scalar_from_json(parts, FLOAT)
+
+
+def test_json_fields_returns_values_in_order_and_names_each_fault():
+    fields = {"n": int, "name": str, "any": None, "rows": [list]}
+    assert json_fields({"rows": [[1]], "any": None, "name": "x", "n": 3, "extra": 0},
+                       "thing", fields) == (3, "x", None, [[1]])
+    shape = "thing must be an object with 'n' integer, 'name' string, 'any', 'rows', a list of lists"
+    cases = [
+        ([1], f"{shape}, got [1]"),
+        (None, f"{shape}, got None"),
+        ({"n": 1, "name": "x", "rows": []}, f"{shape}; 'any' is missing"),
+        ({"n": True, "name": "x", "rows": [], "any": 0}, f"{shape}; 'n' must be an integer, got True"),
+        ({"n": 1.0, "name": "x", "rows": [], "any": 0}, f"{shape}; 'n' must be an integer, got 1.0"),
+        ({"n": 1, "name": 2, "rows": [], "any": 0}, f"{shape}; 'name' must be a string, got 2"),
+        ({"n": 1, "name": "x", "rows": [[], {}], "any": 0},
+         f"{shape}; 'rows' must be a list of lists, got [[], {{}}]"),
+        # a value's repr is cut to its first 60 characters
+        ({"n": "9" * 100, "name": "x", "rows": [], "any": 0},
+         f"{shape}; 'n' must be an integer, got '{'9' * 59}"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError) as refused:
+            json_fields(obj, "thing", fields)
+        assert str(refused.value) == message
 
 
 def test_coerce_rejects_cross_field():
