@@ -547,7 +547,9 @@ def _cmd_sweep(args) -> int:
     try:
         config = SweepConfig(args.n_max, pool, modes, args.seed, args.jobs)
     except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+        # SweepConfig's messages name its arguments, not the flags typed
+        raise CliInputError(
+            str(exc).replace("n_max", "--n-max").replace("parallelism", "--jobs")) from None
     # opened first, so that an unwritable --out fails before the checks run
     with _open_out(args.out) as fh:
         report = run_sweep(config)

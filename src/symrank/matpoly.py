@@ -219,6 +219,8 @@ class SquareMatrix(_StoredRows):
     def from_json(cls, obj: dict) -> "SquareMatrix":
         n, field, entries = json_fields(
             obj, "matrix JSON", {"n": int, "field": str, "entries": list})
+        if n < 1:
+            raise ValueError(f"matrix JSON 'n' must be at least 1, got {n}")
         check_size(n)
         if len(entries) != n or any(not isinstance(r, list) or len(r) != n for r in entries):
             raise ValueError(f"matrix JSON entries are not {n}x{n}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import pins
 from symrank.cli import (
     DEFAULT_POOL,
     MODES,
@@ -536,6 +537,16 @@ def test_cli_sweep_bad_pool(capsys):
     assert main(["sweep", "--n-max", "1", "--pool", "zebra"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n-max", "0"], "--n-max must be at least 1"),
+    (["--n-max", "13"], "--n-max 13 exceeds the size limit"),
+    (["--n-max", "1", "--jobs", "0"], "--jobs must be at least 1"),
+])
+def test_cli_sweep_errors_name_the_flag(capsys, flags, message):
+    assert main(["sweep", *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_cli_refuses_python_only_integer_spellings(capsys):
     # int() would read these as 10/3, 12/5 and 10
     for part in ("1_0/3", "\u0661\u0662/5", "1 0/3"):
@@ -670,32 +681,39 @@ def test_cli_field_float_out_of_range_exits_2(tmp_path, capsys, command, entry):
 # output contract: these pin bytes and strings that refactors must not move
 
 
-def test_cli_sweep_golden_digest(tmp_path):
-    import hashlib
-
-    out = tmp_path / "golden.jsonl"
-    assert main(["sweep", "--n-max", "3", "--seed", "0", "--jobs", "1",
-                 "--out", str(out)]) == 0
-    body = out.read_bytes()
-    assert body.count(b"\n") == 90
-    assert hashlib.sha256(body).hexdigest() == (
-        "8464ba46639048f7a86906ccb044df8f5e78d54c6a92c8a71e0f91e7666d0c40")
+def test_pinned_exact_rows_reproduce():
+    """tests/pins.py runs the exact rows in a fresh interpreter: each writes
+    its pinned bytes, and none loads numpy, even where numpy is installed."""
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("pins.py"))],
+                          capture_output=True, text=True, env=_child_env())
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_cli_sweep_golden_digest_rational_pool(tmp_path, jobs):
-    # 1/2 and 1/3 + 2/5 i put denominators into the Jordan matrices, the
-    # Frobenius factors and the Vandermonde columns, which the default pool
-    # never does
-    import hashlib
+def test_pinned_float_rows_reproduce(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for pin in pins.FLOAT:
+        assert pins.failure(pin) is None
+    # rank and minpoly print LAPACK-dependent singular values and
+    # coefficients, so only their integer fields are checked
+    assert main(["rank", "g.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 3
+    assert main(["minpoly", "g.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 3
 
-    out = tmp_path / "golden.jsonl"
-    assert main(["sweep", "--n-max", "4", "--pool", "0,1/2,1/3+2/5i", "--seed", "0",
-                 "--jobs", jobs, "--out", str(out)]) == 0
-    body = out.read_bytes()
-    assert body.count(b"\n") == 85
-    assert hashlib.sha256(body).hexdigest() == (
-        "8217be9e5a9914595999da44fd89e02066fa78e334c6e8df58fc95b044173dd5")
+
+PINNED = {pin.name: pin for pin in pins.EXACT}
+
+
+def test_cli_sweep_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert pins.failure(PINNED["sweep-n3"]) is None
+
+
+@pytest.mark.parametrize("row", ["sweep-n4-rational", "sweep-n4-rational-jobs-2"],
+                         ids=["1", "2"])
+def test_cli_sweep_golden_digest_rational_pool(tmp_path, monkeypatch, row):
+    monkeypatch.chdir(tmp_path)
+    assert pins.failure(PINNED[row]) is None
 
 
 def test_cli_minpoly_golden_digest(tmp_path, capsys):
@@ -816,6 +834,8 @@ def zero_matrix_json(n, field="exact"):
     ("ord", {"coefficients": [5]}, "matrix JSON must be an object"),
     ("ord", {"coefficients": [zero_matrix_json(2, "float")]},
      "vanishing orders are computed in the exact field"),
+    ("rank", {"n": 0, "field": "exact", "entries": []}, "'n' must be at least 1, got 0"),
+    ("rank", {"n": -1, "field": "exact", "entries": []}, "'n' must be at least 1, got -1"),
 ])
 def test_cli_malformed_json_exits_2(tmp_path, capsys, monkeypatch, command, payload, named):
     if command == "rank" and isinstance(payload, str):
@@ -1188,6 +1208,24 @@ def test_cli_minpoly_float_power_overflow_is_a_numeric_failure(tmp_path, capsys)
     assert main(["minpoly", str(path), "--tol", "0"]) == 1
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+def test_svd_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from symrank.jacobian import NumericFailure, numeric_rank_profile
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericFailure, match="SVD failed to converge: SVD did not converge"):
+        numeric_rank_profile([[1.0]])
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(FLOAT_2X2))
+    assert main(["rank", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "numeric failure: SVD failed to converge: SVD did not converge\n")
 
 
 def test_cli_spec_and_spec_file_together_exit_2(tmp_path, capsys):
