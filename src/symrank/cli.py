@@ -88,7 +88,7 @@ class SweepConfig(Value):
 
     def __init__(self, n_max: int, pool: tuple = DEFAULT_POOL, modes: tuple = MODES,
                  seed: int = 0, parallelism: int = 1):
-        for name, value in (("n_max", n_max), ("parallelism", parallelism)):
+        for name, value in (("n_max", n_max), ("seed", seed), ("parallelism", parallelism)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if n_max < 1:
@@ -547,9 +547,10 @@ def _cmd_sweep(args) -> int:
     try:
         config = SweepConfig(args.n_max, pool, modes, args.seed, args.jobs)
     except ValueError as exc:
-        # SweepConfig's messages name its arguments, not the flags typed
-        raise CliInputError(
-            str(exc).replace("n_max", "--n-max").replace("parallelism", "--jobs")) from None
+        # SweepConfig's messages start with the argument they refuse: name the flag typed
+        name, rest = str(exc).split(" ", 1)
+        name = {"n_max": "--n-max", "parallelism": "--jobs"}.get(name, name)
+        raise CliInputError(f"{name} {rest}") from None
     # opened first, so that an unwritable --out fails before the checks run
     with _open_out(args.out) as fh:
         report = run_sweep(config)

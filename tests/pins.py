@@ -1,13 +1,21 @@
-"""The byte contract: every pinned ``symrank`` command, one row each.
+"""The CLI contract: every pinned ``symrank`` command, one row each.
 
-A row of EXACT or FLOAT is a name, the sha256 of the bytes the command writes
-to ``--out`` (its last argument) and its argv in shell quoting; FILES holds the
-text of each input file a row names.  ``PYTHONPATH=src python tests/pins.py``
-runs the EXACT rows in this one interpreter, in a fresh temporary directory,
-and prints one line per row.  It exits 1 if a row exits nonzero or writes
-other bytes, naming the row, the command and both digests, or if the runs
-loaded numpy, which the exact commands must not need.  The FLOAT rows need
-numpy; ``tests/test_cli.py`` runs them in-process.
+A row of STDLIB or NUMPY is a name, what the command must give and its argv
+in shell quoting.  What it must give is either the sha256 of the bytes it
+writes to ``--out`` (its last argument), with exit 0, or a nonzero exit code
+and then the first line it writes to stderr.  No row's stderr may hold a
+traceback.  FILES holds the text of each input file a row names.
+
+``PYTHONPATH=src python tests/pins.py`` runs the STDLIB rows in this one
+interpreter, in a fresh temporary directory, with numpy blocked: a row whose
+command tries numpy fails, so these rows show that the commands they run
+need only the standard library.  A row that writes to /dev/full is skipped,
+with a line that says so, where there is no /dev/full.  Then a fresh
+interpreter without ``site`` imports symrank and runs a serial sweep, which
+must load none of the modules in UNUSED.  The script prints one line per
+check and exits 1 if any fails, naming the row (with the command, both
+values and the command's stderr, or the exception it raised) or the modules.
+The NUMPY rows need numpy; ``tests/test_cli.py`` runs them in-process.
 """
 
 import collections
@@ -18,12 +26,16 @@ import json
 import os
 import pathlib
 import shlex
+import subprocess
 import sys
 import tempfile
+import traceback
 
+import symrank
 from symrank.cli import main
 
-Pin = collections.namedtuple("Pin", "name argv sha256 inputs")
+# expected: the sha256 of the --out bytes when code is 0, else the first stderr line
+Pin = collections.namedtuple("Pin", "name argv code expected inputs")
 
 FILES = {
     # a conjugated derogatory matrix: the adjugate gcd has degree 1, 30 of the 64 derivative
@@ -42,13 +54,16 @@ def table(text: str) -> list:
     rows = []
     for line in text.splitlines():
         if line and not line.startswith("#"):
-            name, sha256, command = line.split(None, 2)
+            name, expected, command = line.split(None, 2)
             argv = shlex.split(command)
-            rows.append(Pin(name, argv, sha256, {a: FILES[a] for a in argv[:-1] if a in FILES}))
+            code = 0
+            if len(expected) != 64:  # an exit code, then the first stderr line
+                code, (expected, *argv) = int(expected), argv
+            rows.append(Pin(name, argv, code, expected, {a: FILES[a] for a in argv if a in FILES}))
     return rows
 
 
-EXACT = table("""
+STDLIB = table("""
 # every mode at n <= 3 and 5, where the Faddeev-LeVerrier kernel runs two and three packed
 # steps; two worker processes must give the same bytes as one
 sweep-n3-four-modes      843e3a269e5d0f73389e6ad04693101ad4750d600334bea90c78f531952ee957 sweep --n-max 3 --modes theorem,nullspace,tangent,vandermonde --seed 0 --out s.jsonl
@@ -82,52 +97,110 @@ minpoly-conjugated       7494379767133f262edd8bb5302f9abe3f4b4c6c363aef11aa45b3c
 jacobian-conjugated      a92da6da76b2ed891242123ffa7205b51ae3d072999756338b4df61a2a000d79 jacobian m.json --out j.json
 jacobian-integer         8c1eefcfac2f199fdc161352b683f45455ceb569a79822111b339372c9b61709 jacobian b.json --out bj.json
 rank-integer             93862ed58c63f86fe205f8678cb990a72e13c57ae69dd58732208f066558ed77 rank b.json --out r.json
+# without numpy, exact pi prints a null spectral bound: a float diagnostic never aborts an
+# exact result
+pi-conjugated-null-bound d4a7328aa158ebf49bf40f004046b2616513c85ee4625ee0b7f0b5d6434af41c pi m.json --out mp.json
+# one Jordan spec in both fields: every float value gen prints is an exact dyadic, so its
+# bytes do not depend on numpy, which it does not load
+gen-jordan               2c9a481581fccf69a8a6d2d0367caea9bea37380eb981a4b874e46804de9b495 gen --spec '{"n": 4, "blocks": [{"eigenvalue": ["1/2", "0/1"], "sizes": [1, 2]}, {"eigenvalue": ["-1/1", "0/1"], "sizes": [1]}]}' --out ge.json
+gen-float                22157a8b3e02ed079d19bfc59014cbc11d7d1f81301a4b9074c2a2e07d681961 gen --field float --spec '{"n": 4, "blocks": [{"eigenvalue": ["1/2", "0/1"], "sizes": [1, 2]}, {"eigenvalue": ["-1/1", "0/1"], "sizes": [1]}]}' --out gf.json
+# refusals: exit 2 and one error line, not a traceback.  Without numpy a float command names
+# it; /dev/full opens but fails every write; a list is not a spec
+pi-float-needs-numpy     2 'error: the float field needs numpy, which is not installed' pi g.json
+gen-out-dev-full         2 'error: --out /dev/full: No space left on device' gen --spec '{"n": 1, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [1]}]}' --out /dev/full
+verify-spec-of-wrong-kind 2 "error: --spec: Jordan spec JSON must be an object with 'n', 'blocks' list, got [1, 2]" verify --spec '[1, 2]'
 """)
 
-# every float value these commands print is an exact dyadic, so the bytes do not depend on the
-# BLAS summation order
-FLOAT = table("""
-gen-float                22157a8b3e02ed079d19bfc59014cbc11d7d1f81301a4b9074c2a2e07d681961 gen --field float --spec '{"n": 4, "blocks": [{"eigenvalue": ["1/2", "0/1"], "sizes": [1, 2]}, {"eigenvalue": ["-1/1", "0/1"], "sizes": [1]}]}' --out g.json
+# pi and jacobian print floats through numpy; every value is an exact dyadic, so the bytes do
+# not depend on the BLAS summation order
+NUMPY = table("""
 pi-float                 d0eada06c25d3ae58593e3eb42fd84b3c3fb7b515db1d249106993a805fd330c pi g.json --out gp.json
-jacobian-float           db82655f3b220ec8cb1a92f692506583480915dcc8f5093dcf9718b149d28e73 jacobian g.json --out gj.json
+jacobian-float           db82655f3b220ec8cb1a92f692506583480915dcc8f5093dcf9718b149d28e73 jacobian g.json --out ge.json
 """)
 
 
 def failure(pin: Pin) -> str | None:
-    """Run pin in the current directory: None if it exits 0 and writes the
-    pinned bytes, else a report naming the row, the command, both digests
-    and the command's stderr."""
+    """Run pin in the current directory: None if it exits with pin.code, gives
+    pin.expected and writes no traceback, else a report naming the row, the
+    command, the expected and the actual value and the command's stderr.  A
+    command that raises fails its row, and its traceback ends the report;
+    its stdout is discarded."""
     for name, text in pin.inputs.items():
         pathlib.Path(name).write_text(text, encoding="utf-8")
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(pin.argv)
-    out = pathlib.Path(pin.argv[-1])
-    actual = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    if code == 0 and actual == pin.sha256:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = f"exit {main(pin.argv)}"
+    except SystemExit as exc:  # argparse refuses the command line
+        status = f"exit {exc.code}"
+    except Exception as exc:  # the user would see this traceback
+        status = f"raised {exc!r}"
+        err.write(traceback.format_exc())
+    stderr = err.getvalue()
+    if pin.code:
+        what, actual = "stderr", stderr.partition("\n")[0]
+    else:
+        out = pathlib.Path(pin.argv[-1])
+        what = "sha256"
+        actual = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    if status == f"exit {pin.code}" and actual == pin.expected and "Traceback" not in stderr:
         return None
-    return (f"FAIL {pin.name}: exit {code}\n  symrank {shlex.join(pin.argv)}\n"
-            f"  expected sha256 {pin.sha256}\n  actual sha256   {actual}\n{err.getvalue()}")
+    return (f"FAIL {pin.name}: {status}, expected exit {pin.code}\n"
+            f"  symrank {shlex.join(pin.argv)}\n"
+            f"  expected {what} {pin.expected}\n  actual {what}   {actual}\n{stderr}")
 
 
-def run_exact() -> int:
-    """Check every EXACT row in a fresh temporary directory, one line each."""
+#: Modules that ``import symrank`` and a serial sweep must not load: the value types need no
+#: dataclasses (nor the inspect module it imports), annotations no typing, the exact paths no
+#: numpy, and a serial sweep no process pool
+UNUSED = ("dataclasses", "inspect", "typing", "numpy", "concurrent.futures.process")
+SERIAL_SWEEP_CHILD = """
+import os, sys
+before = set(sys.modules)
+import symrank
+from symrank.cli import main
+code = main(["sweep", "--n-max", "2", "--out", os.devnull])
+print(*sorted(set(sys.argv[1:]) & (set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def unused_module_failure() -> str | None:
+    """None if a fresh interpreter without site, which may preload typing,
+    imports symrank and runs a serial sweep to exit 0 without loading a
+    module of UNUSED, else a report naming the modules it loaded."""
+    src = str(pathlib.Path(symrank.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", SERIAL_SWEEP_CHILD, *UNUSED],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    if done.returncode == 0 and not done.stdout.strip():
+        return None
+    return (f"FAIL import-and-serial-sweep: exit {done.returncode}, loaded "
+            f"[{done.stdout.strip()}] of {' '.join(UNUSED)}\n{done.stderr}")
+
+
+def run_stdlib() -> int:
+    """Check every STDLIB row with numpy blocked, in a fresh temporary
+    directory, and then the modules of a serial sweep; one line each."""
+    sys.modules["numpy"] = None  # now any import of numpy raises ModuleNotFoundError
     failed = 0
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            for pin in EXACT:
+            for pin in STDLIB:
+                if "/dev/full" in pin.argv and not os.path.exists("/dev/full"):
+                    print(f"skip {pin.name}: this system has no /dev/full", flush=True)
+                    continue
                 report = failure(pin)
                 failed += report is not None
                 print(report or f"ok   {pin.name}", flush=True)
         finally:
             os.chdir(home)
-    if "numpy" in sys.modules:
-        print("FAIL the exact rows loaded numpy, which they must not need")
-        failed += 1
+    report = unused_module_failure()
+    failed += report is not None
+    print(report or "ok   import-and-serial-sweep")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(run_exact())
+    sys.exit(run_stdlib())

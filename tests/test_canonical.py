@@ -26,6 +26,8 @@ from symrank.proofs import tangent_direction
 from symrank.scalars import (
     EXACT,
     FLOAT,
+    GQ_ONE,
+    GQ_ZERO,
     NumericFailure,
     gq,
     random_gaussian_rational,
@@ -34,26 +36,33 @@ from symrank.scalars import (
 )
 
 
-def gauss_rank(rows):
-    """Independent rank oracle: plain exact row reduction (not fraction-free)."""
+def gauss_jordan_rank_det(rows):
+    """Independent rank and determinant oracle: plain Gauss-Jordan over
+    Gaussian rationals with row swaps, not fraction-free; (rank, determinant),
+    the determinant only for square rows (0 when singular), None otherwise."""
     work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    rank, det = 0, GQ_ONE
     for c in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        pivot = next((i for i in range(rank, nrows) if work[i][c]), None)
         if pivot is None:
+            det = GQ_ZERO
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            det = -det
         pv = work[rank][c]
+        det = det * pv
         work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
+        for i in range(nrows):
             if i != rank and work[i][c]:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
-    return rank
+    if nrows != ncols:
+        return rank, None
+    return rank, det if rank == nrows else GQ_ZERO
 
 
 def eval_poly_at_matrix(p, M):
@@ -74,7 +83,7 @@ def min_poly_oracle(M):
         power = power @ M
         vec = [x for row in power.entries for x in row]
         cols = list(zip(*(vecs + [vec])))
-        if gauss_rank(cols) <= len(vecs):
+        if gauss_jordan_rank_det(cols)[0] <= len(vecs):
             return k
         vecs.append(vec)
     raise AssertionError("unreachable")

@@ -203,8 +203,8 @@ def test_sweep_config_validation():
 
 def test_library_boundary_refuses_non_int_counts_and_bools():
     # counts must be ints, not floats or bools, and a bool is no scalar
-    for field, value in (("n_max", 2.5), ("n_max", True), ("parallelism", 2.0),
-                         ("parallelism", True)):
+    for field, value in (("n_max", 2.5), ("n_max", True), ("seed", True), ("seed", 1.5),
+                         ("seed", "3"), ("parallelism", 2.0), ("parallelism", True)):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{"n_max": 2, field: value})
     for call in (lambda: coerce_scalar(True, EXACT), lambda: coerce_scalar(False, FLOAT),
@@ -541,6 +541,7 @@ def test_cli_sweep_bad_pool(capsys):
     (["--n-max", "0"], "--n-max must be at least 1"),
     (["--n-max", "13"], "--n-max 13 exceeds the size limit"),
     (["--n-max", "1", "--jobs", "0"], "--jobs must be at least 1"),
+    (["--n-max", "1", "--modes", "n_max"], "unknown modes: ['n_max']"),
 ])
 def test_cli_sweep_errors_name_the_flag(capsys, flags, message):
     assert main(["sweep", *flags]) == 2
@@ -682,8 +683,8 @@ def test_cli_field_float_out_of_range_exits_2(tmp_path, capsys, command, entry):
 
 
 def test_pinned_exact_rows_reproduce():
-    """tests/pins.py runs the exact rows in a fresh interpreter: each writes
-    its pinned bytes, and none loads numpy, even where numpy is installed."""
+    """tests/pins.py runs the STDLIB rows in a fresh interpreter with numpy
+    blocked, even where it is installed, and a serial sweep in a second one."""
     done = subprocess.run([sys.executable, str(Path(__file__).with_name("pins.py"))],
                           capture_output=True, text=True, env=_child_env())
     assert done.returncode == 0, done.stdout + done.stderr
@@ -691,7 +692,7 @@ def test_pinned_exact_rows_reproduce():
 
 def test_pinned_float_rows_reproduce(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for pin in pins.FLOAT:
+    for pin in pins.NUMPY:
         assert pins.failure(pin) is None
     # rank and minpoly print LAPACK-dependent singular values and
     # coefficients, so only their integer fields are checked
@@ -701,7 +702,7 @@ def test_pinned_float_rows_reproduce(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["degree"] == 3
 
 
-PINNED = {pin.name: pin for pin in pins.EXACT}
+PINNED = {pin.name: pin for pin in pins.STDLIB}
 
 
 def test_cli_sweep_golden_digest(tmp_path, monkeypatch):
@@ -1016,15 +1017,10 @@ def test_cli_size_limit_admits_max_n(tmp_path, capsys):
 
 
 def test_python_dash_m_symrank_matches_main(capsys, monkeypatch):
-    import symrank
-
     matrix = json.dumps({"n": 2, "field": "float",
                          "entries": [[[0.5, -0.25], [0.0, 1.0]], [[2.0, 0.0], [-1.0, 0.5]]]})
-    src = str(Path(symrank.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-m", "symrank", "pi", "-"], input=matrix,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert done.returncode == 0
     assert done.stderr == ""
     monkeypatch.setattr("sys.stdin", io.StringIO(matrix))
@@ -1039,75 +1035,6 @@ def _child_env() -> dict:
     src = str(Path(symrank.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-
-
-STDLIB_ONLY_CHILD = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-from symrank.cli import main
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runs.append([main(argv), out.getvalue()])
-print(json.dumps({"runs": runs, "pool_loaded": "concurrent.futures.process" in sys.modules}))
-"""
-
-
-def test_exact_commands_run_without_numpy(tmp_path, capsys):
-    """The exact subcommands and an exact serial sweep need only the standard
-    library: a fresh interpreter in which numpy cannot be imported gives the
-    same output, and the sweep the golden bytes, without loading the process
-    pool either.  `pi` is the one exact subcommand that still tries numpy, for
-    its float spectral bound; without it the bound is null, so its output
-    differs and `test_cli_pi_exact_without_numpy_prints_a_null_bound` checks it."""
-    import hashlib
-
-    spec = json.dumps({"n": 3, "blocks": [{"eigenvalue": ["0/1", "0/1"], "sizes": [2]},
-                                          {"eigenvalue": ["1/2", "1/3"], "sizes": [1]}]})
-    matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({"n": 2, "field": "exact", "entries": [
-        [["1/2", "0/1"], ["1/1", "-1/3"]], [["0/1", "2/1"], ["-3/4", "0/1"]]]}))
-    argvs = [[command, "--spec", spec] for command in ("gen", "verify", "nullspace",
-                                                        "tangent", "ord")]
-    argvs += [[command, str(matrix)] for command in ("jacobian", "rank", "minpoly")]
-    report = tmp_path / "sweep.jsonl"
-    sweep = ["sweep", "--n-max", "3", "--modes", "theorem,nullspace,tangent,vandermonde",
-             "--seed", "0", "--jobs", "1", "--out", str(report)]
-    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY_CHILD, json.dumps(argvs + [sweep])],
-                          capture_output=True, text=True, env=_child_env())
-    assert done.returncode == 0, done.stderr
-    child = json.loads(done.stdout)
-    assert child["pool_loaded"] is False
-    assert [code for code, _ in child["runs"]] == [0] * (len(argvs) + 1)
-    for argv, (_, out) in zip(argvs, child["runs"]):
-        assert main(argv) == 0
-        assert out == capsys.readouterr().out, argv
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "843e3a269e5d0f73389e6ad04693101ad4750d600334bea90c78f531952ee957")
-
-
-#: Modules a cold ``import symrank`` must not load: the value types need no
-#: dataclasses (nor the inspect module it imports), annotations no typing,
-#: the exact paths no numpy, and a serial sweep no process pool.
-IMPORT_CHILD = """
-import json, sys
-before = set(sys.modules)
-import symrank
-print(json.dumps(sorted(set(sys.modules) - before)))
-"""
-UNUSED_AT_IMPORT = {"dataclasses", "inspect", "typing", "numpy", "concurrent.futures.process"}
-
-
-def test_import_loads_no_unused_module():
-    """A fresh interpreter without ``site``, which may preload typing,
-    imports symrank and reports the modules that the import added."""
-    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHILD],
-                          capture_output=True, text=True, env=_child_env())
-    assert done.returncode == 0, done.stderr
-    added = set(json.loads(done.stdout))
-    assert "symrank.cli" in added
-    assert not added & UNUSED_AT_IMPORT, sorted(added & UNUSED_AT_IMPORT)
 
 
 FLOAT_2X2 = {"n": 2, "field": "float",

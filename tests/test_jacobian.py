@@ -46,8 +46,14 @@ from symrank.scalars import (
     to_gaussian_integers,
     to_gaussian_rationals,
 )
-from tests.test_canonical import gauss_rank, reference_random_similarity
-from tests.test_matpoly import OVERFLOW_ROWS, float_cases, laplace_det, reference_charpoly
+from tests.test_canonical import gauss_jordan_rank_det, reference_random_similarity
+from tests.test_matpoly import (
+    OVERFLOW_ROWS,
+    float_cases,
+    laplace_det,
+    random_exact_matrix,
+    reference_charpoly,
+)
 
 
 def directional_oracle(B, M):
@@ -71,13 +77,6 @@ def directional_oracle(B, M):
     return tuple(out)
 
 
-def random_exact(rng, n, magnitude=3):
-    return SquareMatrix.from_rows(
-        [[random_gaussian_rational(rng, magnitude) for _ in range(n)] for _ in range(n)],
-        EXACT,
-    )
-
-
 def test_directional_derivative_at_zero():
     B = SquareMatrix.zeros(2)
     M = SquareMatrix.from_rows([[3, 1], [2, 7]])
@@ -95,16 +94,16 @@ def test_directional_derivative_matches_symbolic_oracle():
     rng = random.Random(50)
     for n in (1, 2, 3, 4):
         for _ in range(4):
-            B = random_exact(rng, n)
-            M = random_exact(rng, n)
+            B = random_exact_matrix(rng, n)
+            M = random_exact_matrix(rng, n)
             assert directional_derivative(B, M) == directional_oracle(B, M)
 
 
 def test_directional_derivative_linear():
     rng = random.Random(51)
-    B = random_exact(rng, 3)
-    M1 = random_exact(rng, 3)
-    M2 = random_exact(rng, 3)
+    B = random_exact_matrix(rng, 3)
+    M1 = random_exact_matrix(rng, 3)
+    M2 = random_exact_matrix(rng, 3)
     alpha = random_gaussian_rational(rng)
     combined = directional_derivative(B, M1.scale(alpha) + M2)
     split = tuple(
@@ -159,7 +158,7 @@ def test_jacobian_rows_are_the_lemma_matrices_on_the_default_pool():
 
 def test_jacobian_columns_are_directional_derivatives():
     rng = random.Random(52)
-    B = random_exact(rng, 3)
+    B = random_exact_matrix(rng, 3)
     jac = jacobian_exact(B)
     for i in range(3):
         for j in range(3):
@@ -313,7 +312,7 @@ def test_rank_exact_matches_gauss_oracle():
         ncols = rng.randint(1, 7)
         rows = [[random_gaussian_rational(rng, 2) if rng.random() < 0.6 else gq(0)
                  for _ in range(ncols)] for _ in range(nrows)]
-        assert rank_exact(rows) == gauss_rank(rows)
+        assert rank_exact(rows) == gauss_jordan_rank_det(rows)[0]
 
 
 def test_rank_exact_rejects_float():
@@ -356,7 +355,7 @@ def test_rank_exact_matches_gauss_oracle_mixed_row_denominators():
             rows[-1] = [a * gq("3/7", 1) + b * gq("-5/2") for a, b in zip(rows[0], rows[1])]
         cases.append(rows)
     for rows in cases:
-        want = gauss_rank([[coerce_scalar(x, EXACT) for x in row] for row in rows])
+        want, _ = gauss_jordan_rank_det([[coerce_scalar(x, EXACT) for x in row] for row in rows])
         assert rank_exact(rows) == want
         if len(rows) == len(rows[0]):
             assert rank_exact(SquareMatrix.from_rows(rows, EXACT)) == want
@@ -400,7 +399,7 @@ def test_rank_exact_matches_per_row_route_and_gauss_oracle():
                         for a, b in zip(rows[0], rows[1])]
         cases.append(rows)
     for rows in cases:
-        oracle = gauss_rank([[coerce_scalar(x, EXACT) for x in row] for row in rows])
+        oracle, _ = gauss_jordan_rank_det([[coerce_scalar(x, EXACT) for x in row] for row in rows])
         assert rank_exact(rows) == reference_rank_exact(rows) == oracle
     square = SquareMatrix.from_rows([[1, 2], [2, 4]], EXACT)
     jac = jacobian_exact(build_jordan(JordanSpec.of({0: [1, 2]})))
@@ -440,7 +439,7 @@ def test_eliminate_determinant_matches_cofactor_oracle():
             rows[-1] = [gq(2) * x for x in rows[0]]
         rank, det = reference_eliminate(rows)
         assert det == laplace_det(rows)
-        assert rank == gauss_rank(rows)
+        assert rank == gauss_jordan_rank_det(rows)[0]
 
 
 def test_rank_numeric_identity():
@@ -521,7 +520,7 @@ def test_verify_theorem_report_json():
 def test_rank_bounds():
     rng = random.Random(73)
     for n in (1, 2, 3, 4):
-        B = random_exact(rng, n)
+        B = random_exact_matrix(rng, n)
         r = rank_exact(jacobian_exact(B))
         assert 1 <= r <= n
 
@@ -598,7 +597,7 @@ def _oracle_matrices(n, rng):
     random Gaussian-rational matrix of size n."""
     spec = JordanSpec.of({gq("1/2", "-2/3"): [n]})
     B = build_jordan(spec)
-    return [B, random_similarity(B, n), random_exact(rng, n)]
+    return [B, random_similarity(B, n), random_exact_matrix(rng, n)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -626,7 +625,7 @@ def test_directional_derivative_matches_per_adjugate_route():
     rng = random.Random(820)
     for n in range(1, 6):
         for B in _oracle_matrices(n, rng):
-            for M in (random_exact(rng, n), SquareMatrix.basis(n, n - 1, 0)):
+            for M in (random_exact_matrix(rng, n), SquareMatrix.basis(n, n - 1, 0)):
                 assert directional_derivative(B, M) == reference_directional_derivative(B, M)
 
 
@@ -678,7 +677,7 @@ def test_exact_directional_derivative_repr_matches_reference_for_either_zero():
     for n in range(1, 6):
         specs = list(enumerate_jordan_specs(n, DEFAULT_POOL))
         bases += [build_frobenius(jordan_to_frobenius(spec)) for spec in rng.sample(specs, 3)]
-        bases += [random_exact(rng, n), build_jordan(JordanSpec.of({gq(0): [n]}))]
+        bases += [random_exact_matrix(rng, n), build_jordan(JordanSpec.of({gq(0): [n]}))]
     checked = 0
     for B in bases:
         n = B.n
@@ -710,11 +709,11 @@ def _exact_pairs(rng):
     pairs = []
     for n in range(1, 6):
         for B in _oracle_matrices(n, rng):
-            pairs += [(B, random_exact(rng, n)), (B, _sparse_direction(rng, n, GQ_ZERO))]
+            pairs += [(B, random_exact_matrix(rng, n)), (B, _sparse_direction(rng, n, GQ_ZERO))]
         if n > 1:
             fspec = jordan_to_frobenius(JordanSpec.of({gq("1/2"): [n - 1], gq(0, 1): [1]}))
             B = build_frobenius(fspec)
-            pairs += [(B, tangent_direction(fspec, n)), (B, random_exact(rng, n))]
+            pairs += [(B, tangent_direction(fspec, n)), (B, random_exact_matrix(rng, n))]
     return pairs
 
 
@@ -773,35 +772,6 @@ def test_verify_theorem_ranks_the_conjugated_matrix(monkeypatch):
     report = verify_theorem(JordanSpec.of({0: [3]}))
     assert report.rank == report.min_poly_degree == 3
     assert report.theorem_holds and not report.conjugation_checked
-
-
-def gauss_jordan_rank_det(rows):
-    """Independent oracle for Bareiss: plain Gauss-Jordan over Gaussian
-    rationals with row swaps; (rank, determinant), the determinant only for
-    square rows (0 when singular), None otherwise."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    rank, det = 0, GQ_ONE
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if work[i][c]), None)
-        if pivot is None:
-            det = GQ_ZERO
-            continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            det = -det
-        pv = work[rank][c]
-        det = det * pv
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    if nrows != ncols:
-        return rank, None
-    return rank, det if rank == nrows else GQ_ZERO
 
 
 def _bareiss_cases(rng):
@@ -972,7 +942,7 @@ def test_stored_rows_under_racing_threads():
     # four threads read entries or rows of one fresh matrix each round; a race
     # may build them twice, and every reader must see the same values
     rng = random.Random(1400)
-    B = random_exact(rng, 7)
+    B = random_exact_matrix(rng, 7)
     want_entries = reference_random_similarity(B, 7).entries
     want_rows = reference_jacobian_exact(reference_random_similarity(B, 7)).rows
     results = []
